@@ -5,7 +5,13 @@ resolution dual graphs, and affine toric singularities given by strongly
 convex rational cones.  All computations are exact over the rationals.
 """
 
-from .errors import DomainError, InputError, SingvolError, UnsupportedDimensionError
+from .errors import (
+    DomainError,
+    InputError,
+    InternalError,
+    SingvolError,
+    UnsupportedDimensionError,
+)
 from .exactmath import (
     LPOutcome,
     LPProblem,

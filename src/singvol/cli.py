@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -109,21 +110,25 @@ def _cmd_surface_zariski(args):
     }
 
 
+# The flags each family of surface.standard_graph needs.
+_FAMILY_FLAGS = {
+    "cone": (("g", "d"), "--family cone needs --g and --d"),
+    "cusp_cycle": (("self_ints",), "--family cusp_cycle needs --self-ints like -3,-2,-2"),
+    "duval": (("name",), "--family duval needs --name like A2 or E6"),
+}
+
+
 def _cmd_surface_standard(args):
-    if args.family == "cone":
-        if args.g is None or args.d is None:
-            raise InputError("--family cone needs --g and --d")
-        graph = surface_mod.cone_graph(args.g, args.d)
-    elif args.family == "cusp_cycle":
-        if not args.self_ints:
-            raise InputError("--family cusp_cycle needs --self-ints like -3,-2,-2")
-        graph = surface_mod.cusp_cycle_graph(_parse_vector(args.self_ints))
-    elif args.family == "duval":
-        if not args.name:
-            raise InputError("--family duval needs --name like A2 or E6")
-        graph = surface_mod.du_val_graph(args.name)
-    else:
-        raise InputError(f"unknown family {args.family!r}")
+    flags, message = _FAMILY_FLAGS[args.family]
+    if any(getattr(args, flag) in (None, "") for flag in flags):
+        raise InputError(message)
+    graph = surface_mod.standard_graph(
+        args.family,
+        genus=args.g,
+        degree=args.d,
+        self_ints=_parse_vector(args.self_ints) if args.self_ints else None,
+        name=args.name,
+    )
     return jsonio.graph_to_obj(graph)
 
 
@@ -380,9 +385,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VECTOR_OPTIONS = ("--at", "--v", "--w", "--self-ints")
+_NEGATIVE_VECTOR = re.compile(r"-\d+(,-?\d+)*")
+
+
+def _attach_negative_vectors(argv):
+    """Join "--at", "-1,2,3" into "--at=-1,2,3".
+
+    argparse takes any separate value that starts with "-" and is not a
+    plain negative number for an option, and rejects the vector option as
+    missing its argument.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in _VECTOR_OPTIONS and _NEGATIVE_VECTOR.fullmatch(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_vectors(sys.argv[1:] if argv is None else argv))
     try:
         payload = args.func(args)
     except SingvolError as exc:

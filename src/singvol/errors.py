@@ -27,3 +27,11 @@ class UnsupportedDimensionError(SingvolError):
     """The requested computation is only implemented in low dimensions."""
 
     exit_code = 4
+
+
+class InternalError(SingvolError):
+    """An exact self-check of a computed answer or certificate failed.
+
+    This signals a bug, never bad input.  The checks raise it explicitly,
+    so they keep running under ``python -O``.
+    """

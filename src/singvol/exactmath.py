@@ -1,11 +1,15 @@
 """Exact rational arithmetic, linear algebra, linear programming and
 low-dimensional polytope volumes.
 
-Everything in this package computes over ``fractions.Fraction``; no floating
-point is used anywhere.  The linear programming solver is a dense two-phase
-simplex with Bland's anti-cycling rule.  It always returns a certificate:
-an optimal point, an unbounded improving ray, or a Farkas combination
-witnessing infeasibility.
+Everything in this package is exact over ``fractions.Fraction`` and ``int``;
+no floating point is used anywhere.  Determinants, ranks, leading minors,
+linear solves and kernels all come from one fraction-free (Bareiss)
+elimination over Python integers, whose solutions, kernels and
+inconsistency certificates are checked in integers on every call.
+
+The linear programming solver is a dense two-phase simplex with Bland's
+anti-cycling rule.  It always returns a certificate: an optimal point, an
+unbounded improving ray, or a Farkas combination witnessing infeasibility.
 """
 
 from __future__ import annotations
@@ -14,9 +18,10 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
+from typing import NamedTuple
 
-from .errors import DomainError, InputError, UnsupportedDimensionError
+from .errors import DomainError, InputError, InternalError, UnsupportedDimensionError
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -44,21 +49,20 @@ def as_vector(entries) -> Vec:
     return tuple(Fraction(e) for e in entries)
 
 
-def as_matrix(rows) -> Mat:
-    mat = tuple(as_vector(r) for r in rows)
-    if mat and any(len(r) != len(mat[0]) for r in mat):
-        raise InputError("matrix rows have inconsistent lengths")
-    return mat
-
-
 def dot(u, v) -> Fraction:
     if len(u) != len(v):
         raise InputError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
+# Tuples built on hot paths come from lists.  tuple(<generator>) first
+# allocates room for ten items and resizes, so each such tuple is later freed
+# onto CPython's free list for another size.  Those lists keep up to 2000
+# tuples of each size under 20 and are emptied only by full garbage
+# collections, which integer work seldom triggers, so a long batch of
+# queries would hold megabytes of them.
 def mat_vec(m: Mat, v) -> Vec:
-    return tuple(dot(row, v) for row in m)
+    return tuple([dot(row, v) for row in m])
 
 
 def vec_add(u, v) -> Vec:
@@ -100,77 +104,188 @@ def scale_to_primitive_integer(v) -> tuple[int, ...]:
     return primitive_vector([x * denom for x in fracs])
 
 
+# ---------------------------------------------------------------------------
+# Exact linear algebra: one fraction-free integer elimination
+# ---------------------------------------------------------------------------
+
+
+def _entries(rows) -> list:
+    """Rows as lists of int or Fraction entries, checked to share one length."""
+    out = [
+        [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        for row in rows
+    ]
+    if out and any(len(row) != len(out[0]) for row in out):
+        raise InputError("matrix rows have inconsistent lengths")
+    return out
+
+
+def _integer_rows(rows):
+    """Each row times the least positive integer clearing its denominators.
+
+    Returns the integer rows and those factors.  Scaling a row changes
+    neither the solutions, the rank nor the kernel; it multiplies every
+    minor on that row by its factor.
+    """
+    ints = []
+    scales = []
+    for row in rows:
+        scale = lcm(*[x.denominator for x in row])
+        if scale == 1:
+            ints.append([x.numerator for x in row])
+        else:
+            ints.append([x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
+    return ints, scales
+
+
+class _Echelon(NamedTuple):
+    pivots: list      # pivot column of each of the leading rows
+    minors: list      # the pivot entries
+    order: list       # original index of the row now at each position
+    sign: int         # sign of that row permutation
+
+
+def _bareiss(rows, ncols, pivoting=True) -> _Echelon:
+    """Fraction-free Gaussian elimination of integer rows, in place.
+
+    Bareiss (Math. Comp. 1968): after t pivots every entry below the pivot
+    rows is the (t+1)-minor on the pivot rows and columns plus its own row
+    and column, so each division by the previous pivot is exact and no
+    entry outgrows a minor.  Pivots are sought in the first ``ncols``
+    columns; later columns (right-hand sides, an identity block) are
+    carried along.  With ``pivoting`` the pivot is the first nonzero entry
+    of the column at or below the current row.  Without it the pivots are
+    the leading principal minors, and the pass stops at the first zero one,
+    which it records.
+    """
+    nrows = len(rows)
+    pivots = []
+    minors = []
+    order = list(range(nrows))
+    sign = prev = 1
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        if not rows[r][col]:
+            if not pivoting:
+                minors.append(0)
+                break
+            swap = next((i for i in range(r + 1, nrows) if rows[i][col]), None)
+            if swap is None:
+                continue
+            rows[r], rows[swap] = rows[swap], rows[r]
+            order[r], order[swap] = order[swap], order[r]
+            sign = -sign
+        top = rows[r]
+        pivot = top[col]
+        tail = top[col + 1:]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            factor = row[col]
+            if factor:
+                row[col + 1:] = [
+                    (pivot * x - factor * y) // prev for x, y in zip(row[col + 1:], tail)
+                ]
+                row[col] = 0
+            elif pivot != prev:
+                row[col + 1:] = [pivot * x // prev for x in row[col + 1:]]
+        pivots.append(col)
+        minors.append(pivot)
+        prev = pivot
+    return _Echelon(pivots, minors, order, sign)
+
+
+def _back_substitute(rows, echelon: _Echelon, col: int):
+    """Integers y and D with sum_j U[i][pivot_j] y_j = D U[i][col] on the
+    pivot rows of the eliminated rows U, D the last pivot (1 if none).  D is
+    the determinant of the pivot block, so by Cramer's rule y is integral
+    and every division is exact."""
+    pivots = echelon.pivots
+    d = echelon.minors[-1] if pivots else 1
+    y = [0] * len(pivots)
+    for i in range(len(pivots) - 1, -1, -1):
+        row = rows[i]
+        acc = d * row[col] - sum(row[c] * v for c, v in zip(pivots[i + 1:], y[i + 1:]))
+        y[i] = acc // row[pivots[i]]
+    return y, d
+
+
+def _verify_null(rows, vec, what: str) -> None:
+    """Always-on check that every integer row pairs to zero with vec."""
+    for row in rows:
+        if sum(a * v for a, v in zip(row, vec)):
+            raise InternalError(f"{what} failed its exact check")
+
+
+def _verify_certificate(rows, lam, ncols: int) -> None:
+    """Always-on check that lam kills the first ncols columns of the
+    integer rows but not the next one."""
+    combo = [sum(l * row[j] for l, row in zip(lam, rows)) for j in range(ncols + 1)]
+    if any(combo[:ncols]) or not combo[ncols]:
+        raise InternalError("inconsistency certificate failed its exact check")
+
+
 def determinant(m: Mat) -> Fraction:
-    m = as_matrix(m)
-    k = len(m)
+    rows = _entries(m)
+    k = len(rows)
     if k == 0:
         return Fraction(1)
-    if any(len(row) != k for row in m):
+    if len(rows[0]) != k:
         raise InputError("determinant requires a square matrix")
-    rows = [list(r) for r in m]
-    det = Fraction(1)
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = Fraction(1) / rows[col][col]
-        for r in range(col + 1, k):
-            factor = rows[r][col] * inv
-            if factor:
-                for c in range(col, k):
-                    rows[r][c] -= factor * rows[col][c]
-    return det
+    ints, scales = _integer_rows(rows)
+    echelon = _bareiss(ints, k)
+    if len(echelon.pivots) < k:
+        return Fraction(0)
+    return Fraction(echelon.sign * echelon.minors[-1], prod(scales))
 
 
 def matrix_rank(m) -> int:
-    rows = [list(as_vector(r)) for r in m]
+    rows = _entries(m)
     if not rows:
         return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col] * inv
-                for c in range(ncols):
-                    rows[r][c] -= factor * rows[rank][c]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return len(_bareiss(_integer_rows(rows)[0], len(rows[0])).pivots)
+
+
+def kernel_vector(rows) -> tuple[int, ...] | None:
+    """A primitive integer vector spanning the kernel of a nonempty matrix,
+    or None when the kernel is not a line."""
+    ints, _ = _integer_rows(_entries(rows))
+    if not ints:
+        raise InputError("kernel_vector needs at least one row")
+    ncols = len(ints[0])
+    work = [row[:] for row in ints]
+    echelon = _bareiss(work, ncols)
+    if len(echelon.pivots) != ncols - 1:
+        return None
+    free = next(c for c in range(ncols) if c not in echelon.pivots)
+    y, d = _back_substitute(work, echelon, free)
+    vec = [0] * ncols
+    vec[free] = d
+    for c, v in zip(echelon.pivots, y):
+        vec[c] = -v
+    _verify_null(ints, vec, "kernel vector")
+    return primitive_vector(vec)
 
 
 def solve_linear(m: Mat, b) -> Vec:
     """Solve Mx = b exactly for square nonsingular M."""
-    m = as_matrix(m)
-    b = as_vector(b)
-    k = len(m)
-    if k == 0 or any(len(row) != k for row in m):
+    rows = _entries(m)
+    b = _entries([b])[0]
+    k = len(rows)
+    if k == 0 or len(rows[0]) != k:
         raise InputError("solve_linear requires a square matrix")
     if len(b) != k:
         raise InputError("right-hand side length does not match the matrix")
-    rows = [list(r) + [bv] for r, bv in zip(m, b)]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise DomainError("singular matrix in solve_linear")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = Fraction(1) / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(k):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return tuple(rows[i][k] for i in range(k))
+    system, _ = _integer_rows([row + [bv] for row, bv in zip(rows, b)])
+    work = [row[:] for row in system]
+    echelon = _bareiss(work, k)
+    if len(echelon.pivots) < k:
+        raise DomainError("singular matrix in solve_linear")
+    y, det = _back_substitute(work, echelon, k)
+    _verify_null(system, y + [-det], "solution")
+    return tuple([Fraction(v, det) for v in y])
 
 
 def solve_general(a, b):
@@ -178,72 +293,67 @@ def solve_general(a, b):
 
     Returns ``(solution, None)`` with one exact solution when the system is
     consistent, or ``(None, lam)`` where ``lam`` certifies inconsistency:
-    lam @ A = 0 while lam @ b != 0.
+    lam @ A = 0 while lam @ b != 0.  The solution is zero on non-pivot
+    columns.  ``lam`` is supported on the pivot rows and the first row left
+    inconsistent, with coefficient 1 on that row.
     """
-    a = as_matrix(a)
-    b = as_vector(b)
-    nrows = len(a)
+    rows = _entries(a)
+    b = _entries([b])[0]
+    nrows = len(rows)
     if nrows == 0:
         return (), None
-    ncols = len(a[0])
+    ncols = len(rows[0])
     if len(b) != nrows:
         raise InputError("right-hand side length does not match the matrix")
-    # Augment with b and an identity block recording the row operations.
-    rows = [
-        list(a[i]) + [b[i]] + [Fraction(int(i == j)) for j in range(nrows)]
-        for i in range(nrows)
-    ]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(nrows):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, nrows):
-        if rows[r][ncols] != 0:
-            lam = tuple(rows[r][ncols + 1:])
-            return None, lam
-    solution = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        solution[col] = rows[r][ncols]
-    return tuple(solution), None
-
-
-def is_negative_definite(m: Mat) -> bool:
-    """Sylvester test: (-1)^k times the k-th leading principal minor is > 0."""
-    m = as_matrix(m)
-    k = len(m)
-    if k == 0 or any(len(row) != k for row in m):
-        raise InputError("negative-definiteness requires a square matrix")
-    for i in range(k):
-        for j in range(i + 1, k):
-            if m[i][j] != m[j][i]:
-                raise InputError("negative-definiteness requires a symmetric matrix")
-    for size in range(1, k + 1):
-        minor = determinant(tuple(row[:size] for row in m[:size]))
-        if (-1) ** size * minor <= 0:
-            return False
-    return True
+    system, scales = _integer_rows([row + [bv] for row, bv in zip(rows, b)])
+    # An identity block records each row as a combination of the input rows.
+    work = [row + [int(i == j) for j in range(nrows)] for i, row in enumerate(system)]
+    echelon = _bareiss(work, ncols)
+    rank = len(echelon.pivots)
+    for pos in range(rank, nrows):
+        if work[pos][ncols]:
+            lam = work[pos][ncols + 1:]
+            _verify_certificate(system, lam, ncols)
+            lam = [l * s for l, s in zip(lam, scales)]
+            own = lam[echelon.order[pos]]
+            return None, tuple([Fraction(l, own) for l in lam])
+    pivot_values, det = _back_substitute(work, echelon, ncols)
+    y = [0] * ncols
+    for c, v in zip(echelon.pivots, pivot_values):
+        y[c] = v
+    _verify_null(system, y + [-det], "solution")
+    return tuple([Fraction(v, det) for v in y]), None
 
 
 def failing_principal_minor(m: Mat):
     """Index (1-based) and value of the first leading minor violating
     negative definiteness, or None when the matrix is negative definite."""
-    m = as_matrix(m)
-    for size in range(1, len(m) + 1):
-        minor = determinant(tuple(row[:size] for row in m[:size]))
+    rows = _entries(m)
+    k = min(len(rows), len(rows[0])) if rows else 0
+    ints, scales = _integer_rows(rows)
+    scale = 1
+    minors = _bareiss(ints, k, pivoting=False).minors
+    for size, (minor, row_scale) in enumerate(zip(minors, scales), 1):
+        scale *= row_scale
         if (-1) ** size * minor <= 0:
-            return size, minor
+            return size, Fraction(minor, scale)
+    if len(rows) > k:
+        # A taller than wide matrix has no square leading block this big.
+        raise InputError("determinant requires a square matrix")
     return None
+
+
+def is_negative_definite(m: Mat) -> bool:
+    """Sylvester test: (-1)^k times the k-th leading principal minor is > 0."""
+    rows = _entries(m)
+    k = len(rows)
+    if k == 0 or len(rows[0]) != k:
+        raise InputError("negative-definiteness requires a square matrix")
+    for i in range(k):
+        for j in range(i + 1, k):
+            if rows[i][j] != rows[j][i]:
+                raise InputError("negative-definiteness requires a symmetric matrix")
+    return failing_principal_minor(rows) is None
 
 
 # ---------------------------------------------------------------------------

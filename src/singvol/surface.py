@@ -72,7 +72,7 @@ class ResolutionGraph:
         for i, j, mult in self.edges:
             rows[i][j] += mult
             rows[j][i] += mult
-        self.intersection_matrix = tuple(tuple(r) for r in rows)
+        self.intersection_matrix = tuple([tuple(r) for r in rows])
 
         if k > 1:
             adjacency = {i: set() for i in range(k)}
@@ -127,7 +127,8 @@ class ResolutionGraph:
 
 
 def _as_coeffs(graph, d):
-    coeffs = tuple(Fraction(c) for c in d)
+    # Built from a list, not a generator: see the note above exactmath.mat_vec.
+    coeffs = tuple([Fraction(c) for c in d])
     if len(coeffs) != len(graph):
         raise InputError(
             f"divisor has {len(coeffs)} coefficients but the graph has {len(graph)} vertices"
@@ -167,7 +168,7 @@ def discrepancies(graph: ResolutionGraph):
 
 def log_discrepancy_divisor(graph: ResolutionGraph):
     """Coefficients of the log-discrepancy divisor: discrepancy plus one."""
-    return tuple(a + 1 for a in discrepancies(graph))
+    return tuple([a + 1 for a in discrepancies(graph)])
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,7 @@ def zariski_decompose(graph: ResolutionGraph, d, order=None) -> ZariskiDecomposi
     support: set[int] = set()
     neg = (Fraction(0),) * k
     for _ in range(k + 1):
-        nef = tuple(a - b for a, b in zip(d, neg))
+        nef = tuple([a - b for a, b in zip(d, neg)])
         products = xm.mat_vec(matrix, nef)
         violating = [j for j in range(k) if products[j] < 0 and j not in support]
         if not violating:
@@ -212,8 +213,8 @@ def zariski_decompose(graph: ResolutionGraph, d, order=None) -> ZariskiDecomposi
         # Solve for N supported on the current set: (d - N) . E_j = 0 there,
         # i.e. the restriction of N solves M_SS n = (M d)_S.
         rows = sorted(support)
-        sub = tuple(tuple(matrix[i][j] for j in rows) for i in rows)
-        rhs = tuple(xm.dot(matrix[i], d) for i in rows)
+        sub = [[matrix[i][j] for j in rows] for i in rows]
+        rhs = [xm.dot(matrix[i], d) for i in rows]
         sol = xm.solve_linear(sub, rhs)
         neg_list = [Fraction(0)] * k
         for idx, j in enumerate(rows):

@@ -49,34 +49,6 @@ def _idot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def _kernel_vector(rows, dim):
-    """A nonzero rational kernel vector of a rank-(dim-1) system, else None."""
-    mat = [list(Fraction(x) for x in row) for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(dim):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank != dim - 1:
-        return None
-    free = next(c for c in range(dim) if c not in pivots)
-    vec = [Fraction(0)] * dim
-    vec[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        vec[col] = -mat[r][free]
-    return vec
-
-
 class ToricCone:
     """A strongly convex full-dimensional rational cone with primitive rays.
 
@@ -143,12 +115,9 @@ class ToricCone:
             return (self.rays[0],)
         normals = set()
         for subset in itertools.combinations(self.rays, self.dim - 1):
-            if xm.matrix_rank(subset) != self.dim - 1:
+            normal = xm.kernel_vector(subset)
+            if normal is None:
                 continue
-            kernel = _kernel_vector(subset, self.dim)
-            if kernel is None:
-                continue
-            normal = xm.scale_to_primitive_integer(kernel)
             sides = [_idot(normal, ray) for ray in self.rays]
             if all(s >= 0 for s in sides):
                 candidate = normal

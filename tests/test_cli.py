@@ -321,3 +321,47 @@ class TestValidateAndErrors:
         )
         assert code == 0
         assert out.strip() == 'constant  "2"'
+
+
+class TestNegativeVectorOptions:
+    """Vector options take a leading minus both as "--at -1,4" and "--at=-1,4"."""
+
+    @pytest.fixture
+    def wedge(self, tmp_path):
+        # (-1, 4) and (-1, 5) are interior points of this cone.
+        return write(tmp_path, "wedge.json", {"dim": 2, "rays": [[1, 0], [-1, 3]]})
+
+    def run_both(self, capsys, head, option, value, tail=()):
+        outputs = []
+        for spelled in ([option, value], [f"{option}={value}"]):
+            code, out, err = run(capsys, [*head, *spelled, *tail])
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        return json.loads(outputs[0])
+
+    def test_env_at(self, capsys, tmp_path, wedge):
+        divisor = write(tmp_path, "d.json", {"coeffs": ["1", "0"]})
+        payload = self.run_both(
+            capsys, ["toric", "env", "--cone", wedge, "--divisor", divisor], "--at", "-1,4"
+        )
+        assert payload["value"] == "1/3"
+
+    def test_defect_at(self, capsys, tmp_path, wedge):
+        divisor = write(tmp_path, "d.json", {"coeffs": ["1", "0"]})
+        payload = self.run_both(
+            capsys, ["toric", "defect", "--cone", wedge, "--divisor", divisor], "--at", "-1,4"
+        )
+        assert payload["gens"]
+
+    def test_izumi_v_and_w(self, capsys, wedge):
+        head = ["toric", "izumi", "--cone", wedge]
+        by_v = self.run_both(capsys, head, "--v", "-1,4", ["--w", "1,1"])
+        by_w = self.run_both(capsys, head + ["--v", "1,1"], "--w", "-1,5")
+        assert by_v["constant"] and by_w["constant"]
+
+    def test_standard_self_ints(self, capsys):
+        payload = self.run_both(
+            capsys, ["surface", "standard", "--family", "cusp_cycle"], "--self-ints", "-3,-2,-2"
+        )
+        assert [v["self"] for v in payload["vertices"]] == [-3, -2, -2]

@@ -1,0 +1,220 @@
+"""The fraction-free elimination kernel against sympy as an independent
+exact oracle, its always-on self-checks, and closed forms."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from singvol import DomainError, InternalError
+from singvol import exactmath as xm
+from singvol.exactmath import (
+    determinant,
+    failing_principal_minor,
+    is_negative_definite,
+    kernel_vector,
+    matrix_rank,
+    solve_general,
+    solve_linear,
+)
+from singvol.surface import classify, volume
+
+from conftest import random_graph
+
+try:
+    import sympy
+except ImportError:  # sympy is an optional, test-only oracle
+    sympy = None
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
+@st.composite
+def matrices(draw, square=False, max_size=8):
+    """Integer or rational matrices up to max_size x max_size; about half
+    have rows that are integer combinations of fewer rows, so singular and
+    rank-deficient inputs are common."""
+    nrows = draw(st.integers(1, max_size))
+    ncols = nrows if square else draw(st.integers(1, max_size))
+    if draw(st.booleans()):
+        entry = st.fractions(-9, 9, max_denominator=6)
+    else:
+        entry = st.integers(-9, 9).map(F)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    if not draw(st.booleans()):
+        return draw(st.lists(row, min_size=nrows, max_size=nrows))
+    rank = draw(st.integers(0, min(nrows, ncols) - 1))
+    basis = draw(st.lists(row, min_size=rank, max_size=rank))
+    rows = list(basis)
+    for _ in range(nrows - rank):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank))
+        rows.append([sum((c * b[j] for c, b in zip(coeffs, basis)), F(0)) for j in range(ncols)])
+    order = draw(st.permutations(range(nrows)))
+    return [rows[i] for i in order]
+
+
+def rhs_for(rows):
+    return st.lists(st.fractions(-9, 9, max_denominator=4), min_size=len(rows), max_size=len(rows))
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+class TestAgainstSympy:
+    @settings(max_examples=80, deadline=None)
+    @given(matrices(square=True))
+    def test_determinant(self, rows):
+        assert determinant(rows) == to_sympy(rows).det()
+
+    @settings(max_examples=80, deadline=None)
+    @given(matrices())
+    def test_rank(self, rows):
+        assert matrix_rank(rows) == to_sympy(rows).rank()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n),
+                st.integers(-2, 2),
+                st.integers(1, 5),
+            )
+        )
+    )
+    def test_leading_minors(self, data):
+        # -(B^T B) - c I is negative definite for c >= 1 and may fail at any
+        # leading minor otherwise; dividing by q makes it rational.
+        b, c, q = data
+        n = len(b)
+        rows = [
+            [F(-sum(b[t][i] * b[t][j] for t in range(n)) - c * (i == j), q) for j in range(n)]
+            for i in range(n)
+        ]
+        matrix = to_sympy(rows)
+        expected = None
+        for size in range(1, n + 1):
+            minor = matrix[:size, :size].det()
+            if (-1) ** size * minor <= 0:
+                expected = (size, minor)
+                break
+        assert failing_principal_minor(rows) == expected
+        assert is_negative_definite(rows) == (expected is None) == matrix.is_negative_definite
+
+    @settings(max_examples=80, deadline=None)
+    @given(matrices(square=True).flatmap(lambda rows: st.tuples(st.just(rows), rhs_for(rows))))
+    def test_solve_linear(self, data):
+        rows, b = data
+        matrix = to_sympy(rows)
+        if matrix.det() == 0:
+            with pytest.raises(DomainError, match="^singular matrix in solve_linear$"):
+                solve_linear(rows, b)
+            return
+        x = solve_linear(rows, b)
+        assert all(isinstance(v, F) for v in x)
+        assert list(x) == list(matrix.LUsolve(to_sympy([[v] for v in b])))
+
+    @settings(max_examples=80, deadline=None)
+    @given(matrices().flatmap(lambda rows: st.tuples(st.just(rows), rhs_for(rows))))
+    def test_solve_general(self, data):
+        rows, b = data
+        matrix = to_sympy(rows)
+        consistent = matrix.rank() == matrix.row_join(to_sympy([[v] for v in b])).rank()
+        solution, lam = solve_general(rows, b)
+        if consistent:
+            assert lam is None
+            assert all(xm.dot(row, solution) == bv for row, bv in zip(rows, b))
+        else:
+            assert solution is None
+            ncols = len(rows[0])
+            assert all(sum(l * row[j] for l, row in zip(lam, rows)) == 0 for j in range(ncols))
+            assert xm.dot(lam, b) != 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(matrices())
+    def test_kernel_vector(self, rows):
+        basis = to_sympy(rows).nullspace()
+        vec = kernel_vector(rows)
+        if len(basis) != 1:
+            assert vec is None
+            return
+        assert all(type(v) is int for v in vec)
+        assert xm.primitive_vector(vec) == vec
+        assert all(xm.dot(row, vec) == 0 for row in rows)
+        assert sympy.Matrix([vec]).rank() == 1
+        assert sympy.Matrix.hstack(basis[0], sympy.Matrix(vec)).rank() == 1
+
+
+def test_chain_determinants_closed_form():
+    """The A_n intersection matrix has det (-1)^n (n+1), and so does its
+    k-th leading block, so every leading minor passes."""
+    for n in range(1, 81):
+        rows = [[-2 if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+        assert determinant(rows) == (-1) ** n * (n + 1)
+        assert failing_principal_minor(rows) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_volume_and_class_under_relabelling(rng):
+    graph = random_graph(rng, max_vertices=8)
+    order = list(range(len(graph)))
+    rng.shuffle(order)
+    relabelled = graph.permuted(order)
+    assert volume(relabelled) == volume(graph)
+    before, after = classify(graph), classify(relabelled)
+    assert after.kind == before.kind
+    assert list(after.log_discrepancies) == [before.log_discrepancies[old] for old in order]
+
+
+class TestSelfChecks:
+    """A wrong elimination result raises InternalError, never a bare assert."""
+
+    def test_wrong_solution(self, monkeypatch):
+        back_substitute = xm._back_substitute
+
+        def off_by_one(rows, echelon, col):
+            y, d = back_substitute(rows, echelon, col)
+            return [y[0] + 1] + y[1:], d
+
+        monkeypatch.setattr(xm, "_back_substitute", off_by_one)
+        with pytest.raises(InternalError, match="solution"):
+            solve_linear([[2, 1], [1, 3]], [1, 1])
+        with pytest.raises(InternalError, match="solution"):
+            solve_general([[2, 1], [1, 3], [3, 4]], [1, 1, 2])
+        with pytest.raises(InternalError, match="kernel vector"):
+            kernel_vector([[1, 2, 3], [4, 5, 6]])
+
+    def test_wrong_certificate(self, monkeypatch):
+        bareiss = xm._bareiss
+
+        def corrupt_last_entry(rows, ncols, pivoting=True):
+            echelon = bareiss(rows, ncols, pivoting)
+            rows[-1][-1] += 1
+            return echelon
+
+        monkeypatch.setattr(xm, "_bareiss", corrupt_last_entry)
+        with pytest.raises(InternalError, match="certificate"):
+            solve_general([[1, 0], [1, 0]], [0, 1])
+
+    def test_checks_survive_optimize_flag(self):
+        script = (
+            "import singvol.exactmath as xm\n"
+            "from singvol import InternalError\n"
+            "real = xm._back_substitute\n"
+            "xm._back_substitute = lambda r, e, c: ([v + 1 for v in real(r, e, c)[0]], real(r, e, c)[1])\n"
+            "try:\n"
+            "    xm.solve_linear([[2, 1], [1, 3]], [1, 1])\n"
+            "except InternalError:\n"
+            "    print('checked')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.stdout.strip() == "checked", proc.stderr
