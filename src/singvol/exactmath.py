@@ -14,7 +14,6 @@ unbounded improving ray, or a Farkas combination witnessing infeasibility.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,23 +64,6 @@ def mat_vec(m: Mat, v) -> Vec:
     return tuple([dot(row, v) for row in m])
 
 
-def vec_add(u, v) -> Vec:
-    if len(u) != len(v):
-        raise InputError("dimension mismatch in vector sum")
-    return tuple(Fraction(a) + Fraction(b) for a, b in zip(u, v))
-
-
-def vec_sub(u, v) -> Vec:
-    if len(u) != len(v):
-        raise InputError("dimension mismatch in vector difference")
-    return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
-
-
-def vec_scale(c, v) -> Vec:
-    c = Fraction(c)
-    return tuple(c * Fraction(x) for x in v)
-
-
 def primitive_vector(v) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (orientation kept)."""
     ints = tuple(int(x) for x in v)
@@ -93,15 +75,6 @@ def primitive_vector(v) -> tuple[int, ...]:
     if g == 0:
         raise InputError("cannot reduce the zero vector to a primitive one")
     return tuple(x // g for x in ints)
-
-
-def scale_to_primitive_integer(v) -> tuple[int, ...]:
-    """Scale a rational vector by a positive factor to a primitive integer one."""
-    fracs = [Fraction(x) for x in v]
-    denom = 1
-    for x in fracs:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    return primitive_vector([x * denom for x in fracs])
 
 
 # ---------------------------------------------------------------------------
@@ -615,33 +588,75 @@ def det3(a, b, c) -> Fraction:
     return dot(a, cross3(b, c))
 
 
-def hull_facets_3d(points):
-    """Facets of the convex hull of full-dimensional ``points``.
+def _idot3(u, v) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
-    Returns a list of (outward primitive integer normal, offset, vertex cycle)
-    with each vertex cycle ordered around the facet polygon.
+
+def _hull_planes(pts) -> dict:
+    """{(outward primitive normal, offset): hull vertices on that plane} for
+    sorted distinct points of Z^3.  Incremental, as in Quickhull (Barber,
+    Dobkin and Huhdanpaa, ACM TOMS 1996): the triangles a point lies strictly
+    above give way to a cone from it over their horizon, about g*h exact sign
+    tests for g points and h triangles.  Coplanar triangles share a plane.
     """
-    pts = sorted(set(tuple(Fraction(c) for c in p) for p in points))
-    facets = {}
-    for p1, p2, p3 in itertools.combinations(pts, 3):
-        normal = cross3(vec_sub(p2, p1), vec_sub(p3, p1))
-        if normal == (0, 0, 0):
-            continue
-        sides = [dot(vec_sub(q, p1), normal) for q in pts]
-        if all(s <= 0 for s in sides):
-            outward = normal
-        elif all(s >= 0 for s in sides):
-            outward = vec_scale(-1, normal)
-        else:
-            continue
-        key_normal = scale_to_primitive_integer(outward)
-        offset = dot(p1, key_normal)
-        on_plane = frozenset(q for q in pts if dot(q, key_normal) == offset)
-        facets[(key_normal, offset)] = on_plane
-    result = []
-    for (normal, offset), plane_pts in sorted(facets.items()):
-        result.append((normal, offset, order_coplanar_polygon(plane_pts, normal)))
-    return result
+    if len(pts) < 4:
+        return {}
+
+    def sub(p, q):
+        return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
+
+    # Start from the lexicographic extremes, the point farthest from their
+    # line and the point farthest from the plane of those three.
+    a, b = 0, len(pts) - 1
+    normals = [cross3(sub(pts[b], pts[a]), sub(p, pts[a])) for p in pts]
+    c = max(range(len(pts)), key=lambda i: _idot3(normals[i], normals[i]))
+    heights = [_idot3(normals[c], sub(p, pts[a])) for p in pts]
+    d = max(range(len(pts)), key=lambda i: abs(heights[i]))
+    if heights[d] == 0:
+        return {}
+    if heights[d] > 0:
+        b, c = c, b
+
+    faces = {}  # (u, v, w), counter-clockwise seen from outside -> (normal, offset)
+    owner = {}  # each directed edge of a face -> that face
+
+    def add_face(u, v, w):
+        normal = cross3(sub(pts[v], pts[u]), sub(pts[w], pts[u]))
+        faces[u, v, w] = (normal, _idot3(normal, pts[u]))
+        owner[u, v] = owner[v, w] = owner[w, u] = (u, v, w)
+
+    for u, v, w in ((a, b, c), (a, d, b), (b, d, c), (c, d, a)):
+        add_face(u, v, w)
+    for i, p in enumerate(pts):
+        visible = {f for f, (normal, offset) in faces.items() if _idot3(normal, p) > offset}
+        horizon = [
+            (u, v) for f in visible for u, v in zip(f, f[1:] + f[:1]) if owner[v, u] not in visible
+        ]
+        for f in visible:
+            del faces[f]
+        for u, v in horizon:
+            add_face(u, v, i)
+
+    planes = {}
+    for (u, v, w), (normal, offset) in faces.items():
+        g = gcd(*normal)
+        key = (tuple([x // g for x in normal]), offset // g)
+        planes.setdefault(key, set()).update((pts[u], pts[v], pts[w]))
+    return planes
+
+
+def hull_facets_3d(points, keep=None):
+    """Sorted (outward primitive normal, offset, corner cycle) facets of the
+    convex hull of integer ``points`` in Z^3.  ``keep``, a predicate on the
+    normal, drops facets before their cycles are ordered.  Points that do
+    not span space give no facets.
+    """
+    planes = sorted(_hull_planes(sorted(set(map(tuple, points)))).items())
+    return [
+        (normal, offset, order_coplanar_polygon(verts, normal))
+        for (normal, offset), verts in planes
+        if keep is None or keep(normal)
+    ]
 
 
 def order_coplanar_polygon(points, normal) -> list:
@@ -656,11 +671,11 @@ def order_coplanar_polygon(points, normal) -> list:
 
 
 def polytope_volume(vertices, dim: int) -> Fraction:
-    """Exact Euclidean volume of the convex hull of ``vertices``.
+    """Exact Euclidean volume of the convex hull of rational ``vertices``.
 
     Supported in ambient dimension 1, 2 and 3; degenerate hulls have
-    volume 0.  The 3D computation enumerates hull facets exactly and sums
-    tetrahedra of a fan from the vertex centroid.
+    volume 0.  In 3D the points are scaled to integers and the facets of
+    the shared hull are fanned from a vertex.
     """
     if dim > 3:
         raise UnsupportedDimensionError(
@@ -668,34 +683,26 @@ def polytope_volume(vertices, dim: int) -> Fraction:
         )
     if dim < 1:
         raise InputError("dimension must be at least 1")
-    pts = sorted(set(tuple(Fraction(c) for c in p) for p in vertices))
-    if not pts:
+    rational = [tuple(Fraction(c) for c in p) for p in vertices]
+    if not rational:
         raise InputError("empty vertex list")
-    if any(len(p) != dim for p in pts):
+    if any(len(p) != dim for p in rational):
         raise InputError("vertex does not match the stated dimension")
+    scale = lcm(*[c.denominator for p in rational for c in p])
+    pts = sorted({tuple([int(c * scale) for c in p]) for p in rational})
 
     if dim == 1:
-        return pts[-1][0] - pts[0][0]
+        return Fraction(pts[-1][0] - pts[0][0], scale)
 
     if dim == 2:
         hull = convex_hull_2d(pts)
-        if len(hull) < 3:
-            return Fraction(0)
-        area2 = Fraction(0)
-        for i in range(len(hull)):
-            x1, y1 = hull[i]
-            x2, y2 = hull[(i + 1) % len(hull)]
-            area2 += x1 * y2 - x2 * y1
-        return abs(area2) / 2
+        area2 = sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(hull, hull[1:] + hull[:1]))
+        return Fraction(abs(area2), 2 * scale**2)
 
-    if matrix_rank([vec_sub(p, pts[0]) for p in pts[1:]]) < 3:
-        return Fraction(0)
-    centroid = vec_scale(Fraction(1, len(pts)), [sum(col) for col in zip(*pts)])
-    total = Fraction(0)
-    for _, _, cycle in hull_facets_3d(pts):
-        base = vec_sub(cycle[0], centroid)
+    # With a vertex moved to the origin, the cones over the facets tile it.
+    moved = [tuple([a - b for a, b in zip(p, pts[0])]) for p in pts]
+    total = 0
+    for _, _, cycle in hull_facets_3d(moved):
         for t in range(1, len(cycle) - 1):
-            total += abs(
-                det3(base, vec_sub(cycle[t], centroid), vec_sub(cycle[t + 1], centroid))
-            )
-    return total / 6
+            total += abs(det3(cycle[0], cycle[t], cycle[t + 1]))
+    return Fraction(total, 6 * scale**3)

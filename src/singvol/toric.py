@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 
-from .errors import DomainError, InputError, UnsupportedDimensionError
+from .errors import DomainError, InputError, InternalError, UnsupportedDimensionError
 from . import exactmath as xm
 from .exactmath import LPProblem, lp_max, OPTIMAL
 
@@ -47,6 +47,12 @@ def _as_lattice_vector(v, dim) -> tuple[int, ...]:
 
 def _idot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
+
+
+def _check(ok, message: str) -> None:
+    """A self-check that, unlike assert, still runs under python -O."""
+    if not ok:
+        raise InternalError(message)
 
 
 class ToricCone:
@@ -259,16 +265,14 @@ class MonomialIdeal:
         return self.gens == ((0,) * self.cone.dim,)
 
     @property
+    def ray_generators(self) -> dict:
+        """{w: the generator on w} over the dual rays w that carry one."""
+        prims = {g: xm.primitive_vector(g) for g in self.gens if any(g)}
+        return {w: g for g, w in prims.items() if w in self.cone.dual_rays}
+
+    @property
     def is_m_primary(self) -> bool:
-        if self.is_unit:
-            return False
-        for w in self.cone.dual_rays:
-            if not any(
-                any(x != 0 for x in g) and xm.primitive_vector(g) == w
-                for g in self.gens
-            ):
-                return False
-        return True
+        return len(self.ray_generators) == len(self.cone.dual_rays)
 
     def __eq__(self, other):
         return (
@@ -296,11 +300,15 @@ def ideal_power(a: MonomialIdeal, k: int) -> MonomialIdeal:
         raise InputError("ideal power wants a nonnegative exponent")
     if k == 0:
         return MonomialIdeal(a.cone, [(0,) * a.cone.dim])
-    sums = {
-        tuple(sum(col) for col in zip(*combo))
-        for combo in itertools.combinations_with_replacement(a.gens, k)
-    }
-    return MonomialIdeal(a.cone, sums)
+    # Repeated squaring: every product is minimalised, so no step forms the
+    # C(g+k-1, k) sums of k generators.
+    power = None
+    while k:
+        if k & 1:
+            power = a if power is None else ideal_product(power, a)
+        k >>= 1
+        a = ideal_product(a, a) if k else a
+    return power
 
 
 def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
@@ -368,7 +376,7 @@ def module_generators(cone: ToricCone, lower_bounds, margin_scale: int = 1):
     if len(lower) != len(cone.rays):
         raise InputError("one lower bound per ray is required")
     vertices = _region_vertices(cone, lower)
-    assert vertices, "a pointed nonempty section region always has vertices"
+    _check(vertices, "the section region has no vertex, yet it is pointed and nonempty")
     margins = []
     for i, ray in enumerate(cone.rays):
         vertex_margin = max(
@@ -416,7 +424,7 @@ def envelope_certificate(cone: ToricCone, divisor: ToricDivisor, v):
         ),
     )
     outcome = lp_max(problem)
-    assert outcome.status == OPTIMAL, "envelope LP must be bounded inside the cone"
+    _check(outcome.status == OPTIMAL, "envelope LP inside the cone is not bounded")
     return outcome.value, outcome.point
 
 
@@ -460,8 +468,7 @@ def is_numerically_cartier(cone: ToricCone, divisor: ToricDivisor) -> Numericall
         divisor.coeffs,
     )
     if solution is not None:
-        for ray, d in zip(cone.rays, divisor.coeffs):
-            assert xm.dot(solution, ray) == d
+        _check(xm.mat_vec(cone.rays, solution) == divisor.coeffs, "wrong Cartier certificate")
         sample = cone.interior_point()
         total = envelope_value(cone, divisor, sample) + envelope_value(
             cone, -divisor, sample
@@ -484,13 +491,13 @@ def is_numerically_cartier(cone: ToricCone, divisor: ToricDivisor) -> Numericall
         sum(max(l, 0) * ray[j] for l, ray in zip(lam, cone.rays))
         for j in range(cone.dim)
     )
-    assert any(x != 0 for x in w)
+    _check(any(w), "the inconsistency certificate gives the zero valuation")
 
     def envelope_sum(v):
         return envelope_value(cone, divisor, v) + envelope_value(cone, -divisor, v)
 
     gap_w = envelope_sum(w)
-    assert gap_w < 0
+    _check(gap_w < 0, "envelope sum at the combined valuation is not negative")
     if cone.interior_contains(w):
         witness = xm.primitive_vector(w)
     else:
@@ -505,9 +512,9 @@ def is_numerically_cartier(cone: ToricCone, divisor: ToricDivisor) -> Numericall
             witness = xm.primitive_vector(
                 tuple(k * a + b for a, b in zip(w, p))
             )
-    assert cone.interior_contains(witness)
+    _check(cone.interior_contains(witness), "witness is not interior to the cone")
     gap = envelope_sum(witness)
-    assert gap < 0
+    _check(gap < 0, "envelope sum at the witness is not negative")
     return NumericallyCartierResult(False, witness=witness, gap=gap)
 
 
@@ -552,51 +559,36 @@ def samuel_multiplicity(cone: ToricCone, a: MonomialIdeal) -> Fraction:
     if n == 1:
         return Fraction(min(_idot(g, cone.dual_rays[0]) for g in gens))
 
-    total = Fraction(0)
-    if n == 2:
-        facets = {}
-        for g1, g2 in itertools.combinations(gens, 2):
-            d = tuple(b - a_ for a_, b in zip(g1, g2))
-            normal = (-d[1], d[0])
-            for candidate in (normal, (-normal[0], -normal[1])):
-                c = _idot(candidate, g1)
-                if all(_idot(candidate, g) >= c for g in gens) and cone.interior_contains(candidate):
-                    key = xm.primitive_vector(candidate)
-                    cval = Fraction(_idot(key, g1))
-                    on_facet = tuple(
-                        sorted(g for g in gens if _idot(key, g) == cval)
-                    )
-                    facets[(key, cval)] = on_facet
-                    break
-        for (_, _), pts in sorted(facets.items()):
-            chain = sorted(pts)
-            total += abs(chain[0][0] * chain[-1][1] - chain[-1][0] * chain[0][1])
-        return total
+    # The generator on each dual ray, doubled, lies in the Newton polyhedron
+    # strictly above every compact face; with it the points span the space
+    # and their hull has the same compact faces as the polyhedron.
+    points = list(gens) + [tuple([2 * x for x in g]) for g in a.ray_generators.values()]
 
-    facets = {}
-    for g1, g2, g3 in itertools.combinations(gens, 3):
-        normal = xm.cross3(
-            tuple(Fraction(b - a_) for a_, b in zip(g1, g2)),
-            tuple(Fraction(b - a_) for a_, b in zip(g1, g3)),
+    if n == 2:
+        hull = xm.convex_hull_2d(points)
+        edges = [((p[1] - q[1], q[0] - p[0]), (p, q)) for p, q in zip(hull, hull[1:] + hull[:1])]
+        faces = [(inward, edge) for inward, edge in edges if cone.interior_contains(inward)]
+    else:
+        facets = xm.hull_facets_3d(
+            points, keep=lambda normal: cone.interior_contains([-x for x in normal])
         )
-        if normal == (0, 0, 0):
-            continue
-        normal = xm.primitive_vector(normal)
-        for candidate in (normal, tuple(-x for x in normal)):
-            c = _idot(candidate, g1)
-            if all(_idot(candidate, g) >= c for g in gens) and cone.interior_contains(candidate):
-                cval = _idot(candidate, g1)
-                pts = frozenset(g for g in gens if _idot(candidate, g) == cval)
-                facets[(candidate, cval)] = pts
-                break
-    for (normal, _), pts in sorted(facets.items()):
-        cycle = xm.order_coplanar_polygon(
-            [tuple(Fraction(x) for x in p) for p in pts],
-            tuple(Fraction(x) for x in normal),
-        )
-        for t in range(1, len(cycle) - 1):
-            total += abs(xm.det3(cycle[0], cycle[t], cycle[t + 1]))
-    return total
+        faces = [(tuple([-x for x in normal]), cycle) for normal, _, cycle in facets]
+    total, rim = 0, set()
+    for inward, cycle in faces:
+        offset = _idot(inward, cycle[0])
+        compact = cone.interior_contains(inward) and all(_idot(inward, g) >= offset for g in gens)
+        _check(compact, "a kept hull face is not a compact face of the Newton polyhedron")
+        if n == 2:
+            total += abs(cycle[0][0] * cycle[1][1] - cycle[1][0] * cycle[0][1])
+        else:
+            for t in range(1, len(cycle) - 1):
+                total += abs(xm.det3(cycle[0], cycle[t], cycle[t + 1]))
+        rim ^= set(map(frozenset, zip(cycle) if n == 2 else zip(cycle, cycle[1:] + cycle[:1])))
+    # Counted mod 2, the boundary of the kept faces lies on the boundary of
+    # the dual cone only when they are all the compact faces.
+    on_rim = all(any(all(_idot(x, r) == 0 for x in cell) for r in cone.rays) for cell in rim)
+    _check(faces and on_rim, "the kept hull faces do not cover the Newton region")
+    return Fraction(total)
 
 
 def mixed_multiplicity(cone: ToricCone, ideals) -> Fraction:
@@ -682,5 +674,5 @@ def log_discrepancy_value(cone: ToricCone, v) -> Fraction:
         raise DomainError(f"valuation vector {v} must be primitive")
     ones = ToricDivisor(cone, (Fraction(1),) * len(cone.rays))
     value = envelope_value(cone, ones, v)
-    assert value >= 0
+    _check(value >= 0, "log discrepancy is negative")
     return value

@@ -1,11 +1,18 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import singvol.exactmath as xm
+import singvol.toric as toric
+
 from singvol import (
     DomainError,
     InputError,
+    InternalError,
     MonomialIdeal,
     ToricCone,
     ToricDivisor,
@@ -503,3 +510,61 @@ class TestIncreasingNets:
             values.append(samuel_multiplicity(plane, truncated))
         assert values == [1, 2, 3, 3, 3, 3]
         assert all(x <= y for x, y in zip(values, values[1:]))
+
+
+class TestSelfChecks:
+    """A certificate that fails its check raises InternalError, never a bare assert."""
+
+    def test_section_region_without_vertices(self, monkeypatch, quadric):
+        monkeypatch.setattr(toric, "_region_vertices", lambda cone, lower: [])
+        with pytest.raises(InternalError, match="no vertex"):
+            module_generators(quadric, [0, 0, 0, 0])
+
+    def test_unbounded_envelope(self, monkeypatch, quadric):
+        monkeypatch.setattr(toric, "lp_max", lambda problem: xm.LPOutcome(status=xm.UNBOUNDED))
+        with pytest.raises(InternalError, match="not bounded"):
+            envelope_certificate(quadric, ToricDivisor(quadric, D_SUM), (1, 1, 1))
+
+    def test_wrong_cartier_certificate(self, monkeypatch, quadric):
+        monkeypatch.setattr(xm, "solve_general", lambda a, b: ((F(0),) * 3, None))
+        with pytest.raises(InternalError, match="certificate"):
+            is_numerically_cartier(quadric, ToricDivisor(quadric, D_SUM))
+
+    def test_zero_inconsistency_combination(self, monkeypatch, quadric):
+        monkeypatch.setattr(xm, "solve_general", lambda a, b: (None, (F(0),) * 4))
+        with pytest.raises(InternalError, match="zero valuation"):
+            is_numerically_cartier(quadric, ToricDivisor(quadric, D_ONE))
+
+    def test_nonnegative_gap(self, monkeypatch, quadric):
+        monkeypatch.setattr(toric, "envelope_value", lambda cone, divisor, v: F(0))
+        with pytest.raises(InternalError, match="not negative"):
+            is_numerically_cartier(quadric, ToricDivisor(quadric, D_ONE))
+
+    def test_boundary_witness(self, monkeypatch, quadric):
+        monkeypatch.setattr(toric.ToricCone, "interior_contains", lambda self, v: False)
+        with pytest.raises(InternalError, match="not interior"):
+            is_numerically_cartier(quadric, ToricDivisor(quadric, D_ONE))
+
+    def test_negative_log_discrepancy(self, monkeypatch, quadric):
+        monkeypatch.setattr(toric, "envelope_value", lambda cone, divisor, v: F(-1))
+        with pytest.raises(InternalError, match="negative"):
+            log_discrepancy_value(quadric, (1, 1, 1))
+
+    def test_checks_survive_optimize_flag(self):
+        script = (
+            "from fractions import Fraction\n"
+            "import singvol.toric as toric\n"
+            "from singvol import InternalError\n"
+            "toric.envelope_value = lambda cone, divisor, v: Fraction(-1)\n"
+            "cone = toric.ToricCone([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])\n"
+            "try:\n"
+            "    toric.log_discrepancy_value(cone, (1, 1, 1))\n"
+            "except InternalError:\n"
+            "    print('checked')\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.stdout.strip() == "checked", proc.stderr
