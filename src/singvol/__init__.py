@@ -41,7 +41,6 @@ from .surface import (
     zariski_decompose,
 )
 from .toric import (
-    EnvelopeFunction,
     MonomialIdeal,
     ToricCone,
     ToricDivisor,
@@ -70,7 +69,6 @@ from .endo import (
     sample_valuations,
     surface_cover_report,
     toric_volume_report,
-    volume_monotonicity_report,
 )
 from .oracle import CountReport, colength, lp_vertex_enumerate, multiplicity_estimate
 

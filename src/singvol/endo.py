@@ -40,7 +40,7 @@ class ToricEndo:
         det = xm.determinant(self.matrix)
         if det == 0:
             raise DomainError("endomorphism matrix is singular")
-        self._degree = abs(int(det))
+        self.degree = abs(int(det))  # the lattice index, the topological degree
 
         ray_index = {ray: i for i, ray in enumerate(cone.rays)}
         targets = []
@@ -67,11 +67,6 @@ class ToricEndo:
         self.ray_targets = tuple(targets)
         self.ray_scales = tuple(scales)
 
-    @property
-    def degree(self) -> int:
-        """Topological degree: the lattice index |det A|."""
-        return self._degree
-
     def apply(self, v) -> tuple[int, ...]:
         return tuple(sum(row[j] * v[j] for j in range(self.cone.dim)) for row in self.matrix)
 
@@ -93,10 +88,6 @@ class ToricEndo:
 
     def __repr__(self):
         return f"ToricEndo(matrix={[list(r) for r in self.matrix]})"
-
-
-def degree(endo: ToricEndo) -> int:
-    return endo.degree
 
 
 def pullback_divisor(endo: ToricEndo, divisor: ToricDivisor) -> ToricDivisor:
@@ -260,10 +251,6 @@ class ToricVolumeReport:
         return Fraction(0)
 
     @property
-    def certificate(self):
-        return tuple(Fraction(0) for _ in range(len(self.samples[0]) if self.samples else 0))
-
-    @property
     def passed(self) -> bool:
         return all(v >= 0 for v in self.values)
 
@@ -275,14 +262,3 @@ def toric_volume_report(cone: ToricCone, matrix) -> ToricVolumeReport:
     )
     values = tuple(toric.log_discrepancy_value(cone, v) for v in samples)
     return ToricVolumeReport(degree=endo.degree, samples=samples, values=values)
-
-
-def volume_monotonicity_report(case: str, **params):
-    """Dispatch between the two volume-monotonicity harnesses."""
-    if case == "surface_cover":
-        return surface_cover_report(
-            int(params["genus"]), int(params["polarization"]), int(params["cover_degree"])
-        )
-    if case == "toric":
-        return toric_volume_report(params["cone"], params["matrix"])
-    raise InputError(f"unknown case {case!r}; expected surface_cover or toric")

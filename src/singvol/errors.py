@@ -35,3 +35,9 @@ class InternalError(SingvolError):
     This signals a bug, never bad input.  The checks raise it explicitly,
     so they keep running under ``python -O``.
     """
+
+
+def check(ok, message: str) -> None:
+    """A self-check that, unlike assert, still runs under python -O."""
+    if not ok:
+        raise InternalError(message)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
-from .errors import DomainError, InputError, InternalError, UnsupportedDimensionError
+from .errors import DomainError, InputError, InternalError, UnsupportedDimensionError, check
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -44,10 +44,6 @@ def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def as_vector(entries) -> Vec:
-    return tuple(Fraction(e) for e in entries)
-
-
 def dot(u, v) -> Fraction:
     if len(u) != len(v):
         raise InputError(f"dimension mismatch: {len(u)} vs {len(v)}")
@@ -64,17 +60,31 @@ def mat_vec(m: Mat, v) -> Vec:
     return tuple([dot(row, v) for row in m])
 
 
+def integer_vector(v) -> tuple[int, ...]:
+    """The entries of v as ints.  Raises InputError unless every entry is an
+    integer value, such as 2, Fraction(4, 2) or 2.0."""
+    ints = []
+    for x in v:
+        if type(x) is not int:
+            try:
+                i = int(x)
+                exact = Fraction(x) == i
+            except (TypeError, ValueError, OverflowError):
+                exact = False
+            if not exact:
+                raise InputError(f"not an integer vector: {v}")
+            x = i
+        ints.append(x)
+    return tuple(ints)
+
+
 def primitive_vector(v) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (orientation kept)."""
-    ints = tuple(int(x) for x in v)
-    if any(Fraction(x) != i for x, i in zip(v, ints)):
-        raise InputError(f"not an integer vector: {v}")
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    ints = integer_vector(v)
+    g = gcd(*ints)
     if g == 0:
         raise InputError("cannot reduce the zero vector to a primitive one")
-    return tuple(x // g for x in ints)
+    return tuple([x // g for x in ints])
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +356,8 @@ class LPProblem:
     constraints: tuple[tuple[Vec, Fraction], ...]
 
     def __post_init__(self):
-        obj = as_vector(self.objective)
-        cons = tuple((as_vector(n), Fraction(b)) for n, b in self.constraints)
+        obj = tuple([Fraction(e) for e in self.objective])
+        cons = tuple([(tuple([Fraction(e) for e in n]), Fraction(b)) for n, b in self.constraints])
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "constraints", cons)
         if not obj:
@@ -478,7 +488,7 @@ def lp_max(problem: LPProblem) -> LPOutcome:
         phase1[art0 + i] = Fraction(-1)
     tab.set_objective(phase1)
     status, _ = tab.run([True] * ncols)
-    assert status == OPTIMAL
+    check(status == OPTIMAL, "phase 1 of the simplex is unbounded")
     if tab.obj_val != 0:
         # Farkas certificate from the simplex multipliers of phase 1.
         y_dual = []
@@ -489,14 +499,7 @@ def lp_max(problem: LPProblem) -> LPOutcome:
                     yi += phase1[bj] * tab.rows[k][art0 + i]
             y_dual.append(yi)
         farkas = tuple(-y if flip else y for y, flip in zip(y_dual, flips))
-        assert all(y >= 0 for y in farkas)
-        combo = [Fraction(0)] * n
-        for y, normal in zip(farkas, normals):
-            for j in range(n):
-                combo[j] += y * normal[j]
-        assert all(c == 0 for c in combo)
-        assert sum(y * b for y, b in zip(farkas, bounds)) < 0
-        return LPOutcome(status=INFEASIBLE, farkas=farkas)
+        return _verified(problem, LPOutcome(status=INFEASIBLE, farkas=farkas))
 
     # Drive basic artificials out, dropping redundant rows.
     keep = []
@@ -536,16 +539,30 @@ def lp_max(problem: LPProblem) -> LPOutcome:
         for k, j in enumerate(tab.basis):
             direction[j] = -tab.rows[k][enter]
         ray = tuple(direction[j] - direction[n + j] for j in range(n))
-        assert all(dot(normal, ray) <= 0 for normal in normals)
-        assert dot(problem.objective, ray) > 0
-        return LPOutcome(status=UNBOUNDED, ray=ray, point=current_point())
+        return _verified(problem, LPOutcome(status=UNBOUNDED, ray=ray, point=current_point()))
 
-    point = current_point()
-    value = dot(problem.objective, point)
-    assert value == tab.obj_val
-    for normal, bound in problem.constraints:
-        assert dot(normal, point) <= bound
-    return LPOutcome(status=OPTIMAL, value=value, point=point)
+    return _verified(problem, LPOutcome(status=OPTIMAL, value=tab.obj_val, point=current_point()))
+
+
+def _verified(problem: LPProblem, outcome: LPOutcome) -> LPOutcome:
+    """Always-on check of the certificate of an LP outcome, which it returns."""
+    normals = [normal for normal, _ in problem.constraints]
+    bounds = [bound for _, bound in problem.constraints]
+    if outcome.status == INFEASIBLE:
+        farkas = outcome.farkas
+        check(all(y >= 0 for y in farkas), "a Farkas multiplier is negative")
+        check(not any(mat_vec(zip(*normals), farkas)),
+              "the Farkas combination of the constraint normals is not zero")
+        check(dot(farkas, bounds) < 0, "the Farkas combination of the bounds is not negative")
+    elif outcome.status == UNBOUNDED:
+        check(all(a <= 0 for a in mat_vec(normals, outcome.ray)),
+              "the unbounded ray leaves the feasible region")
+        check(dot(problem.objective, outcome.ray) > 0, "the unbounded ray does not improve the objective")
+    else:
+        check(dot(problem.objective, outcome.point) == outcome.value, "the optimal value is not attained")
+        check(all(a <= b for a, b in zip(mat_vec(normals, outcome.point), bounds)),
+              "the optimal point is infeasible")
+    return outcome
 
 
 # ---------------------------------------------------------------------------

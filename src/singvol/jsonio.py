@@ -13,10 +13,9 @@ denominator; lattice vectors as arrays of integers.  Schemas:
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .errors import InputError
-from .exactmath import format_rational, parse_rational
+from .exactmath import parse_rational
 from .surface import ResolutionGraph
 from .toric import MonomialIdeal, ToricCone, ToricDivisor
 
@@ -77,19 +76,11 @@ def cone_from_obj(obj, path="<cone>") -> ToricCone:
     return ToricCone(rays, dim=dim)
 
 
-def cone_to_obj(cone: ToricCone) -> dict:
-    return {"dim": cone.dim, "rays": [list(r) for r in cone.rays]}
-
-
 def divisor_from_obj(cone: ToricCone, obj, path="<divisor>") -> ToricDivisor:
     coeffs = _require(obj, "coeffs", path)
     if not isinstance(coeffs, list):
         raise InputError(f"{path}: coeffs must be an array")
     return ToricDivisor(cone, tuple(parse_rational(c) for c in coeffs))
-
-
-def divisor_to_obj(divisor: ToricDivisor) -> dict:
-    return {"coeffs": [format_rational(c) for c in divisor.coeffs]}
 
 
 def exc_divisor_from_obj(graph: ResolutionGraph, obj, path="<divisor>"):
@@ -104,10 +95,6 @@ def exc_divisor_from_obj(graph: ResolutionGraph, obj, path="<divisor>"):
     return values
 
 
-def exc_divisor_to_obj(coeffs) -> dict:
-    return {"coeffs": [format_rational(Fraction(c)) for c in coeffs]}
-
-
 def ideal_from_obj(cone: ToricCone, obj, path="<ideal>") -> MonomialIdeal:
     gens = _require(obj, "gens", path)
     if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
@@ -116,10 +103,6 @@ def ideal_from_obj(cone: ToricCone, obj, path="<ideal>") -> MonomialIdeal:
         if not all(isinstance(x, int) for x in g):
             raise InputError(f"{path}: generator {g} must contain integers")
     return MonomialIdeal(cone, gens)
-
-
-def ideal_to_obj(a: MonomialIdeal) -> dict:
-    return {"gens": [list(g) for g in a.gens]}
 
 
 def matrix_from_obj(obj, path="<matrix>"):
@@ -151,7 +134,7 @@ def validate_file(kind: str, path: str, cone: ToricCone | None = None) -> dict:
             "dim": parsed.dim,
             "rays": len(parsed.rays),
             "facets": len(parsed.facet_normals),
-            "isolated_checked": parsed.isolated_checked,
+            "isolated_checked": True,  # ToricCone checks isolation in every dimension
         }
     if kind == "divisor":
         if cone is None:

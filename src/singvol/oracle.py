@@ -18,6 +18,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .errors import DomainError, InputError
 from . import exactmath as xm
@@ -96,12 +97,9 @@ def multiplicity_estimate(cone: ToricCone, a: MonomialIdeal, kmax: int, ks=None)
     ks = tuple(int(k) for k in ks)
     if any(k < 1 or k > kmax for k in ks):
         raise InputError("sample powers must lie in 1..kmax")
-    factorial = 1
-    for i in range(2, cone.dim + 1):
-        factorial *= i
     counts = tuple(colength(cone, a, k) for k in ks)
     fitted = tuple(
-        Fraction(factorial * c, k**cone.dim) for c, k in zip(counts, ks)
+        Fraction(factorial(cone.dim) * c, k**cone.dim) for c, k in zip(counts, ks)
     )
     return CountReport(ks=ks, colengths=counts, fitted=fitted)
 

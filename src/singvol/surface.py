@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, InternalError, check
 from . import exactmath as xm
 
 
@@ -201,9 +201,10 @@ def zariski_decompose(graph: ResolutionGraph, d, order=None) -> ZariskiDecomposi
         products = xm.mat_vec(matrix, nef)
         violating = [j for j in range(k) if products[j] < 0 and j not in support]
         if not violating:
-            assert all(c >= 0 for c in neg)
-            assert all(
-                products[j] == 0 for j in range(k) if neg[j] != 0
+            check(all(c >= 0 for c in neg), "the negative part is not effective")
+            check(
+                all(products[j] == 0 for j in range(k) if neg[j] != 0),
+                "the nef part is not orthogonal to the negative part",
             )
             return ZariskiDecomposition(nef_part=nef, neg_part=neg)
         if priority is None:
@@ -220,7 +221,7 @@ def zariski_decompose(graph: ResolutionGraph, d, order=None) -> ZariskiDecomposi
         for idx, j in enumerate(rows):
             neg_list[j] = sol[idx]
         neg = tuple(neg_list)
-    raise AssertionError("Zariski decomposition failed to stabilize")
+    raise InternalError("Zariski decomposition failed to stabilize")
 
 
 def volume(graph: ResolutionGraph) -> Fraction:
@@ -233,7 +234,7 @@ def local_volume(graph: ResolutionGraph, d) -> Fraction:
     """Minus the self-intersection of the nef part of d."""
     decomposition = zariski_decompose(graph, d)
     value = -intersect(graph, decomposition.nef_part, decomposition.nef_part)
-    assert value >= 0
+    check(value >= 0, "the local volume is negative")
     return value
 
 

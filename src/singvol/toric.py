@@ -29,19 +29,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, factorial, floor, gcd, lcm
 
-from .errors import DomainError, InputError, InternalError, UnsupportedDimensionError
+from .errors import DomainError, InputError, UnsupportedDimensionError, check
 from . import exactmath as xm
 from .exactmath import LPProblem, lp_max, OPTIMAL
 
 
 def _as_lattice_vector(v, dim) -> tuple[int, ...]:
-    vec = tuple(int(x) for x in v)
+    vec = xm.integer_vector(v)
     if len(vec) != dim:
         raise InputError(f"lattice vector {v} does not have dimension {dim}")
-    if any(Fraction(x) != i for x, i in zip(v, vec)):
-        raise InputError(f"not an integer vector: {v}")
     return vec
 
 
@@ -49,20 +47,14 @@ def _idot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def _check(ok, message: str) -> None:
-    """A self-check that, unlike assert, still runs under python -O."""
-    if not ok:
-        raise InternalError(message)
-
-
 class ToricCone:
     """A strongly convex full-dimensional rational cone with primitive rays.
 
     The constructor derives the inward facet normals (the H-representation)
-    and checks that every listed ray is extreme.  For dimension <= 3 it also
-    checks that every proper face is smooth, which is exactly the condition
-    for the toric variety to have an isolated singularity; in higher
-    dimension the check is skipped and ``isolated_checked`` is False.
+    and checks that every listed ray is extreme and that every proper face
+    is smooth, which is exactly the condition for the toric variety to have
+    an isolated singularity.  A face of a smooth cone is smooth, so the
+    facets are tested, in every dimension.
     """
 
     def __init__(self, rays, dim=None):
@@ -80,9 +72,7 @@ class ToricCone:
             vec = _as_lattice_vector(ray, self.dim)
             if all(x == 0 for x in vec):
                 raise InputError("the zero vector cannot be a ray")
-            g = 0
-            for x in vec:
-                g = gcd(g, abs(x))
+            g = gcd(*vec)
             if g != 1:
                 reduced = tuple(x // g for x in vec)
                 raise InputError(
@@ -108,9 +98,7 @@ class ToricCone:
                     f"ray {ray} is not an extreme ray of the cone spanned by the input"
                 )
 
-        self.isolated_checked = self.dim <= 3
-        if self.dim == 3:
-            self._check_smooth_facets()
+        self._check_smooth_facets()
 
     def _compute_facet_normals(self):
         if self.dim == 1:
@@ -137,22 +125,17 @@ class ToricCone:
         return tuple(sorted(normals))
 
     def _check_smooth_facets(self):
+        # A simplicial facet with rays T and primitive normal f is smooth when
+        # the gcd g of the maximal minors of T is 1.  Those minors, signed, form
+        # a vector orthogonal to T, hence +-g*f, so det(T, f) = +-g*<f, f>.
         for normal in self.facet_normals:
             tight = [r for r in self.rays if _idot(normal, r) == 0]
-            if len(tight) != 2:
+            if len(tight) != self.dim - 1:
                 raise DomainError(f"facet with normal {normal} is not simplicial")
-            u, v = tight
-            minors = [
-                u[i] * v[j] - u[j] * v[i]
-                for i in range(3)
-                for j in range(i + 1, 3)
-            ]
-            g = 0
-            for m in minors:
-                g = gcd(g, abs(m))
-            if g != 1:
+            if abs(xm.determinant(tight + [normal])) != _idot(normal, normal):
+                spanned = ", ".join(map(str, tight[:-1])) + f" and {tight[-1]}"
                 raise DomainError(
-                    f"facet spanned by {u} and {v} is a singular cone, so the "
+                    f"facet spanned by {spanned} is a singular cone, so the "
                     "singularity is not isolated"
                 )
 
@@ -344,12 +327,12 @@ def _lattice_points_between(cone: ToricCone, lower, upper):
     n = cone.dim
     constraints = []
     for ray, lo, hi in zip(cone.rays, lower, upper):
-        constraints.append((tuple(-Fraction(x) for x in ray), Fraction(-lo)))
-        constraints.append((tuple(Fraction(x) for x in ray), Fraction(lo) + hi))
+        constraints.append(([-x for x in ray], -lo))
+        constraints.append((ray, lo + hi))
     box = []
     for j in range(n):
-        hi_out = lp_max(LPProblem(tuple(Fraction(int(i == j)) for i in range(n)), tuple(constraints)))
-        lo_out = lp_max(LPProblem(tuple(Fraction(-int(i == j)) for i in range(n)), tuple(constraints)))
+        hi_out = lp_max(LPProblem([int(i == j) for i in range(n)], constraints))
+        lo_out = lp_max(LPProblem([-int(i == j) for i in range(n)], constraints))
         if hi_out.status != OPTIMAL or lo_out.status != OPTIMAL:
             raise DomainError("lattice search region is unbounded")
         box.append((ceil(-lo_out.value), floor(hi_out.value)))
@@ -376,7 +359,7 @@ def module_generators(cone: ToricCone, lower_bounds, margin_scale: int = 1):
     if len(lower) != len(cone.rays):
         raise InputError("one lower bound per ray is required")
     vertices = _region_vertices(cone, lower)
-    _check(vertices, "the section region has no vertex, yet it is pointed and nonempty")
+    check(vertices, "the section region has no vertex, yet it is pointed and nonempty")
     margins = []
     for i, ray in enumerate(cone.rays):
         vertex_margin = max(
@@ -393,10 +376,10 @@ def _region_vertices(cone: ToricCone, lower):
     n = cone.dim
     vertices = []
     for subset in itertools.combinations(range(len(rows)), n):
-        mat = tuple(tuple(Fraction(x) for x in rows[i]) for i in subset)
-        if xm.determinant(mat) == 0:
+        try:
+            point = xm.solve_linear([rows[i] for i in subset], [lower[i] for i in subset])
+        except DomainError:  # singular: these rays meet in no vertex
             continue
-        point = xm.solve_linear(mat, tuple(lower[i] for i in subset))
         if all(xm.dot(point, ray) >= lo for ray, lo in zip(rows, lower)):
             vertices.append(point)
     return vertices
@@ -416,34 +399,18 @@ def envelope_certificate(cone: ToricCone, divisor: ToricDivisor, v):
     v = _as_lattice_vector(v, cone.dim)
     if not cone.contains(v):
         raise DomainError(f"valuation vector {v} lies outside the cone")
-    problem = LPProblem(
-        tuple(Fraction(x) for x in v),
-        tuple(
-            (tuple(Fraction(x) for x in ray), Fraction(d))
-            for ray, d in zip(cone.rays, divisor.coeffs)
-        ),
-    )
-    outcome = lp_max(problem)
-    _check(outcome.status == OPTIMAL, "envelope LP inside the cone is not bounded")
+    outcome = lp_max(envelope_problem(cone, divisor, v))
+    check(outcome.status == OPTIMAL, "envelope LP inside the cone is not bounded")
     return outcome.value, outcome.point
+
+
+def envelope_problem(cone: ToricCone, divisor: ToricDivisor, v) -> LPProblem:
+    """The envelope LP at v: max <m, v> subject to <m, ray_i> <= d_i."""
+    return LPProblem(v, tuple(zip(cone.rays, divisor.coeffs)))
 
 
 def envelope_value(cone: ToricCone, divisor: ToricDivisor, v) -> Fraction:
     return envelope_certificate(cone, divisor, v)[0]
-
-
-@dataclass(frozen=True)
-class EnvelopeFunction:
-    """The nef envelope of a toric divisor, as a function on valuations."""
-
-    cone: ToricCone
-    divisor: ToricDivisor
-
-    def value(self, v) -> Fraction:
-        return envelope_value(self.cone, self.divisor, v)
-
-    def certificate(self, v):
-        return envelope_certificate(self.cone, self.divisor, v)
 
 
 @dataclass(frozen=True)
@@ -463,58 +430,38 @@ def is_numerically_cartier(cone: ToricCone, divisor: ToricDivisor) -> Numericall
     constructively, an interior valuation where the sum of the envelopes of
     D and -D is negative; that witness is returned together with the gap.
     """
-    solution, lam = xm.solve_general(
-        [tuple(Fraction(x) for x in ray) for ray in cone.rays],
-        divisor.coeffs,
-    )
+    solution, lam = xm.solve_general(cone.rays, divisor.coeffs)
     if solution is not None:
-        _check(xm.mat_vec(cone.rays, solution) == divisor.coeffs, "wrong Cartier certificate")
+        check(xm.mat_vec(cone.rays, solution) == divisor.coeffs, "wrong Cartier certificate")
         sample = cone.interior_point()
         total = envelope_value(cone, divisor, sample) + envelope_value(
             cone, -divisor, sample
         )
-        if total != 0:
-            raise RuntimeError(
-                "numerically-Cartier contradiction: a linear certificate exists "
-                f"but the envelope sum at {sample} is {total}"
-            )
+        check(
+            total == 0,
+            "numerically-Cartier contradiction: a linear certificate exists "
+            f"but the envelope sum at {sample} is {total}",
+        )
         return NumericallyCartierResult(True, certificate=solution)
 
     # lam pairs to zero against every ray matrix row yet not against d.
     if xm.dot(lam, divisor.coeffs) > 0:
         lam = tuple(-x for x in lam)
-    scale = 1
-    for x in lam:
-        scale = scale * Fraction(x).denominator // gcd(scale, Fraction(x).denominator)
-    lam = [int(Fraction(x) * scale) for x in lam]
+    scale = lcm(*[x.denominator for x in lam])
+    lam = [int(x * scale) for x in lam]
+    # w is both the lam > 0 and the -lam < 0 combination of rays, so a face
+    # that holds w holds every ray in the relation lam.  The proper faces of
+    # an isolated cone are simplicial, their rays carry no relation, and w is
+    # interior.  Its envelope sum is at most <lam, d> < 0.
     w = tuple(
         sum(max(l, 0) * ray[j] for l, ray in zip(lam, cone.rays))
         for j in range(cone.dim)
     )
-    _check(any(w), "the inconsistency certificate gives the zero valuation")
-
-    def envelope_sum(v):
-        return envelope_value(cone, divisor, v) + envelope_value(cone, -divisor, v)
-
-    gap_w = envelope_sum(w)
-    _check(gap_w < 0, "envelope sum at the combined valuation is not negative")
-    if cone.interior_contains(w):
-        witness = xm.primitive_vector(w)
-    else:
-        p = cone.interior_point()
-        gap_p = envelope_sum(p)
-        if gap_p < 0:
-            witness = xm.primitive_vector(p)
-        else:
-            # Envelopes are subadditive, so k*gap_w + gap_p < 0 forces a
-            # negative sum at the interior point k*w + p.
-            k = floor(gap_p / (-gap_w)) + 1
-            witness = xm.primitive_vector(
-                tuple(k * a + b for a, b in zip(w, p))
-            )
-    _check(cone.interior_contains(witness), "witness is not interior to the cone")
-    gap = envelope_sum(witness)
-    _check(gap < 0, "envelope sum at the witness is not negative")
+    check(any(w), "the inconsistency certificate gives the zero valuation")
+    witness = xm.primitive_vector(w)
+    check(cone.interior_contains(witness), "witness is not interior to the cone")
+    gap = envelope_value(cone, divisor, witness) + envelope_value(cone, -divisor, witness)
+    check(gap < 0, "envelope sum at the witness is not negative")
     return NumericallyCartierResult(False, witness=witness, gap=gap)
 
 
@@ -577,7 +524,7 @@ def samuel_multiplicity(cone: ToricCone, a: MonomialIdeal) -> Fraction:
     for inward, cycle in faces:
         offset = _idot(inward, cycle[0])
         compact = cone.interior_contains(inward) and all(_idot(inward, g) >= offset for g in gens)
-        _check(compact, "a kept hull face is not a compact face of the Newton polyhedron")
+        check(compact, "a kept hull face is not a compact face of the Newton polyhedron")
         if n == 2:
             total += abs(cycle[0][0] * cycle[1][1] - cycle[1][0] * cycle[0][1])
         else:
@@ -587,7 +534,7 @@ def samuel_multiplicity(cone: ToricCone, a: MonomialIdeal) -> Fraction:
     # Counted mod 2, the boundary of the kept faces lies on the boundary of
     # the dual cone only when they are all the compact faces.
     on_rim = all(any(all(_idot(x, r) == 0 for x in cell) for r in cone.rays) for cell in rim)
-    _check(faces and on_rim, "the kept hull faces do not cover the Newton region")
+    check(faces and on_rim, "the kept hull faces do not cover the Newton region")
     return Fraction(total)
 
 
@@ -616,10 +563,7 @@ def mixed_multiplicity(cone: ToricCone, ideals) -> Fraction:
             for i in subset[1:]:
                 product = ideal_product(product, ideals[i])
             total += (-1) ** (n - size) * samuel_multiplicity(cone, product)
-    factorial = 1
-    for i in range(2, n + 1):
-        factorial *= i
-    return total / factorial
+    return total / factorial(n)
 
 
 def defect_ideal(cone: ToricCone, divisor: ToricDivisor, m: int = 1) -> MonomialIdeal:
@@ -674,5 +618,5 @@ def log_discrepancy_value(cone: ToricCone, v) -> Fraction:
         raise DomainError(f"valuation vector {v} must be primitive")
     ones = ToricDivisor(cone, (Fraction(1),) * len(cone.rays))
     value = envelope_value(cone, ones, v)
-    _check(value >= 0, "log discrepancy is negative")
+    check(value >= 0, "log discrepancy is negative")
     return value

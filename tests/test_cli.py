@@ -233,6 +233,21 @@ class TestValidateAndErrors:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    def test_validate_checks_isolation_in_dimension_four(self, capsys, tmp_path):
+        a1_times_c2 = write(
+            tmp_path, "a1c2.json", {"dim": 4, "rays": [[1, 0, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}
+        )
+        code, out, err = run(capsys, ["validate", "--kind", "cone", a1_times_c2])
+        assert code == 3
+        assert err.count("error:") == 1 and err.startswith("error: facet spanned by")
+        assert json.loads(out)["ok"] is False
+        orthant = write(tmp_path, "c4.json", {"dim": 4, "rays": [[int(i == j) for j in range(4)] for i in range(4)]})
+        code, out, _ = run(capsys, ["validate", "--kind", "cone", orthant])
+        assert code == 0
+        assert json.loads(out) == {
+            "ok": True, "kind": "cone", "dim": 4, "rays": 4, "facets": 4, "isolated_checked": True
+        }
+
     def test_validate_rejects_non_primitive_ray(self, capsys, tmp_path):
         bad = write(tmp_path, "bad.json", {"rays": [[2, 2, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]]})
         code, out, err = run(capsys, ["validate", "--kind", "cone", bad])

@@ -166,4 +166,3 @@ class TestVolumeReports:
         assert report.volume == 0
         assert report.passed
         assert all(v >= 0 for v in report.values)
-        assert report.certificate == (0, 0, 0)

@@ -1,14 +1,19 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singvol import InputError, DomainError, UnsupportedDimensionError
+import singvol.exactmath as xm
+from singvol import InputError, InternalError, DomainError, UnsupportedDimensionError
 from singvol.exactmath import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    LPOutcome,
     LPProblem,
     convex_hull_2d,
     determinant,
@@ -19,6 +24,7 @@ from singvol.exactmath import (
     lp_max,
     parse_rational,
     polytope_volume,
+    primitive_vector,
     solve_general,
     solve_linear,
 )
@@ -30,6 +36,9 @@ QUADRIC_CONSTRAINTS = (
     ((F(0), F(0), F(1)), F(2)),
     ((F(1), F(1), F(-1)), F(1)),
 )
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestRationals:
@@ -323,3 +332,64 @@ class TestLpAgainstFloatSolver:
                 assert result.status == 3
             else:
                 assert result.status == 2
+
+
+class TestIntegerVectors:
+    def test_primitive_vector(self):
+        assert primitive_vector((4, -6, 0)) == (2, -3, 0)
+        assert primitive_vector((F(4), 2.0)) == (2, 1)
+
+    @pytest.mark.parametrize("v", [["x", 1], [None, 1], [F(1, 2), 1], [1.5, 1], [float("inf"), 1]])
+    def test_non_integer_entries_are_input_errors(self, v):
+        with pytest.raises(InputError, match="not an integer vector"):
+            primitive_vector(v)
+
+
+class TestLpSelfChecks:
+    """Every LP certificate is checked before it is returned; a wrong one
+    raises InternalError, never a bare assert."""
+
+    OPTIMUM = LPProblem((1, 1), (((1, 0), 1), ((0, 1), 2)))
+    EMPTY = LPProblem((1,), (((1,), -1), ((-1,), -1)))
+    UNBOUNDED_ABOVE = LPProblem((1,), (((-1,), 0),))
+
+    def test_phase_one_status(self, monkeypatch):
+        monkeypatch.setattr(xm._Tableau, "run", lambda self, eligible: (UNBOUNDED, 0))
+        with pytest.raises(InternalError, match="phase 1"):
+            lp_max(self.OPTIMUM)
+
+    @pytest.mark.parametrize(
+        "problem, field, value, message",
+        [
+            (EMPTY, "farkas", (F(-1), F(1)), "Farkas multiplier is negative"),
+            (EMPTY, "farkas", (F(2), F(1)), "combination of the constraint normals"),
+            (EMPTY, "farkas", (F(0), F(0)), "combination of the bounds"),
+            (UNBOUNDED_ABOVE, "ray", (F(-1),), "leaves the feasible region"),
+            (UNBOUNDED_ABOVE, "ray", (F(0),), "does not improve"),
+            (OPTIMUM, "value", F(4), "value is not attained"),
+            (OPTIMUM, "point", (F(2), F(1)), "point is infeasible"),
+        ],
+    )
+    def test_wrong_certificate(self, monkeypatch, problem, field, value, message):
+        def corrupted(**fields):
+            return LPOutcome(**dict(fields, **{field: value}))
+
+        monkeypatch.setattr(xm, "LPOutcome", corrupted)
+        with pytest.raises(InternalError, match=message):
+            lp_max(problem)
+
+    def test_checks_survive_optimize_flag(self):
+        script = (
+            "import singvol.exactmath as xm\n"
+            "from singvol import InternalError\n"
+            "xm._Tableau.run = lambda self, eligible: (xm.UNBOUNDED, 0)\n"
+            "try:\n"
+            "    xm.lp_max(xm.LPProblem((1,), (((1,), 1),)))\n"
+            "except InternalError:\n"
+            "    print('checked')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.stdout.strip() == "checked", proc.stderr

@@ -7,6 +7,7 @@ import pytest
 from singvol import (
     DomainError,
     InputError,
+    InternalError,
     ResolutionGraph,
     SingularityKind,
     canonical_intersections,
@@ -23,6 +24,8 @@ from singvol import (
     volume,
     zariski_decompose,
 )
+import singvol.exactmath as xm
+import singvol.surface as surface
 from singvol.surface import intersect
 
 from conftest import random_graph
@@ -258,3 +261,38 @@ class TestStandardGraphs:
         ]
         for graph in graphs:
             assert is_negative_definite(graph.intersection_matrix)
+
+
+class TestSelfChecks:
+    """The Zariski and volume checks raise InternalError, never a bare assert."""
+
+    @pytest.fixture
+    def scaled_solutions(self, monkeypatch):
+        real = xm.solve_linear
+
+        def scale(t):
+            monkeypatch.setattr(xm, "solve_linear", lambda m, b: tuple(t * x for x in real(m, b)))
+
+        return scale
+
+    def test_negative_part_not_effective(self, scaled_solutions, two_vertex_graph):
+        scaled_solutions(-1)
+        with pytest.raises(InternalError, match="not effective"):
+            zariski_decompose(two_vertex_graph, (-1, 0))
+
+    def test_nef_part_not_orthogonal(self, scaled_solutions, two_vertex_graph):
+        scaled_solutions(2)
+        with pytest.raises(InternalError, match="not orthogonal"):
+            zariski_decompose(two_vertex_graph, (-1, 0))
+
+    def test_support_loop_cut_short(self, monkeypatch, two_vertex_graph):
+        # The support gains a vertex on every pass, so the loop always ends
+        # within its k + 1 passes; only a loop cut short reaches the check.
+        monkeypatch.setattr(surface, "range", lambda *args: (), raising=False)
+        with pytest.raises(InternalError, match="failed to stabilize"):
+            zariski_decompose(two_vertex_graph, (-1, 0))
+
+    def test_negative_local_volume(self, monkeypatch, two_vertex_graph):
+        monkeypatch.setattr(surface, "intersect", lambda graph, d1, d2: F(1))
+        with pytest.raises(InternalError, match="local volume is negative"):
+            local_volume(two_vertex_graph, (-1, 0))

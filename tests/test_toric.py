@@ -50,7 +50,6 @@ class TestConeConstruction:
             (0, 1, 1),
             (1, 0, 1),
         }
-        assert quadric.isolated_checked
 
     def test_plane_is_self_dual(self, plane):
         assert set(plane.facet_normals) == {(1, 0), (0, 1)}
@@ -58,6 +57,11 @@ class TestConeConstruction:
     def test_rejects_non_primitive_ray(self):
         with pytest.raises(InputError, match="divide by gcd"):
             ToricCone([(2, 2), (0, 1)])
+
+    @pytest.mark.parametrize("bad", [("a", 0), (None, 0), (0.5, 0)])
+    def test_rejects_non_integer_entries(self, bad):
+        with pytest.raises(InputError, match="not an integer vector"):
+            ToricCone([bad, (0, 1)])
 
     def test_rejects_duplicates(self):
         with pytest.raises(InputError, match="duplicate"):
@@ -80,16 +84,79 @@ class TestConeConstruction:
         with pytest.raises(DomainError, match="not isolated|singular"):
             ToricCone([(1, 0, 0), (1, 2, 0), (0, 0, 1)])
 
-    def test_higher_dimension_skips_isolated_check(self):
-        cone = ToricCone([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
-        assert not cone.isolated_checked
-
     def test_membership(self, quadric):
         assert quadric.contains((1, 1, 0))
         assert quadric.interior_contains((1, 1, 0))
         assert quadric.contains((1, 0, 0))
         assert not quadric.interior_contains((1, 0, 0))
         assert not quadric.contains((0, 0, -1))
+
+
+# An A1 surface singularity times C^2: one facet is a singular cone.
+A1_TIMES_C2 = [(1, 0, 0, 0), (1, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+# The quadric times a line: the facet x_4 = 0 is the quadric cone itself.
+QUADRIC_FACET = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, -1, 0), (0, 0, 0, 1)]
+# The cone over a cube: its facets are cones over squares.
+CUBE = [(x, y, z, 1) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+# The cone over an octahedron: every facet is a smooth cone over a triangle.
+OCTAHEDRON = [(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 1), (0, 0, 1, 1), (0, 0, -1, 1)]
+
+
+def orthant(n):
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
+def isolation_verdict(rays):
+    """"isolated", or the kind of facet that stops the cone being so."""
+    try:
+        ToricCone(rays)
+    except DomainError as exc:
+        if "is a singular cone, so the singularity is not isolated" in str(exc):
+            return "singular facet"
+        if "is not simplicial" in str(exc):
+            return "non-simplicial facet"
+        raise
+    return "isolated"
+
+
+def random_unimodular(rng, n):
+    """A seeded element of GL_n(Z): a product of elementary matrices and a
+    sign change."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+    flip = rng.randrange(n)
+    a[flip] = [-x for x in a[flip]]
+    return a
+
+
+class TestIsolationInEveryDimension:
+    """The facet test det(T, f) = +-<f, f> in dimensions 4 and 5."""
+
+    def test_singular_facet_is_rejected(self):
+        with pytest.raises(DomainError, match=r"facet spanned by \(1, 0, 0, 0\), \(1, 2, 0, 0\) and "):
+            ToricCone(A1_TIMES_C2)
+
+    def test_non_simplicial_facets_are_rejected(self):
+        assert isolation_verdict(QUADRIC_FACET) == "non-simplicial facet"
+        assert isolation_verdict(CUBE) == "non-simplicial facet"
+
+    def test_isolated_cones_are_accepted(self):
+        assert len(ToricCone(orthant(4)).facet_normals) == 4
+        assert len(ToricCone(orthant(5)).facet_normals) == 5
+        assert len(ToricCone(OCTAHEDRON).facet_normals) == 8
+
+    @pytest.mark.parametrize("rays", [A1_TIMES_C2, QUADRIC_FACET, CUBE, OCTAHEDRON, orthant(4)])
+    def test_verdict_survives_gl4_and_permutations(self, rays):
+        rng = random.Random(4)
+        verdict = isolation_verdict(rays)
+        for _ in range(12):
+            a = random_unimodular(rng, 4)
+            image = [tuple(sum(x * r for x, r in zip(row, ray)) for row in a) for ray in rays]
+            rng.shuffle(image)
+            assert isolation_verdict(image) == verdict
 
 
 class TestEnvelope:
@@ -153,19 +220,6 @@ class TestEnvelope:
             assert sum(m * x for m, x in zip(point, ray)) <= d
 
 
-class TestEnvelopeFunction:
-    def test_wrapper_matches_free_functions(self, quadric):
-        from singvol import EnvelopeFunction
-
-        divisor = ToricDivisor(quadric, D_SUM)
-        env = EnvelopeFunction(quadric, divisor)
-        assert env.value((1, 1, 0)) == 3
-        value, point = env.certificate((1, 1, 0))
-        assert value == 3
-        for ray, d in zip(quadric.rays, divisor.coeffs):
-            assert sum(m * x for m, x in zip(point, ray)) <= d
-
-
 class TestNumericallyCartier:
     def test_cartier_certificate(self, quadric):
         result = is_numerically_cartier(quadric, ToricDivisor(quadric, D_SUM))
@@ -192,15 +246,12 @@ class TestNumericallyCartier:
         assert not is_numerically_cartier(quadric, divisor).is_numerically_cartier
         assert not is_numerically_cartier(quadric, -divisor).is_numerically_cartier
 
-    def test_witnesses_on_cone_over_cube(self):
-        # Eight rays in dimension four; relations live inside the square
-        # facets, so the raw inconsistency combination often lands on the
-        # boundary and the witness needs the interior shift.
-        rays = [(x, y, z, 1) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
-        cone = ToricCone(rays)
-        assert len(cone.facet_normals) == 6
-        for index in range(8):
-            coeffs = tuple(int(i == index) for i in range(8))
+    def test_witnesses_on_cone_over_octahedron(self):
+        # Six rays in dimension four.  The cone is isolated, so every relation
+        # among the rays combines to an interior valuation, the witness.
+        cone = ToricCone(OCTAHEDRON)
+        for index in range(6):
+            coeffs = tuple(int(i == index) for i in range(6))
             result = is_numerically_cartier(cone, ToricDivisor(cone, coeffs))
             assert not result.is_numerically_cartier
             assert cone.interior_contains(result.witness)
@@ -544,6 +595,11 @@ class TestSelfChecks:
         monkeypatch.setattr(toric.ToricCone, "interior_contains", lambda self, v: False)
         with pytest.raises(InternalError, match="not interior"):
             is_numerically_cartier(quadric, ToricDivisor(quadric, D_ONE))
+
+    def test_envelope_sum_of_cartier_divisor(self, monkeypatch, quadric):
+        monkeypatch.setattr(toric, "envelope_value", lambda cone, divisor, v: F(1))
+        with pytest.raises(InternalError, match="contradiction"):
+            is_numerically_cartier(quadric, ToricDivisor(quadric, D_SUM))
 
     def test_negative_log_discrepancy(self, monkeypatch, quadric):
         monkeypatch.setattr(toric, "envelope_value", lambda cone, divisor, v: F(-1))
