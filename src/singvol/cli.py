@@ -270,7 +270,102 @@ def _cmd_validate(args):
     return jsonio.validate_file(args.kind, args.file, cone=cone)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_surface_commands(cmds, common):
+    p = cmds.add_parser("volume", parents=[common])
+    p.add_argument("--graph", required=True)
+    p.set_defaults(func=_cmd_surface_volume)
+
+    p = cmds.add_parser("classify", parents=[common])
+    p.add_argument("--graph", required=True)
+    p.set_defaults(func=_cmd_surface_classify)
+
+    p = cmds.add_parser("pullback", parents=[common])
+    p.add_argument("--graph", required=True)
+    p.add_argument("--divisor", help="intersection numbers; defaults to the canonical ones")
+    p.set_defaults(func=_cmd_surface_pullback)
+
+    p = cmds.add_parser("zariski", parents=[common])
+    p.add_argument("--graph", required=True)
+    p.add_argument("--divisor", help="defaults to the log-discrepancy divisor")
+    p.set_defaults(func=_cmd_surface_zariski)
+
+    p = cmds.add_parser("standard", parents=[common])
+    p.add_argument("--family", required=True, choices=("cone", "cusp_cycle", "duval"))
+    p.add_argument("--g", type=int, help="genus for the cone family")
+    p.add_argument("--d", type=int, help="degree for the cone family")
+    p.add_argument("--self-ints", dest="self_ints", help="cycle self-intersections like -3,-2,-2")
+    p.add_argument("--name", help="Du Val name like A2, D4, E6")
+    p.set_defaults(func=_cmd_surface_standard)
+
+
+def _add_toric_commands(cmds, common):
+    p = cmds.add_parser("env", parents=[common])
+    p.add_argument("--cone", required=True)
+    p.add_argument("--divisor", required=True)
+    p.add_argument("--at", required=True, help="valuation vector like 1,1,0")
+    p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
+    p.set_defaults(func=_cmd_toric_env)
+
+    p = cmds.add_parser("numcartier", parents=[common])
+    p.add_argument("--cone", required=True)
+    p.add_argument("--divisor", required=True)
+    p.set_defaults(func=_cmd_toric_numcartier)
+
+    p = cmds.add_parser("mult", parents=[common])
+    p.add_argument("--cone", required=True)
+    p.add_argument("--ideal", required=True)
+    p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
+    p.set_defaults(func=_cmd_toric_mult)
+
+    p = cmds.add_parser("mixed", parents=[common])
+    p.add_argument("--cone", required=True)
+    p.add_argument("--ideals", nargs="+", required=True)
+    p.set_defaults(func=_cmd_toric_mixed)
+
+    p = cmds.add_parser("defect", parents=[common])
+    p.add_argument("--cone", required=True)
+    p.add_argument("--divisor", required=True)
+    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--at", help="valuation vector for the divisor value")
+    p.set_defaults(func=_cmd_toric_defect)
+
+    p = cmds.add_parser("izumi", parents=[common])
+    p.add_argument("--cone", required=True)
+    p.add_argument("--v", required=True)
+    p.add_argument("--w", required=True)
+    p.set_defaults(func=_cmd_toric_izumi)
+
+
+def _add_endo_commands(cmds, common):
+    p = cmds.add_parser("check", parents=[common])
+    p.add_argument("--cone", required=True)
+    p.add_argument("--matrix", required=True)
+    p.add_argument("--divisor")
+    p.add_argument("--ideal")
+    p.set_defaults(func=_cmd_endo_check)
+
+    p = cmds.add_parser("monotonic", parents=[common])
+    p.add_argument("--case", required=True, choices=("surface_cover", "toric"))
+    p.add_argument("--g", type=int)
+    p.add_argument("--d", type=int)
+    p.add_argument("--e", type=int)
+    p.add_argument("--cone")
+    p.add_argument("--matrix")
+    p.set_defaults(func=_cmd_endo_monotonic)
+
+
+# name: (help, adds its commands) for each group with commands.
+_GROUPS = {
+    "surface": ("resolution dual graph computations", _add_surface_commands),
+    "toric": ("toric cone computations", _add_toric_commands),
+    "endo": ("finite toric endomorphisms", _add_endo_commands),
+}
+
+
+def build_parser(group=None) -> argparse.ArgumentParser:
+    """The command tree.  Every group is registered, but when ``group``
+    names one (main passes the first argument) only its commands are built,
+    which is all a run of that group can reach; otherwise all are."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("json", "table"), default="json", help="output format"
@@ -281,93 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact singularity volumes on surface dual graphs and toric cones.",
     )
     groups = parser.add_subparsers(dest="group", required=True)
-
-    surface_group = groups.add_parser("surface", help="resolution dual graph computations")
-    surface_cmds = surface_group.add_subparsers(dest="command", required=True)
-
-    p = surface_cmds.add_parser("volume", parents=[common])
-    p.add_argument("--graph", required=True)
-    p.set_defaults(func=_cmd_surface_volume)
-
-    p = surface_cmds.add_parser("classify", parents=[common])
-    p.add_argument("--graph", required=True)
-    p.set_defaults(func=_cmd_surface_classify)
-
-    p = surface_cmds.add_parser("pullback", parents=[common])
-    p.add_argument("--graph", required=True)
-    p.add_argument("--divisor", help="intersection numbers; defaults to the canonical ones")
-    p.set_defaults(func=_cmd_surface_pullback)
-
-    p = surface_cmds.add_parser("zariski", parents=[common])
-    p.add_argument("--graph", required=True)
-    p.add_argument("--divisor", help="defaults to the log-discrepancy divisor")
-    p.set_defaults(func=_cmd_surface_zariski)
-
-    p = surface_cmds.add_parser("standard", parents=[common])
-    p.add_argument("--family", required=True, choices=("cone", "cusp_cycle", "duval"))
-    p.add_argument("--g", type=int, help="genus for the cone family")
-    p.add_argument("--d", type=int, help="degree for the cone family")
-    p.add_argument("--self-ints", dest="self_ints", help="cycle self-intersections like -3,-2,-2")
-    p.add_argument("--name", help="Du Val name like A2, D4, E6")
-    p.set_defaults(func=_cmd_surface_standard)
-
-    toric_group = groups.add_parser("toric", help="toric cone computations")
-    toric_cmds = toric_group.add_subparsers(dest="command", required=True)
-
-    p = toric_cmds.add_parser("env", parents=[common])
-    p.add_argument("--cone", required=True)
-    p.add_argument("--divisor", required=True)
-    p.add_argument("--at", required=True, help="valuation vector like 1,1,0")
-    p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_toric_env)
-
-    p = toric_cmds.add_parser("numcartier", parents=[common])
-    p.add_argument("--cone", required=True)
-    p.add_argument("--divisor", required=True)
-    p.set_defaults(func=_cmd_toric_numcartier)
-
-    p = toric_cmds.add_parser("mult", parents=[common])
-    p.add_argument("--cone", required=True)
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_toric_mult)
-
-    p = toric_cmds.add_parser("mixed", parents=[common])
-    p.add_argument("--cone", required=True)
-    p.add_argument("--ideals", nargs="+", required=True)
-    p.set_defaults(func=_cmd_toric_mixed)
-
-    p = toric_cmds.add_parser("defect", parents=[common])
-    p.add_argument("--cone", required=True)
-    p.add_argument("--divisor", required=True)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--at", help="valuation vector for the divisor value")
-    p.set_defaults(func=_cmd_toric_defect)
-
-    p = toric_cmds.add_parser("izumi", parents=[common])
-    p.add_argument("--cone", required=True)
-    p.add_argument("--v", required=True)
-    p.add_argument("--w", required=True)
-    p.set_defaults(func=_cmd_toric_izumi)
-
-    endo_group = groups.add_parser("endo", help="finite toric endomorphisms")
-    endo_cmds = endo_group.add_subparsers(dest="command", required=True)
-
-    p = endo_cmds.add_parser("check", parents=[common])
-    p.add_argument("--cone", required=True)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--divisor")
-    p.add_argument("--ideal")
-    p.set_defaults(func=_cmd_endo_check)
-
-    p = endo_cmds.add_parser("monotonic", parents=[common])
-    p.add_argument("--case", required=True, choices=("surface_cover", "toric"))
-    p.add_argument("--g", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--e", type=int)
-    p.add_argument("--cone")
-    p.add_argument("--matrix")
-    p.set_defaults(func=_cmd_endo_monotonic)
+    for name, (help_text, add_commands) in _GROUPS.items():
+        group_parser = groups.add_parser(name, help=help_text)
+        if group not in _GROUPS or group == name:
+            add_commands(group_parser.add_subparsers(dest="command", required=True), common)
 
     p = groups.add_parser("validate", parents=[common])
     p.add_argument("--kind", required=True, choices=("graph", "cone", "divisor", "ideal", "matrix"))
@@ -399,8 +411,8 @@ def _attach_negative_vectors(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_vectors(sys.argv[1:] if argv is None else argv))
+    argv = _attach_negative_vectors(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         payload = args.func(args)
     except SingvolError as exc:

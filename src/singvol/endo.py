@@ -12,7 +12,7 @@ the toric and the cone-over-a-curve families.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, InputError
@@ -124,21 +124,16 @@ def sample_valuations(cone: ToricCone):
     return tuple(unique)
 
 
-@dataclass(frozen=True)
-class CheckItem:
-    name: str
-    left: Fraction
-    right: Fraction
+class CheckItem(namedtuple("CheckItem", "name left right")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.left == self.right
 
 
-@dataclass(frozen=True)
-class PushPullReport:
-    degree: int
-    checks: tuple[CheckItem, ...]
+class PushPullReport(namedtuple("PushPullReport", "degree checks")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -197,8 +192,8 @@ def check_push_pull(endo: ToricEndo, divisor: ToricDivisor | None = None,
     return PushPullReport(degree=endo.degree, checks=tuple(checks))
 
 
-@dataclass(frozen=True)
-class SurfaceCoverReport:
+class SurfaceCoverReport(namedtuple(
+        "SurfaceCoverReport", "genus polarization cover_degree covering_volume base_volume")):
     """Volume multiplicativity for covers of cones over curves.
 
     A degree-e cover etale away from the vertex takes the cone over a
@@ -206,11 +201,7 @@ class SurfaceCoverReport:
     degree e*d, and volumes scale exactly by e.
     """
 
-    genus: int
-    polarization: int
-    cover_degree: int
-    covering_volume: Fraction
-    base_volume: Fraction
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -233,8 +224,7 @@ def surface_cover_report(genus: int, polarization: int, cover_degree: int) -> Su
     )
 
 
-@dataclass(frozen=True)
-class ToricVolumeReport:
+class ToricVolumeReport(namedtuple("ToricVolumeReport", "degree samples values")):
     """Volume vanishing certificate along a toric endomorphism.
 
     Every log discrepancy sampled is nonnegative (the zero linear form is
@@ -242,9 +232,7 @@ class ToricVolumeReport:
     and the monotonicity inequality degenerates to 0 >= degree * 0.
     """
 
-    degree: int
-    samples: tuple
-    values: tuple
+    __slots__ = ()
 
     @property
     def volume(self) -> Fraction:

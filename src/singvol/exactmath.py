@@ -15,10 +15,9 @@ unbounded improving ray, or a Farkas combination witnessing infeasibility.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import NamedTuple
 
 from .errors import DomainError, InputError, InternalError, UnsupportedDimensionError, check
 
@@ -62,13 +61,14 @@ def mat_vec(m: Mat, v) -> Vec:
 
 def integer_vector(v) -> tuple[int, ...]:
     """The entries of v as ints.  Raises InputError unless every entry is an
-    integer value, such as 2, Fraction(4, 2) or 2.0."""
+    integer value, such as 2, Fraction(4, 2) or 2.0; text such as "2" is
+    not a number."""
     ints = []
     for x in v:
         if type(x) is not int:
             try:
                 i = int(x)
-                exact = Fraction(x) == i
+                exact = not isinstance(x, (str, bytes)) and Fraction(x) == i
             except (TypeError, ValueError, OverflowError):
                 exact = False
             if not exact:
@@ -122,11 +122,10 @@ def _integer_rows(rows):
     return ints, scales
 
 
-class _Echelon(NamedTuple):
-    pivots: list      # pivot column of each of the leading rows
-    minors: list      # the pivot entries
-    order: list       # original index of the row now at each position
-    sign: int         # sign of that row permutation
+# pivots: the pivot column of each of the leading rows; minors: the pivot
+# entries; order: the original index of the row now at each position;
+# sign: the sign of that row permutation.
+_Echelon = namedtuple("_Echelon", "pivots minors order sign")
 
 
 def _bareiss(rows, ncols, pivoting=True) -> _Echelon:
@@ -348,18 +347,18 @@ UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
-class LPProblem:
-    """Maximize <objective, x> subject to <normal_i, x> <= bound_i, x free."""
+class LPProblem(namedtuple("LPProblem", "objective constraints")):
+    """Maximize <objective, x> subject to <normal_i, x> <= bound_i, x free.
 
-    objective: Vec
-    constraints: tuple[tuple[Vec, Fraction], ...]
+    The objective becomes a tuple of Fractions and the constraints a tuple
+    of (normal, bound) pairs of Fractions.
+    """
 
-    def __post_init__(self):
-        obj = tuple([Fraction(e) for e in self.objective])
-        cons = tuple([(tuple([Fraction(e) for e in n]), Fraction(b)) for n, b in self.constraints])
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "constraints", cons)
+    __slots__ = ()
+
+    def __new__(cls, objective, constraints):
+        obj = tuple([Fraction(e) for e in objective])
+        cons = tuple([(tuple([Fraction(e) for e in n]), Fraction(b)) for n, b in constraints])
         if not obj:
             raise InputError("LP objective must have positive dimension")
         for normal, _ in cons:
@@ -368,17 +367,14 @@ class LPProblem:
                     f"constraint dimension {len(normal)} does not match "
                     f"objective dimension {len(obj)}"
                 )
+        return super().__new__(cls, obj, cons)
 
 
-@dataclass(frozen=True)
-class LPOutcome:
-    """Result of lp_max with an exact certificate for each status."""
+class LPOutcome(namedtuple("LPOutcome", "status value point ray farkas", defaults=(None,) * 4)):
+    """Result of lp_max with an exact certificate for each status: the
+    optimal value and point, an improving ray, or Farkas multipliers."""
 
-    status: str
-    value: Fraction | None = None
-    point: Vec | None = None
-    ray: Vec | None = None
-    farkas: Vec | None = None
+    __slots__ = ()
 
 
 class _Tableau:

@@ -15,8 +15,7 @@ A small vertex enumerator plays the same role for the simplex solver.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from fractions import Fraction
 from math import factorial
 
@@ -74,20 +73,18 @@ def colength(cone: ToricCone, a: MonomialIdeal, k: int, cap: int = DEFAULT_POWER
     return count
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(namedtuple("CountReport", "ks colengths fitted")):
     """Colength counts with the fitted leading coefficients n!*count/k^n."""
 
-    ks: tuple[int, ...]
-    colengths: tuple[int, ...]
-    fitted: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (len(self.ks) == len(self.colengths) == len(self.fitted)):
+    def __new__(cls, ks, colengths, fitted):
+        if not (len(ks) == len(colengths) == len(fitted)):
             raise InputError("report columns must have equal lengths")
-        for earlier, later in zip(self.colengths, self.colengths[1:]):
+        for earlier, later in zip(colengths, colengths[1:]):
             if later < earlier:
                 raise InputError("colengths must be non-decreasing in k")
+        return super().__new__(cls, ks, colengths, fitted)
 
 
 def multiplicity_estimate(cone: ToricCone, a: MonomialIdeal, kmax: int, ks=None) -> CountReport:

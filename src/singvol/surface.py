@@ -18,23 +18,22 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError, InputError, InternalError, check
 from . import exactmath as xm
 
 
-@dataclass(frozen=True)
-class Vertex:
-    self_int: int
-    genus: int
+class Vertex(namedtuple("Vertex", "self_int genus")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.self_int, int) or not isinstance(self.genus, int):
+    def __new__(cls, self_int, genus):
+        if not isinstance(self_int, int) or not isinstance(genus, int):
             raise InputError("vertex data must be integers")
-        if self.genus < 0:
-            raise InputError(f"genus must be nonnegative, got {self.genus}")
+        if genus < 0:
+            raise InputError(f"genus must be nonnegative, got {genus}")
+        return super().__new__(cls, self_int, genus)
 
 
 class ResolutionGraph:
@@ -171,10 +170,8 @@ def log_discrepancy_divisor(graph: ResolutionGraph):
     return tuple([a + 1 for a in discrepancies(graph)])
 
 
-@dataclass(frozen=True)
-class ZariskiDecomposition:
-    nef_part: tuple[Fraction, ...]
-    neg_part: tuple[Fraction, ...]
+class ZariskiDecomposition(namedtuple("ZariskiDecomposition", "nef_part neg_part")):
+    __slots__ = ()
 
 
 def zariski_decompose(graph: ResolutionGraph, d, order=None) -> ZariskiDecomposition:
@@ -244,10 +241,8 @@ class SingularityKind(enum.Enum):
     NOT_LC = "not_lc"
 
 
-@dataclass(frozen=True)
-class SingularityClass:
-    kind: SingularityKind
-    log_discrepancies: tuple[Fraction, ...]
+class SingularityClass(namedtuple("SingularityClass", "kind log_discrepancies")):
+    __slots__ = ()
 
 
 def classify(graph: ResolutionGraph) -> SingularityClass:

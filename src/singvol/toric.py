@@ -27,13 +27,13 @@ has d_i = <m, ray_i>.  Sections of O(D) are the lattice points u with
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import ceil, factorial, floor, gcd, lcm
 
 from .errors import DomainError, InputError, UnsupportedDimensionError, check
 from . import exactmath as xm
-from .exactmath import LPProblem, lp_max, OPTIMAL
+from .exactmath import INFEASIBLE, LPProblem, lp_max, OPTIMAL
 
 
 def _as_lattice_vector(v, dim) -> tuple[int, ...]:
@@ -173,21 +173,19 @@ class ToricCone:
         return f"ToricCone(dim={self.dim}, rays={list(self.rays)})"
 
 
-@dataclass(frozen=True)
-class ToricDivisor:
+class ToricDivisor(namedtuple("ToricDivisor", "cone coeffs")):
     """A toric Weil divisor, one rational coefficient per ray."""
 
-    cone: ToricCone
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        if len(coeffs) != len(self.cone.rays):
+    def __new__(cls, cone, coeffs):
+        coeffs = tuple(Fraction(c) for c in coeffs)
+        if len(coeffs) != len(cone.rays):
             raise InputError(
                 f"divisor has {len(coeffs)} coefficients but the cone has "
-                f"{len(self.cone.rays)} rays"
+                f"{len(cone.rays)} rays"
             )
+        return super().__new__(cls, cone, coeffs)
 
     def __neg__(self):
         return ToricDivisor(self.cone, tuple(-c for c in self.coeffs))
@@ -333,6 +331,8 @@ def _lattice_points_between(cone: ToricCone, lower, upper):
     for j in range(n):
         hi_out = lp_max(LPProblem([int(i == j) for i in range(n)], constraints))
         lo_out = lp_max(LPProblem([-int(i == j) for i in range(n)], constraints))
+        if INFEASIBLE in (hi_out.status, lo_out.status):
+            raise DomainError("lattice search region is empty")
         if hi_out.status != OPTIMAL or lo_out.status != OPTIMAL:
             raise DomainError("lattice search region is unbounded")
         box.append((ceil(-lo_out.value), floor(hi_out.value)))
@@ -413,12 +413,10 @@ def envelope_value(cone: ToricCone, divisor: ToricDivisor, v) -> Fraction:
     return envelope_certificate(cone, divisor, v)[0]
 
 
-@dataclass(frozen=True)
-class NumericallyCartierResult:
-    is_numerically_cartier: bool
-    certificate: tuple | None = None
-    witness: tuple | None = None
-    gap: Fraction | None = None
+class NumericallyCartierResult(namedtuple(
+        "NumericallyCartierResult", "is_numerically_cartier certificate witness gap",
+        defaults=(None,) * 3)):
+    __slots__ = ()
 
 
 def is_numerically_cartier(cone: ToricCone, divisor: ToricDivisor) -> NumericallyCartierResult:

@@ -1,8 +1,21 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
 
 import pytest
 
-from singvol.cli import main
+from singvol import InputError, ToricCone
+from singvol.cli import build_parser, main
+from singvol.endo import CheckItem, PushPullReport, SurfaceCoverReport, ToricVolumeReport
+from singvol.exactmath import LPOutcome, LPProblem
+from singvol.oracle import CountReport
+from singvol.surface import SingularityClass, SingularityKind, Vertex, ZariskiDecomposition
+from singvol.toric import NumericallyCartierResult, ToricDivisor
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write(tmp_path, name, obj):
@@ -380,3 +393,178 @@ class TestNegativeVectorOptions:
             capsys, ["surface", "standard", "--family", "cusp_cycle"], "--self-ints", "-3,-2,-2"
         )
         assert [v["self"] for v in payload["vertices"]] == [-3, -2, -2]
+
+
+class TestStartUp:
+    """import singvol.cli stays cheap: a batch user pays it once per query."""
+
+    @pytest.fixture(scope="class")
+    def imported(self):
+        """(modules loaded by import singvol.cli in a fresh interpreter, all
+        modules loaded after it); modules a site hook loads at start count
+        as loaded before."""
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import singvol.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
+            "print(' '.join(sorted(sys.modules)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        new, every = proc.stdout.splitlines()
+        return set(new.split()), set(every.split())
+
+    @pytest.mark.parametrize("module", ["dataclasses", "inspect", "typing"])
+    def test_import_does_not_load(self, imported, module):
+        assert module not in imported[0]
+
+    def test_import_loads_every_engine_module(self, imported):
+        # The benchmark tracer finds these in sys.modules after importing cli.
+        for name in ("exactmath", "surface", "toric", "endo", "jsonio", "cli"):
+            assert f"singvol.{name}" in imported[1]
+
+
+PLANE = ToricCone([(1, 0), (0, 1)])
+
+# (record type, field names, one value per field, number of defaulted fields)
+RECORDS = [
+    (LPProblem, ("objective", "constraints"), ((1, 2), (((1, 0), 3),)), 0),
+    (LPOutcome, ("status", "value", "point", "ray", "farkas"),
+     ("optimal", F(1), (F(1),), None, None), 4),
+    (ToricDivisor, ("cone", "coeffs"), (PLANE, (F(1), F(2))), 0),
+    (NumericallyCartierResult, ("is_numerically_cartier", "certificate", "witness", "gap"),
+     (False, None, (1, 1), F(-1)), 3),
+    (Vertex, ("self_int", "genus"), (-2, 0), 0),
+    (ZariskiDecomposition, ("nef_part", "neg_part"), ((F(1),), (F(0),)), 0),
+    (SingularityClass, ("kind", "log_discrepancies"), (SingularityKind.KLT, (F(1),)), 0),
+    (CheckItem, ("name", "left", "right"), ("degree", F(2), F(2)), 0),
+    (PushPullReport, ("degree", "checks"), (2, ()), 0),
+    (SurfaceCoverReport,
+     ("genus", "polarization", "cover_degree", "covering_volume", "base_volume"),
+     (2, 1, 3, F(12), F(4)), 0),
+    (ToricVolumeReport, ("degree", "samples", "values"), (2, ((1, 1),), (F(1),)), 0),
+    (CountReport, ("ks", "colengths", "fitted"), ((1, 2), (1, 3), (F(2), F(3, 2))), 0),
+]
+
+
+@pytest.mark.parametrize(
+    "record, fields, values, defaulted", RECORDS, ids=[r[0].__name__ for r in RECORDS]
+)
+class TestRecords:
+    def test_fields_and_construction(self, record, fields, values, defaulted):
+        by_position = record(*values)
+        by_keyword = record(**dict(zip(fields, values)))
+        assert record._fields == fields
+        assert tuple(getattr(by_position, f) for f in fields) == values
+        assert by_position == by_keyword
+        assert hash(by_position) == hash(by_keyword)
+
+    def test_defaults(self, record, fields, values, defaulted):
+        required = len(fields) - defaulted
+        short = record(*values[:required])
+        assert all(getattr(short, f) is None for f in fields[required:])
+        with pytest.raises(TypeError):
+            record(*values[:required - 1])
+
+    def test_frozen(self, record, fields, values, defaulted):
+        rec = record(*values)
+        with pytest.raises(AttributeError):
+            setattr(rec, fields[0], values[0])
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+
+
+class TestRecordValidation:
+    def test_coercion_to_fractions(self):
+        problem = LPProblem([1, 2], [([1, 0], 3)])
+        assert problem == LPProblem((1, 2), (((1, 0), 3),))
+        assert all(type(x) is F for x in problem.objective + problem.constraints[0][0])
+        assert type(problem.constraints[0][1]) is F
+        assert all(type(x) is F for x in ToricDivisor(PLANE, [1, "1/2"]).coeffs)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: LPProblem((), ()), "LP objective must have positive dimension"),
+            (lambda: LPProblem((1, 2), (((1,), 3),)),
+             "constraint dimension 1 does not match objective dimension 2"),
+            (lambda: ToricDivisor(PLANE, (1,)),
+             "divisor has 1 coefficients but the cone has 2 rays"),
+            (lambda: Vertex(-2.0, 0), "vertex data must be integers"),
+            (lambda: Vertex(-2, -1), "genus must be nonnegative, got -1"),
+            (lambda: CountReport((1,), (1, 2), (F(1),)), "report columns must have equal lengths"),
+            (lambda: CountReport((1, 2), (3, 1), (F(1), F(1))),
+             "colengths must be non-decreasing in k"),
+        ],
+    )
+    def test_errors(self, build, message):
+        with pytest.raises(InputError) as error:
+            build()
+        assert str(error.value) == message
+
+
+def subcommands(parser):
+    """{name: parser} for the subcommands of a parser; {} for a leaf."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return dict(action.choices)
+    return {}
+
+
+def help_pages():
+    pages = [["-h"]]
+    for group, group_parser in subcommands(build_parser()).items():
+        pages.append([group, "-h"])
+        pages.extend([group, command, "-h"] for command in subcommands(group_parser))
+    return pages
+
+
+def usage_errors():
+    errors = [[], ["nosuch"], ["--format", "json"]]
+    for group, group_parser in subcommands(build_parser()).items():
+        commands = subcommands(group_parser)
+        errors.append([group])
+        if commands:
+            errors.append([group, "nosuch"])
+        # no options: each command misses a required one
+        errors.extend([group, command] for command in commands)
+    return errors
+
+
+class TestParserPerGroup:
+    """main builds only the commands of the group it runs; every page and
+    usage error it prints is the one the full tree prints."""
+
+    @staticmethod
+    def outcome(capsys, parse, argv):
+        with pytest.raises(SystemExit) as exit_:
+            parse(argv)
+        out, err = capsys.readouterr()
+        return exit_.value.code, out, err
+
+    def test_only_the_named_group_gets_commands(self):
+        groups = subcommands(build_parser("toric"))
+        assert set(groups) == {"surface", "toric", "endo", "validate"}
+        assert subcommands(groups["surface"]) == subcommands(groups["endo"]) == {}
+        assert set(subcommands(groups["toric"])) == set(
+            subcommands(subcommands(build_parser())["toric"])
+        )
+        for name in ("-h", "nosuch", None):
+            groups = subcommands(build_parser(name))
+            assert all(subcommands(groups[g]) for g in ("surface", "toric", "endo"))
+
+    @pytest.mark.parametrize("argv", help_pages(), ids=" ".join)
+    def test_help_pages(self, capsys, argv):
+        full = self.outcome(capsys, build_parser().parse_args, argv)
+        assert full[0] == 0 and full[1] and not full[2]
+        assert self.outcome(capsys, main, argv) == full
+
+    @pytest.mark.parametrize("argv", usage_errors(), ids=lambda argv: " ".join(argv) or "empty")
+    def test_usage_errors(self, capsys, argv):
+        full = self.outcome(capsys, build_parser().parse_args, argv)
+        assert full[0] == 2 and not full[1] and full[2].startswith("usage: singvol")
+        assert self.outcome(capsys, main, argv) == full

@@ -58,7 +58,9 @@ class TestConeConstruction:
         with pytest.raises(InputError, match="divide by gcd"):
             ToricCone([(2, 2), (0, 1)])
 
-    @pytest.mark.parametrize("bad", [("a", 0), (None, 0), (0.5, 0)])
+    @pytest.mark.parametrize(
+        "bad", [("a", 0), (None, 0), (0.5, 0), ("1", 0), (" 1 ", 0), (b"1", 0)]
+    )
     def test_rejects_non_integer_entries(self, bad):
         with pytest.raises(InputError, match="not an integer vector"):
             ToricCone([bad, (0, 1)])
@@ -282,6 +284,11 @@ class TestMonomialIdeals:
         ideal = MonomialIdeal(orthant, [(1, 1, 0), (0, 0, 1)])
         assert not ideal.is_m_primary
 
+    @pytest.mark.parametrize("first", [("2", 0, 0), (2, 0, " 0"), (b"2", 0, 0)])
+    def test_rejects_text_exponents(self, quadric, first):
+        with pytest.raises(InputError, match="not an integer vector"):
+            MonomialIdeal(quadric, [first, (0, 1, 0), (0, 0, 1)])
+
     def test_rejects_exponent_outside_dual_cone(self, quadric):
         with pytest.raises(DomainError, match="dual cone"):
             MonomialIdeal(quadric, [(0, 0, 1)])
@@ -300,6 +307,14 @@ class TestMonomialIdeals:
         assert ord_value(a, (1, 1)) == 1
         with pytest.raises(DomainError):
             z_value(a, (-1, 0))
+
+
+class TestLatticePointsBetween:
+    def test_empty_slab_is_its_own_domain_error(self, quadric):
+        # <u, (1,0,0)> = u1 lies in [18, 23] but <u, (1,1,-1)> = 7 and
+        # <u, (0,1,0)> = 5 force u3 = u1 - 2 >= 16, above <u, (0,0,1)> <= -8.
+        with pytest.raises(DomainError, match="lattice search region is empty"):
+            toric._lattice_points_between(quadric, [18, 5, -13, 7], [5, 0, 5, 0])
 
 
 class TestHilbertBasis:
