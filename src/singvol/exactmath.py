@@ -28,8 +28,9 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 def parse_rational(text) -> Fraction:
-    """Parse the wire format for rationals: "p" or "p/q" with q > 0."""
-    if isinstance(text, int):
+    """Parse the wire format for rationals: "p" or "p/q" with q > 0.  Ints
+    and Fractions are taken as numbers; bools are not."""
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, Fraction):
         return text
@@ -61,14 +62,14 @@ def mat_vec(m: Mat, v) -> Vec:
 
 def integer_vector(v) -> tuple[int, ...]:
     """The entries of v as ints.  Raises InputError unless every entry is an
-    integer value, such as 2, Fraction(4, 2) or 2.0; text such as "2" is
-    not a number."""
+    integer value, such as 2, Fraction(4, 2) or 2.0; text such as "2" and
+    the bools True and False are not numbers."""
     ints = []
     for x in v:
         if type(x) is not int:
             try:
                 i = int(x)
-                exact = not isinstance(x, (str, bytes)) and Fraction(x) == i
+                exact = not isinstance(x, (str, bytes, bool)) and Fraction(x) == i
             except (TypeError, ValueError, OverflowError):
                 exact = False
             if not exact:
@@ -566,14 +567,16 @@ def _verified(problem: LPProblem, outcome: LPOutcome) -> LPOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _cross2(o, a, b) -> Fraction:
+def _cross2(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def convex_hull_2d(points) -> list:
-    """Andrew's monotone chain over exact rationals; returns the hull in
-    counter-clockwise order without collinear interior points."""
-    pts = sorted(set(tuple(Fraction(c) for c in p) for p in points))
+    """Andrew's monotone chain on the caller's exact coordinates (ints or
+    Fractions, compared as given, so integer points stay integers); returns
+    the distinct hull vertices as tuples in counter-clockwise order without
+    collinear interior points."""
+    pts = sorted(set(map(tuple, points)))
     if len(pts) <= 2:
         return pts
     lower = []
@@ -597,12 +600,13 @@ def cross3(u, v) -> Vec:
     )
 
 
-def det3(a, b, c) -> Fraction:
-    return dot(a, cross3(b, c))
-
-
-def _idot3(u, v) -> int:
+def _idot3(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def det3(a, b, c):
+    """The 3x3 determinant of the rows a, b, c, an int for integer rows."""
+    return _idot3(a, cross3(b, c))
 
 
 def _hull_planes(pts) -> dict:

@@ -30,6 +30,11 @@ def load_json(path):
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
+def _is_int(x) -> bool:
+    """JSON integers only: true and false load as bools, which are ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _require(obj, key, path):
     if not isinstance(obj, dict) or key not in obj:
         raise InputError(f"{path}: missing required key {key!r}")
@@ -45,12 +50,12 @@ def graph_from_obj(obj, path="<graph>") -> ResolutionGraph:
     for v in raw_vertices:
         if not isinstance(v, dict) or "self" not in v:
             raise InputError(f"{path}: each vertex needs a 'self' intersection number")
-        if not isinstance(v["self"], int) or not isinstance(v.get("genus", 0), int):
+        if not _is_int(v["self"]) or not _is_int(v.get("genus", 0)):
             raise InputError(f"{path}: vertex data must be integers")
         vertices.append((v["self"], v.get("genus", 0)))
     edges = []
     for e in raw_edges:
-        if not (isinstance(e, list) and len(e) in (2, 3) and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) in (2, 3) and all(_is_int(x) for x in e)):
             raise InputError(f"{path}: each edge must be [i, j] or [i, j, mult]")
         edges.append((e[0], e[1], e[2] if len(e) == 3 else 1))
     return ResolutionGraph(vertices, edges)
@@ -68,10 +73,10 @@ def cone_from_obj(obj, path="<cone>") -> ToricCone:
     if not isinstance(rays, list) or not all(isinstance(r, list) for r in rays):
         raise InputError(f"{path}: rays must be an array of integer arrays")
     for r in rays:
-        if not all(isinstance(x, int) for x in r):
+        if not all(_is_int(x) for x in r):
             raise InputError(f"{path}: ray {r} must contain integers")
     dim = obj.get("dim")
-    if dim is not None and rays and len(rays[0]) != dim:
+    if dim is not None and (not _is_int(dim) or rays and len(rays[0]) != dim):
         raise InputError(f"{path}: stated dim {dim} does not match the rays")
     return ToricCone(rays, dim=dim)
 
@@ -100,7 +105,7 @@ def ideal_from_obj(cone: ToricCone, obj, path="<ideal>") -> MonomialIdeal:
     if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
         raise InputError(f"{path}: gens must be an array of integer arrays")
     for g in gens:
-        if not all(isinstance(x, int) for x in g):
+        if not all(_is_int(x) for x in g):
             raise InputError(f"{path}: generator {g} must contain integers")
     return MonomialIdeal(cone, gens)
 
@@ -110,7 +115,7 @@ def matrix_from_obj(obj, path="<matrix>"):
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InputError(f"{path}: matrix must be an array of integer rows")
     for r in rows:
-        if not all(isinstance(x, int) for x in r):
+        if not all(_is_int(x) for x in r):
             raise InputError(f"{path}: matrix row {r} must contain integers")
     return [list(r) for r in rows]
 

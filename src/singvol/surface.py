@@ -29,7 +29,7 @@ class Vertex(namedtuple("Vertex", "self_int genus")):
     __slots__ = ()
 
     def __new__(cls, self_int, genus):
-        if not isinstance(self_int, int) or not isinstance(genus, int):
+        if any(not isinstance(x, int) or isinstance(x, bool) for x in (self_int, genus)):
             raise InputError("vertex data must be integers")
         if genus < 0:
             raise InputError(f"genus must be nonnegative, got {genus}")
@@ -45,15 +45,15 @@ class ResolutionGraph:
             if isinstance(v, Vertex):
                 verts.append(v)
             else:
-                self_int, genus = v
-                verts.append(Vertex(int(self_int), int(genus)))
+                self_int, genus = xm.integer_vector(v)
+                verts.append(Vertex(self_int, genus))
         if not verts:
             raise InputError("a resolution graph needs at least one vertex")
         self.vertices = tuple(verts)
         k = len(verts)
         cleaned = []
         for e in edges:
-            i, j, mult = (int(x) for x in e)
+            i, j, mult = xm.integer_vector(e)
             if not (0 <= i < k and 0 <= j < k):
                 raise InputError(f"edge {e} references a missing vertex")
             if i == j:

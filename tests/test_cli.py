@@ -351,6 +351,58 @@ class TestValidateAndErrors:
         assert out.strip() == 'constant  "2"'
 
 
+GRAPH = {"vertices": [{"self": -3, "genus": 2}, {"self": -2}], "edges": [[0, 1]]}
+
+
+class TestBooleansAreNotIntegers:
+    """JSON true and false load as Python bools, which are ints; every reader
+    rejects them with its own message, and the CLI exits 2 with one error."""
+
+    @pytest.mark.parametrize(
+        "argv, files, message",
+        [
+            (["surface", "volume", "--graph", "{x}"],
+             {"x": {"vertices": [{"self": True}]}}, "{x}: vertex data must be integers"),
+            (["validate", "--kind", "graph", "{x}"],
+             {"x": {"vertices": [{"self": -2, "genus": False}]}}, "{x}: vertex data must be integers"),
+            (["surface", "classify", "--graph", "{x}"],
+             {"x": {"vertices": [{"self": -2}, {"self": -2}], "edges": [[0, True]]}},
+             "{x}: each edge must be [i, j] or [i, j, mult]"),
+            (["validate", "--kind", "cone", "{x}"],
+             {"x": {"dim": 3, "rays": [[True, 0, 0], [0, True, 0], [0, 0, True]]}},
+             "{x}: ray [True, 0, 0] must contain integers"),
+            (["validate", "--kind", "cone", "{x}"],
+             {"x": {"dim": True, "rays": [[1]]}}, "{x}: stated dim True does not match the rays"),
+            (["toric", "mult", "--cone", "{c}", "--ideal", "{x}"],
+             {"c": {"dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+              "x": {"gens": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+             "{x}: generator [True, 0, 0] must contain integers"),
+            (["endo", "check", "--cone", "{c}", "--matrix", "{x}"],
+             {"c": {"dim": 2, "rays": [[1, 0], [0, 1]]}, "x": {"matrix": [[True, 0], [0, 2]]}},
+             "{x}: matrix row [True, 0] must contain integers"),
+            (["toric", "env", "--cone", "{c}", "--divisor", "{x}", "--at", "1,1"],
+             {"c": {"dim": 2, "rays": [[1, 0], [0, 1]]}, "x": {"coeffs": [True, "1"]}},
+             "not a rational in p/q form: True"),
+            (["surface", "zariski", "--graph", "{c}", "--divisor", "{x}"],
+             {"c": GRAPH, "x": {"coeffs": ["1", False]}}, "not a rational in p/q form: False"),
+        ],
+        ids=["graph-self", "graph-genus", "graph-edge", "cone-ray", "cone-dim", "ideal",
+             "matrix", "divisor", "exceptional-divisor"],
+    )
+    def test_reader_rejects_booleans(self, capsys, tmp_path, argv, files, message):
+        paths = {key: write(tmp_path, f"{key}.json", obj) for key, obj in files.items()}
+        code, _, err = run(capsys, [arg.format(**paths) for arg in argv])
+        assert code == 2
+        assert err == f"error: {message.format(**paths)}\n"
+
+    def test_integer_twin_is_accepted(self, capsys, tmp_path):
+        cone = write(tmp_path, "c.json", {"dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+        ideal = write(tmp_path, "a.json", {"gens": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+        code, out, _ = run(capsys, ["toric", "mult", "--cone", cone, "--ideal", ideal])
+        assert code == 0
+        assert json.loads(out)["multiplicity"] == "1"
+
+
 class TestNegativeVectorOptions:
     """Vector options take a leading minus both as "--at -1,4" and "--at=-1,4"."""
 
@@ -505,6 +557,11 @@ class TestRecordValidation:
         with pytest.raises(InputError) as error:
             build()
         assert str(error.value) == message
+
+    @pytest.mark.parametrize("self_int, genus", [(True, 0), (-2, False)])
+    def test_vertex_rejects_bools(self, self_int, genus):
+        with pytest.raises(InputError, match="^vertex data must be integers$"):
+            Vertex(self_int, genus)
 
 
 def subcommands(parser):

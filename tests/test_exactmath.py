@@ -49,7 +49,7 @@ class TestRationals:
     def test_canonicalizes(self):
         assert format_rational(F(4, 6)) == "2/3"
 
-    @pytest.mark.parametrize("bad", ["1.5", "a", "3/0", "3/-2", "1/2/3", ""])
+    @pytest.mark.parametrize("bad", ["1.5", "a", "3/0", "3/-2", "1/2/3", "", True, False])
     def test_rejects_non_wire_forms(self, bad):
         with pytest.raises(InputError):
             parse_rational(bad)
@@ -340,7 +340,11 @@ class TestIntegerVectors:
         assert primitive_vector((F(4), 2.0)) == (2, 1)
 
     @pytest.mark.parametrize(
-        "v", [["x", 1], [None, 1], [F(1, 2), 1], [1.5, 1], [float("inf"), 1], ["1", 1], [b"1", 1]]
+        "v",
+        [
+            ["x", 1], [None, 1], [F(1, 2), 1], [1.5, 1], [float("inf"), 1], ["1", 1], [b"1", 1],
+            [True, 0], [1, False],
+        ],
     )
     def test_non_integer_entries_are_input_errors(self, v):
         with pytest.raises(InputError, match="not an integer vector"):

@@ -1,12 +1,14 @@
 """The shared integer hull and the multiplicities built on it.
 
-The triple-enumeration hull and Newton-region covolume, and the
-combinations-with-replacement ideal power, are kept here as brute-force
+The triple-enumeration hull and Newton-region covolume, the
+combinations-with-replacement ideal power, the all-pairs minimal elements,
+and the 2-D hull and 3x3 determinant over Fractions are kept here as
 references: the engines must agree with them exactly.
 """
 
 import functools
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -30,11 +32,13 @@ from singvol import (
     samuel_multiplicity,
 )
 from singvol.exactmath import (
+    convex_hull_2d,
     cross3,
     det3,
     hull_facets_3d,
     order_coplanar_polygon,
 )
+from singvol.toric import minimal_elements
 
 from conftest import random_m_primary_ideal
 
@@ -118,6 +122,44 @@ def brute_force_samuel(cone, ideal):
     return F(total)
 
 
+def brute_force_minimal(cone, points):
+    """Points u with no other point u' of the set such that u - u' lies in
+    the dual cone."""
+    pts = set(points)
+    return {
+        u for u in pts if not any(w != u and cone.dual_contains(sub(u, w)) for w in pts)
+    }
+
+
+def fraction_cross2(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def fraction_hull_2d(points):
+    """Andrew's monotone chain with every coordinate made a Fraction, as
+    exactmath.convex_hull_2d computed it before it kept integers."""
+    pts = sorted(set(tuple(F(c) for c in p) for p in points))
+    if len(pts) <= 2:
+        return pts
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and fraction_cross2(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and fraction_cross2(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def fraction_det3(a, b, c):
+    """The determinant as the Fraction dot product of a with b x c, as
+    exactmath.det3 computed it before it kept integers."""
+    return xm.dot(a, cross3(b, c))
+
+
 def brute_force_power(a, k):
     """The ideal generated by all sums of k generators."""
     if k == 0:
@@ -159,6 +201,24 @@ def random_point_set(rng):
     pts = [at(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 12))]
     w = cross3(u, v)
     return pts + [tuple(o[i] + w[i] for i in range(3))]
+
+
+def random_plane_points(rng):
+    """2-D integer point sets: general, collinear, with repeats, or at most
+    two points."""
+    kind = rng.choice(["general", "collinear", "repeats", "few"])
+    if kind == "general":
+        r = rng.randint(1, 6)
+        return [(rng.randint(-r, r), rng.randint(-r, r)) for _ in range(rng.randint(3, 20))]
+    if kind == "collinear":
+        o = (rng.randint(-3, 3), rng.randint(-3, 3))
+        d = (rng.randint(-3, 3), rng.randint(-3, 3))
+        steps = [rng.randint(-4, 4) for _ in range(rng.randint(1, 8))]
+        return [(o[0] + t * d[0], o[1] + t * d[1]) for t in steps]
+    if kind == "repeats":
+        base = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 6))]
+        return [rng.choice(base) for _ in range(rng.randint(2, 12))]
+    return [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(0, 2))]
 
 
 def random_unimodular(rng, n):
@@ -257,6 +317,72 @@ class TestHullAgainstBruteForce:
         assert polytope_volume([(0, 0), (F(1, 2), 0), (0, F(3, 2))], 2) == F(3, 8)
 
 
+class TestHull2dAgainstFractions:
+    """The 2-D hull and det3 compute on the caller's numbers; they must give
+    what they gave with every coordinate made a Fraction."""
+
+    def test_integer_point_sets(self):
+        rng = random.Random(606)
+        for _ in range(400):
+            pts = random_plane_points(rng)
+            hull = convex_hull_2d(pts)
+            assert hull == fraction_hull_2d(pts), pts
+            assert all(type(c) is int for p in hull for c in p), pts
+
+    def test_fraction_point_sets(self):
+        rng = random.Random(607)
+        for _ in range(200):
+            den = rng.randint(1, 4)
+            pts = [tuple(F(c, den) for c in p) for p in random_plane_points(rng)]
+            hull = convex_hull_2d(pts)
+            assert hull == fraction_hull_2d(pts), pts
+            assert all(type(c) is F for p in hull for c in p), pts
+
+    def test_points_as_lists_from_an_iterator(self):
+        pts = [[0, 0], [2, 0], [2, 2], [0, 2], [1, 1], [2, 0], [1, 0]]
+        assert convex_hull_2d(iter(pts)) == [(0, 0), (2, 0), (2, 2), (0, 2)]
+
+    def test_det3(self):
+        rng = random.Random(608)
+        for _ in range(300):
+            rows = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(3)]
+            value = det3(*rows)
+            assert type(value) is int
+            assert value == fraction_det3(*rows) == xm.determinant(rows)
+            rational = [tuple(F(x, rng.randint(1, 5)) for x in row) for row in rows]
+            assert det3(*rational) == fraction_det3(*rational) == xm.determinant(rational)
+
+    def test_volumes_and_multiplicities_unchanged(self, monkeypatch):
+        rng = random.Random(609)
+        polytopes = [
+            ([(0, 0, 0), (F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, 1)], 3),
+            ([(0, 0), (F(1, 2), 0), (0, F(3, 2))], 2),
+        ]
+        for _ in range(60):
+            dim, den = rng.choice([2, 3]), rng.randint(1, 3)
+            pts = [
+                tuple(F(rng.randint(-4, 4), den) for _ in range(dim))
+                for _ in range(rng.randint(1, 10))
+            ]
+            polytopes.append((pts, dim))
+        ideals = []
+        for _ in range(40):
+            cone = random_cone(rng)
+            ideals.append((cone, [random_ideal(rng, cone) for _ in range(cone.dim)]))
+
+        def evaluate():
+            values = [polytope_volume(pts, dim) for pts, dim in polytopes]
+            for cone, group in ideals:
+                values += [samuel_multiplicity(cone, group[0]), mixed_multiplicity(cone, group)]
+            return values
+
+        integer = evaluate()
+        monkeypatch.setattr(xm, "convex_hull_2d", fraction_hull_2d)
+        monkeypatch.setattr(xm, "det3", fraction_det3)
+        assert integer == evaluate()
+        assert all(type(v) is F for v in integer)
+
+
 # -- multiplicities ------------------------------------------------------------
 
 
@@ -283,6 +409,54 @@ class TestSamuelAgainstBruteForce:
         assert (len(m6.gens), len(m4.gens)) == (49, 61)
         assert samuel_multiplicity(quadric, m6) == 432
         assert samuel_multiplicity(hexagon, m4) == 384
+
+
+TEISSIER_CONES = {**CONES_3D, "a2": CONES_2D["a2"], "quotient": CONES_2D["quotient"]}
+
+
+class TestTeissierInequalities:
+    """Teissier (1978): for m-primary a, b the mixed multiplicities
+    e_i = e(a^[d-i], b^[i]) are log-concave, and e(ab) = sum C(d, i) e_i."""
+
+    @pytest.mark.parametrize("name", sorted(TEISSIER_CONES))
+    def test_random_pairs(self, name):
+        cone = ToricCone(TEISSIER_CONES[name])
+        d = cone.dim
+        rng = random.Random(1978)
+        for _ in range(24):
+            a, b = random_ideal(rng, cone), random_ideal(rng, cone)
+            e = [mixed_multiplicity(cone, [a] * (d - i) + [b] * i) for i in range(d + 1)]
+            assert (e[0], e[d]) == (samuel_multiplicity(cone, a), samuel_multiplicity(cone, b))
+            for i in range(1, d):
+                assert e[i] ** 2 <= e[i - 1] * e[i + 1]
+            assert samuel_multiplicity(cone, ideal_product(a, b)) == sum(
+                math.comb(d, i) * e[i] for i in range(d + 1)
+            )
+
+
+class TestMinimalElementsAgainstBruteForce:
+    def test_random_sets_with_repeats(self):
+        rng = random.Random(1975)
+        for _ in range(150):
+            cone = random_cone(rng)
+            pool = [tuple(rng.randint(-4, 6) for _ in range(cone.dim)) for _ in range(rng.randint(1, 12))]
+            points = [rng.choice(pool) for _ in range(rng.randint(1, 25))]
+            kept = minimal_elements(cone, points)
+            assert len(kept) == len(set(kept))
+            assert set(kept) == brute_force_minimal(cone, points), points
+
+    def test_unimodular_images(self):
+        rng = random.Random(1976)
+        for _ in range(60):
+            cone = random_cone(rng)
+            points = [tuple(rng.randint(-4, 6) for _ in range(cone.dim)) for _ in range(rng.randint(1, 20))]
+            a, inv = random_unimodular(rng, cone.dim)
+            image = ToricCone([apply(a, r) for r in cone.rays])
+            inv_t = transpose(inv)
+            moved = [apply(inv_t, u) for u in points]
+            kept = set(minimal_elements(image, moved))
+            assert kept == brute_force_minimal(image, moved)
+            assert kept == {apply(inv_t, u) for u in minimal_elements(cone, points)}
 
 
 class TestIdealPower:

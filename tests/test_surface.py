@@ -53,6 +53,21 @@ class TestGraphConstruction:
         with pytest.raises(InputError):
             ResolutionGraph([(-2, 0), (-2, 0)], [(0, 1, 0)])
 
+    @pytest.mark.parametrize(
+        "vertices, edges",
+        [
+            ([(True, 0)], []),
+            ([(-2, False)], []),
+            ([(-2.5, 0)], []),
+            ([("-2", 0)], []),
+            ([(-2, 0), (-2, 0)], [(0, True, 1)]),
+            ([(-2, 0), (-2, 0)], [(0, 1, 1.5)]),
+        ],
+    )
+    def test_rejects_non_integer_data(self, vertices, edges):
+        with pytest.raises(InputError, match="not an integer vector"):
+            ResolutionGraph(vertices, edges)
+
     def test_permuted_graph(self, two_vertex_graph):
         swapped = two_vertex_graph.permuted([1, 0])
         assert swapped.vertices[0].self_int == -2

@@ -59,7 +59,7 @@ class TestConeConstruction:
             ToricCone([(2, 2), (0, 1)])
 
     @pytest.mark.parametrize(
-        "bad", [("a", 0), (None, 0), (0.5, 0), ("1", 0), (" 1 ", 0), (b"1", 0)]
+        "bad", [("a", 0), (None, 0), (0.5, 0), ("1", 0), (" 1 ", 0), (b"1", 0), (True, 0)]
     )
     def test_rejects_non_integer_entries(self, bad):
         with pytest.raises(InputError, match="not an integer vector"):
