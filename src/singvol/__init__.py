@@ -36,7 +36,6 @@ from .surface import (
     local_volume,
     log_discrepancy_divisor,
     numerical_pullback,
-    standard_graph,
     volume,
     zariski_decompose,
 )

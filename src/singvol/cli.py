@@ -4,6 +4,9 @@ Reads JSON inputs, runs the exact engines and prints JSON (the contract)
 or an aligned table (for humans) to standard output.  Exit codes: 0 on
 success, 2 for malformed input, 3 for domain errors, 4 for unsupported
 dimensions.  Output is byte-deterministic for a fixed input.
+
+``_COMMANDS`` names every command with its handler and options; ``main``
+reads the input files before the handler runs, so handlers only compute.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import endo as endo_mod
 from . import jsonio
@@ -22,20 +24,28 @@ from . import toric as toric_mod
 from .errors import InputError, SingvolError
 from .exactmath import format_rational
 
+# Integer text on the command line: ASCII digits with an optional minus sign.
+_INTEGER = re.compile("-?[0-9]+")
+_VECTOR = re.compile("-?[0-9]+(,-?[0-9]+)*")
+
 
 def _parse_vector(text: str):
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"expected a comma-separated integer vector, got {text!r}") from exc
+    if not _VECTOR.fullmatch(text):
+        raise InputError(f"expected a comma-separated integer vector, got {text!r}")
+    return tuple(int(part) for part in text.split(","))
 
 
-def _rat(x) -> str:
-    return format_rational(Fraction(x))
+def _int(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type in "invalid int value: ..."
 
 
 def _rats(xs):
-    return [_rat(x) for x in xs]
+    return [format_rational(x) for x in xs]
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -60,176 +70,162 @@ def _emit(payload: dict, fmt: str) -> None:
         sys.stdout.write(f"{key.ljust(width)}  {value}\n")
 
 
-def _load_cone(args) -> toric_mod.ToricCone:
-    return jsonio.cone_from_obj(jsonio.load_json(args.cone), args.cone)
+# -- input files --------------------------------------------------------------
+
+# Divisors and ideals need a cone; only validate leaves --cone optional.
+_NEEDS_CONE = {
+    "divisor": "validating a divisor needs --cone for the ray count",
+    "ideal": "validating an ideal needs --cone for the ambient cone",
+}
 
 
-def _class_payload(classification) -> dict:
-    return {
-        "class": classification.kind.value,
-        "log_discrepancies": _rats(classification.log_discrepancies),
-    }
+def _read(kind: str, path: str, args):
+    """The object of wire kind ``kind`` in the JSON file at ``path``."""
+    obj = jsonio.load_json(path)
+    if kind == "cone":
+        return jsonio.cone_from_obj(obj, path)
+    if kind == "graph":
+        return jsonio.graph_from_obj(obj, path)
+    if kind == "matrix":
+        return jsonio.matrix_from_obj(obj, path)
+    if kind == "divisor" and getattr(args, "graph", None) is not None:
+        return jsonio.exc_divisor_from_obj(args.graph, obj, path)
+    if args.cone is None:
+        raise InputError(_NEEDS_CONE[kind])
+    if kind == "divisor":
+        return jsonio.divisor_from_obj(args.cone, obj, path)
+    return jsonio.ideal_from_obj(args.cone, obj, path)
+
+
+def _read_inputs(args) -> None:
+    """Replace each input-file option by the object its file holds.  The cone
+    and the graph come first: divisors and ideals are read against them."""
+    for name in ("cone", "graph", "matrix", "divisor", "ideal", "ideals"):
+        path = getattr(args, name, None)
+        if name == "ideals" and path is not None:
+            args.ideals = [_read("ideal", p, args) for p in path]
+        elif path is not None:
+            setattr(args, name, _read(name, path, args))
 
 
 # -- surface commands --------------------------------------------------------
 
 
 def _cmd_surface_volume(args):
-    graph = jsonio.graph_from_obj(jsonio.load_json(args.graph), args.graph)
-    return {
-        "volume": _rat(surface_mod.volume(graph)),
-        "class": surface_mod.classify(graph).kind.value,
-    }
+    volume = surface_mod.volume(args.graph)
+    return {"volume": format_rational(volume), "class": surface_mod.classify(args.graph).kind.value}
 
 
 def _cmd_surface_classify(args):
-    graph = jsonio.graph_from_obj(jsonio.load_json(args.graph), args.graph)
-    return _class_payload(surface_mod.classify(graph))
+    found = surface_mod.classify(args.graph)
+    return {"class": found.kind.value, "log_discrepancies": _rats(found.log_discrepancies)}
 
 
 def _cmd_surface_pullback(args):
-    graph = jsonio.graph_from_obj(jsonio.load_json(args.graph), args.graph)
-    if args.divisor:
-        rhs = jsonio.exc_divisor_from_obj(graph, jsonio.load_json(args.divisor), args.divisor)
-    else:
-        rhs = surface_mod.canonical_intersections(graph)
+    graph = args.graph
+    rhs = args.divisor if args.divisor is not None else surface_mod.canonical_intersections(graph)
     return {"coeffs": _rats(surface_mod.numerical_pullback(graph, rhs))}
 
 
 def _cmd_surface_zariski(args):
-    graph = jsonio.graph_from_obj(jsonio.load_json(args.graph), args.graph)
-    if args.divisor:
-        d = jsonio.exc_divisor_from_obj(graph, jsonio.load_json(args.divisor), args.divisor)
-    else:
-        d = surface_mod.log_discrepancy_divisor(graph)
+    graph = args.graph
+    d = args.divisor if args.divisor is not None else surface_mod.log_discrepancy_divisor(graph)
     decomposition = surface_mod.zariski_decompose(graph, d)
     return {
         "nef_part": _rats(decomposition.nef_part),
         "neg_part": _rats(decomposition.neg_part),
-        "local_volume": _rat(surface_mod.local_volume(graph, d)),
+        "local_volume": format_rational(surface_mod.local_volume(graph, d)),
     }
 
 
-# The flags each family of surface.standard_graph needs.
-_FAMILY_FLAGS = {
-    "cone": (("g", "d"), "--family cone needs --g and --d"),
-    "cusp_cycle": (("self_ints",), "--family cusp_cycle needs --self-ints like -3,-2,-2"),
-    "duval": (("name",), "--family duval needs --name like A2 or E6"),
+# family: (the flags it needs, the message when one is missing, its graph)
+_FAMILIES = {
+    "cone": (("g", "d"), "--family cone needs --g and --d",
+             lambda args: surface_mod.cone_graph(args.g, args.d)),
+    "cusp_cycle": (("self_ints",), "--family cusp_cycle needs --self-ints like -3,-2,-2",
+                   lambda args: surface_mod.cusp_cycle_graph(_parse_vector(args.self_ints))),
+    "duval": (("name",), "--family duval needs --name like A2 or E6",
+              lambda args: surface_mod.du_val_graph(args.name)),
 }
 
 
 def _cmd_surface_standard(args):
-    flags, message = _FAMILY_FLAGS[args.family]
+    flags, message, build = _FAMILIES[args.family]
     if any(getattr(args, flag) in (None, "") for flag in flags):
         raise InputError(message)
-    graph = surface_mod.standard_graph(
-        args.family,
-        genus=args.g,
-        degree=args.d,
-        self_ints=_parse_vector(args.self_ints) if args.self_ints else None,
-        name=args.name,
-    )
-    return jsonio.graph_to_obj(graph)
+    return jsonio.graph_to_obj(build(args))
 
 
 # -- toric commands -----------------------------------------------------------
 
 
 def _cmd_toric_env(args):
-    cone = _load_cone(args)
-    divisor = jsonio.divisor_from_obj(cone, jsonio.load_json(args.divisor), args.divisor)
     at = _parse_vector(args.at)
-    value, point = toric_mod.envelope_certificate(cone, divisor, at)
-    payload = {"value": _rat(value), "optimal_m": _rats(point)}
+    value, point = toric_mod.envelope_certificate(args.cone, args.divisor, at)
+    payload = {"value": format_rational(value), "optimal_m": _rats(point)}
     if args.oracle:
-        vertices = oracle_mod.lp_vertex_enumerate(toric_mod.envelope_problem(cone, divisor, at))
-        best = max((v for _, v in vertices), default=None)
-        payload["oracle_max"] = None if best is None else _rat(best)
+        problem = toric_mod.envelope_problem(args.cone, args.divisor, at)
+        best = max((v for _, v in oracle_mod.lp_vertex_enumerate(problem)), default=None)
+        payload["oracle_max"] = None if best is None else format_rational(best)
         payload["oracle_agrees"] = best == value
     return payload
 
 
 def _cmd_toric_numcartier(args):
-    cone = _load_cone(args)
-    divisor = jsonio.divisor_from_obj(cone, jsonio.load_json(args.divisor), args.divisor)
-    result = toric_mod.is_numerically_cartier(cone, divisor)
+    result = toric_mod.is_numerically_cartier(args.cone, args.divisor)
     payload = {"numerically_cartier": result.is_numerically_cartier}
     if result.certificate is not None:
         payload["certificate"] = _rats(result.certificate)
     if result.witness is not None:
         payload["witness"] = [int(x) for x in result.witness]
-        payload["gap"] = _rat(result.gap)
+        payload["gap"] = format_rational(result.gap)
     return payload
 
 
 def _cmd_toric_mult(args):
-    cone = _load_cone(args)
-    ideal = jsonio.ideal_from_obj(cone, jsonio.load_json(args.ideal), args.ideal)
-    value = toric_mod.samuel_multiplicity(cone, ideal)
-    payload = {"multiplicity": _rat(value)}
+    value = toric_mod.samuel_multiplicity(args.cone, args.ideal)
+    payload = {"multiplicity": format_rational(value)}
     if args.oracle:
-        report = oracle_mod.multiplicity_estimate(cone, ideal, 8, ks=(4, 8))
-        payload["oracle_fitted"] = {str(k): _rat(f) for k, f in zip(report.ks, report.fitted)}
+        report = oracle_mod.multiplicity_estimate(args.cone, args.ideal, 8, ks=(4, 8))
+        fitted = zip(report.ks, report.fitted)
+        payload["oracle_fitted"] = {str(k): format_rational(f) for k, f in fitted}
     return payload
 
 
 def _cmd_toric_mixed(args):
-    cone = _load_cone(args)
     if not 2 <= len(args.ideals) <= 3:
         raise InputError("toric mixed expects two or three ideal files")
-    ideals = [
-        jsonio.ideal_from_obj(cone, jsonio.load_json(path), path) for path in args.ideals
-    ]
-    value = toric_mod.mixed_multiplicity(cone, ideals)
-    return {"mixed_multiplicity": _rat(value)}
+    value = toric_mod.mixed_multiplicity(args.cone, args.ideals)
+    return {"mixed_multiplicity": format_rational(value)}
 
 
 def _cmd_toric_defect(args):
-    cone = _load_cone(args)
-    divisor = jsonio.divisor_from_obj(cone, jsonio.load_json(args.divisor), args.divisor)
-    ideal = toric_mod.defect_ideal(cone, divisor, args.m)
+    ideal = toric_mod.defect_ideal(args.cone, args.divisor, args.m)
     payload = {"m": args.m, "gens": [list(g) for g in ideal.gens]}
     if args.at:
-        at = _parse_vector(args.at)
-        z = toric_mod.z_value(ideal, at)
-        payload["z_value"] = _rat(z)
-        payload["z_value_over_m"] = _rat(z / args.m)
+        z = toric_mod.z_value(ideal, _parse_vector(args.at))
+        payload["z_value"] = format_rational(z)
+        payload["z_value_over_m"] = format_rational(z / args.m)
     return payload
 
 
 def _cmd_toric_izumi(args):
-    cone = _load_cone(args)
-    constant = toric_mod.izumi_constant(cone, _parse_vector(args.v), _parse_vector(args.w))
-    return {"constant": _rat(constant)}
+    constant = toric_mod.izumi_constant(args.cone, _parse_vector(args.v), _parse_vector(args.w))
+    return {"constant": format_rational(constant)}
 
 
 # -- endomorphism commands ----------------------------------------------------
 
 
 def _cmd_endo_check(args):
-    cone = _load_cone(args)
-    matrix = jsonio.matrix_from_obj(jsonio.load_json(args.matrix), args.matrix)
-    endomorphism = endo_mod.ToricEndo(cone, matrix)
-    divisor = None
-    ideal = None
-    if args.divisor:
-        divisor = jsonio.divisor_from_obj(cone, jsonio.load_json(args.divisor), args.divisor)
-    if args.ideal:
-        ideal = jsonio.ideal_from_obj(cone, jsonio.load_json(args.ideal), args.ideal)
-    report = endo_mod.check_push_pull(endomorphism, divisor=divisor, ideal=ideal)
-    return {
-        "degree": report.degree,
-        "passed": report.passed,
-        "checks": [
-            {
-                "name": item.name,
-                "left": _rat(item.left),
-                "right": _rat(item.right),
-                "passed": item.passed,
-            }
-            for item in report.checks
-        ],
-    }
+    endomorphism = endo_mod.ToricEndo(args.cone, args.matrix)
+    report = endo_mod.check_push_pull(endomorphism, divisor=args.divisor, ideal=args.ideal)
+    checks = [
+        {"name": c.name, "left": format_rational(c.left), "right": format_rational(c.right),
+         "passed": c.passed}
+        for c in report.checks
+    ]
+    return {"degree": report.degree, "passed": report.passed, "checks": checks}
 
 
 def _cmd_endo_monotonic(args):
@@ -240,126 +236,97 @@ def _cmd_endo_monotonic(args):
         return {
             "case": "surface_cover",
             "degree": report.cover_degree,
-            "covering_volume": _rat(report.covering_volume),
-            "base_volume": _rat(report.base_volume),
-            "scaled_base_volume": _rat(report.cover_degree * report.base_volume),
+            "covering_volume": format_rational(report.covering_volume),
+            "base_volume": format_rational(report.base_volume),
+            "scaled_base_volume": format_rational(report.cover_degree * report.base_volume),
             "passed": report.passed,
         }
-    if args.case == "toric":
-        if not args.cone or not args.matrix:
-            raise InputError("--case toric needs --cone and --matrix")
-        cone = _load_cone(args)
-        matrix = jsonio.matrix_from_obj(jsonio.load_json(args.matrix), args.matrix)
-        report = endo_mod.toric_volume_report(cone, matrix)
-        return {
-            "case": "toric",
-            "degree": report.degree,
-            "volume": _rat(report.volume),
-            "scaled_volume": _rat(report.degree * report.volume),
-            "log_discrepancies": _rats(report.values),
-            "certificate_m": ["0"] * cone.dim,  # the zero form: see ToricVolumeReport
-            "passed": report.passed,
-        }
-    raise InputError(f"unknown case {args.case!r}")
+    if args.cone is None or args.matrix is None:
+        raise InputError("--case toric needs --cone and --matrix")
+    report = endo_mod.toric_volume_report(args.cone, args.matrix)
+    return {
+        "case": "toric",
+        "degree": report.degree,
+        "volume": format_rational(report.volume),
+        "scaled_volume": format_rational(report.degree * report.volume),
+        "log_discrepancies": _rats(report.values),
+        "certificate_m": ["0"] * args.cone.dim,  # the zero form: see ToricVolumeReport
+        "passed": report.passed,
+    }
+
+
+# The wire kinds, each with what validate reports of the object it read.
+_DIAGNOSTICS = {
+    "graph": lambda graph: {"vertices": len(graph), "edges": len(graph.edges)},
+    # ToricCone checks isolation in every dimension.
+    "cone": lambda cone: {"dim": cone.dim, "rays": len(cone.rays),
+                          "facets": len(cone.facet_normals), "isolated_checked": True},
+    "divisor": lambda divisor: {},
+    "ideal": lambda ideal: {"minimal_gens": len(ideal.gens), "m_primary": ideal.is_m_primary},
+    "matrix": lambda rows: {"rows": len(rows)},
+}
 
 
 def _cmd_validate(args):
-    cone = None
-    if args.cone:
-        cone = _load_cone(args)
-    return jsonio.validate_file(args.kind, args.file, cone=cone)
+    value = _read(args.kind, args.file, args)
+    return {"ok": True, "kind": args.kind, **_DIAGNOSTICS[args.kind](value)}
 
 
-def _add_surface_commands(cmds, common):
-    p = cmds.add_parser("volume", parents=[common])
-    p.add_argument("--graph", required=True)
-    p.set_defaults(func=_cmd_surface_volume)
+# -- the command table --------------------------------------------------------
 
-    p = cmds.add_parser("classify", parents=[common])
-    p.add_argument("--graph", required=True)
-    p.set_defaults(func=_cmd_surface_classify)
+_REQUIRED = {"required": True}
+_INT = {"type": _int}
+_ORACLE = {"action": "store_true", "help": argparse.SUPPRESS}
 
-    p = cmds.add_parser("pullback", parents=[common])
-    p.add_argument("--graph", required=True)
-    p.add_argument("--divisor", help="intersection numbers; defaults to the canonical ones")
-    p.set_defaults(func=_cmd_surface_pullback)
-
-    p = cmds.add_parser("zariski", parents=[common])
-    p.add_argument("--graph", required=True)
-    p.add_argument("--divisor", help="defaults to the log-discrepancy divisor")
-    p.set_defaults(func=_cmd_surface_zariski)
-
-    p = cmds.add_parser("standard", parents=[common])
-    p.add_argument("--family", required=True, choices=("cone", "cusp_cycle", "duval"))
-    p.add_argument("--g", type=int, help="genus for the cone family")
-    p.add_argument("--d", type=int, help="degree for the cone family")
-    p.add_argument("--self-ints", dest="self_ints", help="cycle self-intersections like -3,-2,-2")
-    p.add_argument("--name", help="Du Val name like A2, D4, E6")
-    p.set_defaults(func=_cmd_surface_standard)
-
-
-def _add_toric_commands(cmds, common):
-    p = cmds.add_parser("env", parents=[common])
-    p.add_argument("--cone", required=True)
-    p.add_argument("--divisor", required=True)
-    p.add_argument("--at", required=True, help="valuation vector like 1,1,0")
-    p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_toric_env)
-
-    p = cmds.add_parser("numcartier", parents=[common])
-    p.add_argument("--cone", required=True)
-    p.add_argument("--divisor", required=True)
-    p.set_defaults(func=_cmd_toric_numcartier)
-
-    p = cmds.add_parser("mult", parents=[common])
-    p.add_argument("--cone", required=True)
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=_cmd_toric_mult)
-
-    p = cmds.add_parser("mixed", parents=[common])
-    p.add_argument("--cone", required=True)
-    p.add_argument("--ideals", nargs="+", required=True)
-    p.set_defaults(func=_cmd_toric_mixed)
-
-    p = cmds.add_parser("defect", parents=[common])
-    p.add_argument("--cone", required=True)
-    p.add_argument("--divisor", required=True)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--at", help="valuation vector for the divisor value")
-    p.set_defaults(func=_cmd_toric_defect)
-
-    p = cmds.add_parser("izumi", parents=[common])
-    p.add_argument("--cone", required=True)
-    p.add_argument("--v", required=True)
-    p.add_argument("--w", required=True)
-    p.set_defaults(func=_cmd_toric_izumi)
-
-
-def _add_endo_commands(cmds, common):
-    p = cmds.add_parser("check", parents=[common])
-    p.add_argument("--cone", required=True)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--divisor")
-    p.add_argument("--ideal")
-    p.set_defaults(func=_cmd_endo_check)
-
-    p = cmds.add_parser("monotonic", parents=[common])
-    p.add_argument("--case", required=True, choices=("surface_cover", "toric"))
-    p.add_argument("--g", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--e", type=int)
-    p.add_argument("--cone")
-    p.add_argument("--matrix")
-    p.set_defaults(func=_cmd_endo_monotonic)
-
-
-# name: (help, adds its commands) for each group with commands.
-_GROUPS = {
-    "surface": ("resolution dual graph computations", _add_surface_commands),
-    "toric": ("toric cone computations", _add_toric_commands),
-    "endo": ("finite toric endomorphisms", _add_endo_commands),
+# group: (help, {command: (handler, options)}), or (handler, options) for a
+# group that is a command itself.  Options map each flag to add_argument's
+# keywords, in help-page order.
+_COMMANDS = {
+    "surface": ("resolution dual graph computations", {
+        "volume": (_cmd_surface_volume, {"--graph": _REQUIRED}),
+        "classify": (_cmd_surface_classify, {"--graph": _REQUIRED}),
+        "pullback": (_cmd_surface_pullback, {
+            "--graph": _REQUIRED,
+            "--divisor": {"help": "intersection numbers; defaults to the canonical ones"}}),
+        "zariski": (_cmd_surface_zariski, {
+            "--graph": _REQUIRED, "--divisor": {"help": "defaults to the log-discrepancy divisor"}}),
+        "standard": (_cmd_surface_standard, {
+            "--family": {**_REQUIRED, "choices": tuple(_FAMILIES)},
+            "--g": {**_INT, "help": "genus for the cone family"},
+            "--d": {**_INT, "help": "degree for the cone family"},
+            "--self-ints": {"help": "cycle self-intersections like -3,-2,-2"},
+            "--name": {"help": "Du Val name like A2, D4, E6"}}),
+    }),
+    "toric": ("toric cone computations", {
+        "env": (_cmd_toric_env, {
+            "--cone": _REQUIRED, "--divisor": _REQUIRED,
+            "--at": {**_REQUIRED, "help": "valuation vector like 1,1,0"}, "--oracle": _ORACLE}),
+        "numcartier": (_cmd_toric_numcartier, {"--cone": _REQUIRED, "--divisor": _REQUIRED}),
+        "mult": (_cmd_toric_mult, {"--cone": _REQUIRED, "--ideal": _REQUIRED, "--oracle": _ORACLE}),
+        "mixed": (_cmd_toric_mixed, {"--cone": _REQUIRED, "--ideals": {**_REQUIRED, "nargs": "+"}}),
+        "defect": (_cmd_toric_defect, {
+            "--cone": _REQUIRED, "--divisor": _REQUIRED, "--m": {**_INT, "default": 1},
+            "--at": {"help": "valuation vector for the divisor value"}}),
+        "izumi": (_cmd_toric_izumi, {"--cone": _REQUIRED, "--v": _REQUIRED, "--w": _REQUIRED}),
+    }),
+    "endo": ("finite toric endomorphisms", {
+        "check": (_cmd_endo_check, {
+            "--cone": _REQUIRED, "--matrix": _REQUIRED, "--divisor": {}, "--ideal": {}}),
+        "monotonic": (_cmd_endo_monotonic, {
+            "--case": {**_REQUIRED, "choices": ("surface_cover", "toric")},
+            "--g": _INT, "--d": _INT, "--e": _INT, "--cone": {}, "--matrix": {}}),
+    }),
+    "validate": (_cmd_validate, {
+        "--kind": {**_REQUIRED, "choices": tuple(_DIAGNOSTICS)},
+        "--cone": {"help": "ambient cone for divisor and ideal validation"},
+        "file": {}}),
 }
+
+
+def _add_command(parser, handler, options) -> None:
+    for flag, keywords in options.items():
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(func=handler)
 
 
 def build_parser(group=None) -> argparse.ArgumentParser:
@@ -376,22 +343,19 @@ def build_parser(group=None) -> argparse.ArgumentParser:
         description="Exact singularity volumes on surface dual graphs and toric cones.",
     )
     groups = parser.add_subparsers(dest="group", required=True)
-    for name, (help_text, add_commands) in _GROUPS.items():
-        group_parser = groups.add_parser(name, help=help_text)
-        if group not in _GROUPS or group == name:
-            add_commands(group_parser.add_subparsers(dest="command", required=True), common)
-
-    p = groups.add_parser("validate", parents=[common])
-    p.add_argument("--kind", required=True, choices=("graph", "cone", "divisor", "ideal", "matrix"))
-    p.add_argument("--cone", help="ambient cone for divisor and ideal validation")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
-
+    for name, (head, body) in _COMMANDS.items():
+        if callable(head):
+            _add_command(groups.add_parser(name, parents=[common]), head, body)
+            continue
+        group_parser = groups.add_parser(name, help=head)
+        if group not in _COMMANDS or group == name:
+            commands = group_parser.add_subparsers(dest="command", required=True)
+            for command, (handler, options) in body.items():
+                _add_command(commands.add_parser(command, parents=[common]), handler, options)
     return parser
 
 
 _VECTOR_OPTIONS = ("--at", "--v", "--w", "--self-ints")
-_NEGATIVE_VECTOR = re.compile(r"-\d+(,-?\d+)*")
 
 
 def _attach_negative_vectors(argv):
@@ -403,7 +367,7 @@ def _attach_negative_vectors(argv):
     """
     out = []
     for arg in argv:
-        if out and out[-1] in _VECTOR_OPTIONS and _NEGATIVE_VECTOR.fullmatch(arg):
+        if out and out[-1] in _VECTOR_OPTIONS and arg.startswith("-") and _VECTOR.fullmatch(arg):
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
@@ -414,6 +378,7 @@ def main(argv=None) -> int:
     argv = _attach_negative_vectors(sys.argv[1:] if argv is None else argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
+        _read_inputs(args)
         payload = args.func(args)
     except SingvolError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -24,7 +24,7 @@ from .errors import DomainError, InputError, InternalError, UnsupportedDimension
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile("[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
 def parse_rational(text) -> Fraction:
@@ -34,7 +34,7 @@ def parse_rational(text) -> Fraction:
         return Fraction(text)
     if isinstance(text, Fraction):
         return text
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise InputError(f"not a rational in p/q form: {text!r}")
     return Fraction(text)
 
@@ -352,14 +352,15 @@ class LPProblem(namedtuple("LPProblem", "objective constraints")):
     """Maximize <objective, x> subject to <normal_i, x> <= bound_i, x free.
 
     The objective becomes a tuple of Fractions and the constraints a tuple
-    of (normal, bound) pairs of Fractions.
+    of (normal, bound) pairs of Fractions, each read by parse_rational.
     """
 
     __slots__ = ()
 
     def __new__(cls, objective, constraints):
-        obj = tuple([Fraction(e) for e in objective])
-        cons = tuple([(tuple([Fraction(e) for e in n]), Fraction(b)) for n, b in constraints])
+        obj = tuple([parse_rational(e) for e in objective])
+        cons = tuple([(tuple([parse_rational(e) for e in n]), parse_rational(b))
+                      for n, b in constraints])
         if not obj:
             raise InputError("LP objective must have positive dimension")
         for normal, _ in cons:

@@ -41,6 +41,16 @@ def _require(obj, key, path):
     return obj[key]
 
 
+def _integer_arrays(obj, key, path, arrays_of, each):
+    arrays = _require(obj, key, path)
+    if not isinstance(arrays, list) or not all(isinstance(a, list) for a in arrays):
+        raise InputError(f"{path}: {key} must be an array of integer {arrays_of}")
+    for a in arrays:
+        if not all(_is_int(x) for x in a):
+            raise InputError(f"{path}: {each} {a} must contain integers")
+    return arrays
+
+
 def graph_from_obj(obj, path="<graph>") -> ResolutionGraph:
     raw_vertices = _require(obj, "vertices", path)
     raw_edges = obj.get("edges", [])
@@ -69,12 +79,7 @@ def graph_to_obj(graph: ResolutionGraph) -> dict:
 
 
 def cone_from_obj(obj, path="<cone>") -> ToricCone:
-    rays = _require(obj, "rays", path)
-    if not isinstance(rays, list) or not all(isinstance(r, list) for r in rays):
-        raise InputError(f"{path}: rays must be an array of integer arrays")
-    for r in rays:
-        if not all(_is_int(x) for x in r):
-            raise InputError(f"{path}: ray {r} must contain integers")
+    rays = _integer_arrays(obj, "rays", path, "arrays", "ray")
     dim = obj.get("dim")
     if dim is not None and (not _is_int(dim) or rays and len(rays[0]) != dim):
         raise InputError(f"{path}: stated dim {dim} does not match the rays")
@@ -85,7 +90,7 @@ def divisor_from_obj(cone: ToricCone, obj, path="<divisor>") -> ToricDivisor:
     coeffs = _require(obj, "coeffs", path)
     if not isinstance(coeffs, list):
         raise InputError(f"{path}: coeffs must be an array")
-    return ToricDivisor(cone, tuple(parse_rational(c) for c in coeffs))
+    return ToricDivisor(cone, coeffs)
 
 
 def exc_divisor_from_obj(graph: ResolutionGraph, obj, path="<divisor>"):
@@ -101,57 +106,8 @@ def exc_divisor_from_obj(graph: ResolutionGraph, obj, path="<divisor>"):
 
 
 def ideal_from_obj(cone: ToricCone, obj, path="<ideal>") -> MonomialIdeal:
-    gens = _require(obj, "gens", path)
-    if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
-        raise InputError(f"{path}: gens must be an array of integer arrays")
-    for g in gens:
-        if not all(_is_int(x) for x in g):
-            raise InputError(f"{path}: generator {g} must contain integers")
-    return MonomialIdeal(cone, gens)
+    return MonomialIdeal(cone, _integer_arrays(obj, "gens", path, "arrays", "generator"))
 
 
 def matrix_from_obj(obj, path="<matrix>"):
-    rows = _require(obj, "matrix", path)
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise InputError(f"{path}: matrix must be an array of integer rows")
-    for r in rows:
-        if not all(_is_int(x) for x in r):
-            raise InputError(f"{path}: matrix row {r} must contain integers")
-    return [list(r) for r in rows]
-
-
-def validate_file(kind: str, path: str, cone: ToricCone | None = None) -> dict:
-    """Schema plus semantic validation; raises on failure, returns diagnostics."""
-    obj = load_json(path)
-    if kind == "graph":
-        graph = graph_from_obj(obj, path)
-        return {
-            "ok": True,
-            "kind": "graph",
-            "vertices": len(graph),
-            "edges": len(graph.edges),
-        }
-    if kind == "cone":
-        parsed = cone_from_obj(obj, path)
-        return {
-            "ok": True,
-            "kind": "cone",
-            "dim": parsed.dim,
-            "rays": len(parsed.rays),
-            "facets": len(parsed.facet_normals),
-            "isolated_checked": True,  # ToricCone checks isolation in every dimension
-        }
-    if kind == "divisor":
-        if cone is None:
-            raise InputError("validating a divisor needs --cone for the ray count")
-        divisor_from_obj(cone, obj, path)
-        return {"ok": True, "kind": "divisor"}
-    if kind == "ideal":
-        if cone is None:
-            raise InputError("validating an ideal needs --cone for the ambient cone")
-        ideal = ideal_from_obj(cone, obj, path)
-        return {"ok": True, "kind": "ideal", "minimal_gens": len(ideal.gens), "m_primary": ideal.is_m_primary}
-    if kind == "matrix":
-        rows = matrix_from_obj(obj, path)
-        return {"ok": True, "kind": "matrix", "rows": len(rows)}
-    raise InputError(f"unknown kind {kind!r}")
+    return [list(r) for r in _integer_arrays(obj, "matrix", path, "rows", "matrix row")]

@@ -280,7 +280,7 @@ def cusp_cycle_graph(self_ints) -> ResolutionGraph:
     length two is encoded by a double edge; length one would need a loop,
     which a simple normal crossing dual graph cannot carry.
     """
-    selfs = [int(s) for s in self_ints]
+    selfs = xm.integer_vector(self_ints)
     if len(selfs) < 2:
         raise InputError(
             "cusp cycles need length at least two; present a one-curve cycle "
@@ -301,12 +301,12 @@ def cusp_cycle_graph(self_ints) -> ResolutionGraph:
     return ResolutionGraph(vertices, edges)
 
 
-_DU_VAL_RE = re.compile(r"^([ADE])_?(\d+)$")
+_DU_VAL_RE = re.compile("([ADE])_?([0-9]+)")
 
 
 def du_val_graph(name: str) -> ResolutionGraph:
     """Standard rational double point trees: A_n, D_n, E_6, E_7, E_8."""
-    match = _DU_VAL_RE.match(name.strip().upper())
+    match = _DU_VAL_RE.fullmatch(name.strip().upper())
     if not match:
         raise InputError(f"unknown Du Val name {name!r}; expected like A2, D4, E6")
     letter, rank = match.group(1), int(match.group(2))
@@ -336,14 +336,3 @@ def du_val_graph(name: str) -> ResolutionGraph:
                 count += 1
     vertices = [(-2, 0)] * count
     return ResolutionGraph(vertices, edges)
-
-
-def standard_graph(family: str, **params) -> ResolutionGraph:
-    """Dispatch for the generator families used on the command line."""
-    if family == "cone":
-        return cone_graph(int(params["genus"]), int(params["degree"]))
-    if family == "cusp_cycle":
-        return cusp_cycle_graph(params["self_ints"])
-    if family == "duval":
-        return du_val_graph(params["name"])
-    raise InputError(f"unknown family {family!r}; expected cone, cusp_cycle or duval")

@@ -63,7 +63,7 @@ class ToricCone:
             raise InputError("a cone needs at least one ray")
         if dim is None:
             dim = len(rays[0])
-        self.dim = int(dim)
+        (self.dim,) = xm.integer_vector((dim,))
         if self.dim < 1:
             raise InputError("cone dimension must be at least 1")
         seen = set()
@@ -174,12 +174,12 @@ class ToricCone:
 
 
 class ToricDivisor(namedtuple("ToricDivisor", "cone coeffs")):
-    """A toric Weil divisor, one rational coefficient per ray."""
+    """A toric Weil divisor: one coefficient per ray, read by parse_rational."""
 
     __slots__ = ()
 
     def __new__(cls, cone, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple([xm.parse_rational(c) for c in coeffs])
         if len(coeffs) != len(cone.rays):
             raise InputError(
                 f"divisor has {len(coeffs)} coefficients but the cone has "
@@ -198,7 +198,7 @@ class ToricDivisor(namedtuple("ToricDivisor", "cone coeffs")):
         )
 
     def scale(self, t):
-        t = Fraction(t)
+        t = xm.parse_rational(t)
         return ToricDivisor(self.cone, tuple(t * c for c in self.coeffs))
 
 

@@ -12,7 +12,9 @@ from singvol.cli import build_parser, main
 from singvol.endo import CheckItem, PushPullReport, SurfaceCoverReport, ToricVolumeReport
 from singvol.exactmath import LPOutcome, LPProblem
 from singvol.oracle import CountReport
-from singvol.surface import SingularityClass, SingularityKind, Vertex, ZariskiDecomposition
+from singvol.surface import (
+    SingularityClass, SingularityKind, Vertex, ZariskiDecomposition, cusp_cycle_graph,
+)
 from singvol.toric import NumericallyCartierResult, ToricDivisor
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -563,6 +565,26 @@ class TestRecordValidation:
         with pytest.raises(InputError, match="^vertex data must be integers$"):
             Vertex(self_int, genus)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ToricDivisor(PLANE, [True, False]), "not a rational in p/q form: True"),
+            (lambda: ToricDivisor(PLANE, [1, 2]).scale(False), "not a rational in p/q form: False"),
+            (lambda: LPProblem([True], [([1], 1)]), "not a rational in p/q form: True"),
+            (lambda: LPProblem([1], [([1], False)]), "not a rational in p/q form: False"),
+            (lambda: ToricCone([(1, 0), (0, 1)], dim=2.9), "not an integer vector: (2.9,)"),
+            (lambda: ToricCone([(1, 0), (0, 1)], dim=True), "not an integer vector: (True,)"),
+            (lambda: cusp_cycle_graph([-3.7, -2]), "not an integer vector: [-3.7, -2]"),
+            (lambda: cusp_cycle_graph([-3, True]), "not an integer vector: [-3, True]"),
+        ],
+        ids=["divisor", "scale", "lp-objective", "lp-bound", "cone-dim-float", "cone-dim-bool",
+             "cusp-float", "cusp-bool"],
+    )
+    def test_bools_and_fractional_integers_are_rejected(self, build, message):
+        with pytest.raises(InputError) as error:
+            build()
+        assert str(error.value) == message
+
 
 def subcommands(parser):
     """{name: parser} for the subcommands of a parser; {} for a leaf."""
@@ -625,3 +647,123 @@ class TestParserPerGroup:
         full = self.outcome(capsys, build_parser().parse_args, argv)
         assert full[0] == 2 and not full[1] and full[2].startswith("usage: singvol")
         assert self.outcome(capsys, main, argv) == full
+
+
+class TestIntegerText:
+    """Integer text, on the command line and in rational strings, is ASCII
+    digits with an optional sign, matched whole: underscores, a plus sign on
+    a vector entry, spaces, other Unicode digits and a trailing newline all
+    exit 2 with the reader's own message."""
+
+    @pytest.fixture
+    def env_argv(self, tmp_path):
+        cone = write(tmp_path, "plane.json", {"dim": 2, "rays": [[1, 0], [0, 1]]})
+        divisor = write(tmp_path, "d.json", {"coeffs": ["1", "0"]})
+        return ["toric", "env", "--cone", cone, "--divisor", divisor]
+
+    @pytest.mark.parametrize("text", ["1_0,1", "+1,1", " 1,1", "1, 1", "\u0661,1", "1,1\n"])
+    def test_vector_option(self, capsys, env_argv, text):
+        code, out, err = run(capsys, [*env_argv, "--at", text])
+        assert (code, out) == (2, "")
+        assert err == f"error: expected a comma-separated integer vector, got {text!r}\n"
+
+    def test_negative_vector_with_other_digits(self, capsys, env_argv):
+        code, _, err = run(capsys, [*env_argv, "--at=-\u0661,4"])
+        assert code == 2
+        assert err == "error: expected a comma-separated integer vector, got '-\u0661,4'\n"
+        # Not joined to its option, so argparse reads it as an unknown option.
+        with pytest.raises(SystemExit) as exit_:
+            main([*env_argv, "--at", "-\u0661,4"])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --at: expected one argument\n")
+
+    @pytest.mark.parametrize("text", ["1\n", "\u0661", "1/\u0662", "1_0"])
+    def test_rational_in_a_file(self, capsys, tmp_path, env_argv, text):
+        divisor = write(tmp_path, "bad.json", {"coeffs": [text, "0"]})
+        argv = [*env_argv[:-1], divisor, "--at", "1,1"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: not a rational in p/q form: {text!r}\n"
+
+    @pytest.mark.parametrize("text", ["1_0", "+1", " 1", "\u0661"])
+    def test_integer_option(self, capsys, env_argv, text):
+        cone, divisor = env_argv[3], env_argv[5]
+        with pytest.raises(SystemExit) as exit_:
+            main(["toric", "defect", "--cone", cone, "--divisor", divisor, "--m", text])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --m: invalid int value: {text!r}\n")
+
+    def test_du_val_name(self, capsys):
+        code, out, err = run(capsys, ["surface", "standard", "--family", "duval", "--name", "A\u0661"])
+        assert (code, out) == (2, "")
+        assert err == "error: unknown Du Val name 'A\u0661'; expected like A2, D4, E6\n"
+
+    def test_negative_integer_option_reaches_the_engine(self, capsys):
+        code, out, err = run(capsys, ["endo", "monotonic", "--case", "surface_cover",
+                                      "--g", "-1", "--d", "1", "--e", "2"])
+        assert (code, out, err) == (2, "", "error: genus must be nonnegative\n")
+
+
+# Input files of the command fixtures below, by name.
+FILES = {
+    "quadric": {"dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]]},
+    "plane": {"dim": 2, "rays": [[1, 0], [0, 1]]},
+    "graph": GRAPH,
+    "cartier": {"coeffs": ["2", "1", "2", "1"]},
+    "weil": {"coeffs": ["1", "1", "1", "0"]},
+    "a": {"gens": [[1, 0], [0, 2]]},
+    "b": {"gens": [[2, 0], [0, 1]]},
+    "m": {"gens": [[1, 0, 0], [0, 1, 0], [1, 0, 1], [0, 1, 1]]},
+    "matrix": {"matrix": [[2, 0, 0], [0, 2, 0], [0, 0, 2]]},
+}
+
+# One valid run of each command: its arguments, with {name} for a file above.
+COMMAND_FIXTURES = {
+    "surface volume": "--graph {graph}",
+    "surface classify": "--graph {graph}",
+    "surface pullback": "--graph {graph}",
+    "surface zariski": "--graph {graph}",
+    "surface standard": "--family cusp_cycle --self-ints -3,-2,-2",
+    "toric env": "--cone {quadric} --divisor {cartier} --at 1,1,0 --oracle",
+    "toric numcartier": "--cone {quadric} --divisor {weil}",
+    "toric mult": "--cone {plane} --ideal {a} --oracle",
+    "toric mixed": "--cone {plane} --ideals {a} {b}",
+    "toric defect": "--cone {quadric} --divisor {weil} --m 2 --at 1,1,0",
+    "toric izumi": "--cone {plane} --v 1,1 --w 1,2",
+    "endo check": "--cone {quadric} --matrix {matrix} --divisor {weil} --ideal {m}",
+    "endo monotonic": "--case toric --cone {quadric} --matrix {matrix}",
+    "validate": "--kind ideal --cone {quadric} {m}",
+}
+
+
+def command_names():
+    names = []
+    for group, group_parser in subcommands(build_parser()).items():
+        commands = subcommands(group_parser)
+        names.extend([f"{group} {command}" for command in commands] if commands else [group])
+    return names
+
+
+def table_rows(value, key=""):
+    """The (key, JSON text) rows --format table prints for a JSON value:
+    objects and lists holding objects or lists open into indexed keys."""
+    if isinstance(value, dict):
+        return [row for k, v in value.items() for row in table_rows(v, f"{key}.{k}" if key else k)]
+    if isinstance(value, list) and any(isinstance(x, (dict, list)) for x in value):
+        return [row for i, v in enumerate(value) for row in table_rows(v, f"{key}[{i}]")]
+    return [(key, json.dumps(value))]
+
+
+class TestEveryCommand:
+    @pytest.mark.parametrize("command", command_names())
+    def test_json_and_table(self, capsys, tmp_path, command):
+        assert command in COMMAND_FIXTURES, f"no fixture for {command!r}"
+        paths = {name: write(tmp_path, f"{name}.json", obj) for name, obj in FILES.items()}
+        argv = command.split() + [arg.format(**paths) for arg in COMMAND_FIXTURES[command].split()]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        rows = table_rows(json.loads(out))
+        width = max(len(k) for k, _ in rows)
+        code, table, err = run(capsys, [*argv, "--format", "table"])
+        assert (code, err) == (0, "")
+        assert table == "".join(f"{k.ljust(width)}  {v}\n" for k, v in rows)

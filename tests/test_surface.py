@@ -20,7 +20,6 @@ from singvol import (
     local_volume,
     log_discrepancy_divisor,
     numerical_pullback,
-    standard_graph,
     volume,
     zariski_decompose,
 )
@@ -258,15 +257,6 @@ class TestStandardGraphs:
             cusp_cycle_graph([-3, -2, -1])
         with pytest.raises(InputError):
             cusp_cycle_graph([-3])
-
-    def test_dispatcher(self):
-        assert standard_graph("cone", genus=2, degree=1) == cone_graph(2, 1)
-        assert standard_graph("duval", name="A2") == du_val_graph("A2")
-        assert standard_graph(
-            "cusp_cycle", self_ints=[-3, -2, -2]
-        ) == cusp_cycle_graph([-3, -2, -2])
-        with pytest.raises(InputError):
-            standard_graph("unknown")
 
     def test_constructed_matrices_pass_hodge_check(self):
         graphs = [
