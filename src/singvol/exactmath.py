@@ -45,9 +45,11 @@ def format_rational(x: Fraction) -> str:
 
 
 def dot(u, v) -> Fraction:
+    """The sum of the products u_i v_i as a Fraction.  The entries are
+    multiplied as given, so callers pass ints and Fractions only."""
     if len(u) != len(v):
         raise InputError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+    return Fraction(sum([a * b for a, b in zip(u, v)]))
 
 
 # Tuples built on hot paths come from lists.  tuple(<generator>) first

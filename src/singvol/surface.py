@@ -65,9 +65,9 @@ class ResolutionGraph:
             cleaned.append((min(i, j), max(i, j), mult))
         self.edges = tuple(sorted(cleaned))
 
-        rows = [[Fraction(0)] * k for _ in range(k)]
+        rows = [[0] * k for _ in range(k)]
         for idx, v in enumerate(verts):
-            rows[idx][idx] = Fraction(v.self_int)
+            rows[idx][idx] = v.self_int
         for i, j, mult in self.edges:
             rows[i][j] += mult
             rows[j][i] += mult
@@ -127,7 +127,7 @@ class ResolutionGraph:
 
 def _as_coeffs(graph, d):
     # Built from a list, not a generator: see the note above exactmath.mat_vec.
-    coeffs = tuple([Fraction(c) for c in d])
+    coeffs = tuple([xm.parse_rational(c) for c in d])
     if len(coeffs) != len(graph):
         raise InputError(
             f"divisor has {len(coeffs)} coefficients but the graph has {len(graph)} vertices"

@@ -33,13 +33,14 @@ def random_m_primary_ideal(rng: random.Random, cone: ToricCone, max_degree: int 
     return MonomialIdeal(cone, gens)
 
 
-def random_graph(rng: random.Random, max_vertices: int = 5) -> ResolutionGraph:
-    """A random connected negative-definite dual graph via diagonal dominance."""
+def random_graph(rng: random.Random, max_vertices: int = 5, max_extra_edges: int = 2) -> ResolutionGraph:
+    """A random connected negative-definite dual graph via diagonal dominance:
+    a random tree plus up to max_extra_edges more edges (a tree if 0)."""
     k = rng.randint(1, max_vertices)
     edges = []
     for v in range(1, k):
         edges.append((rng.randint(0, v - 1), v, rng.randint(1, 2)))
-    for _ in range(rng.randint(0, 2)):
+    for _ in range(rng.randint(0, max_extra_edges)):
         i, j = rng.randint(0, k - 1), rng.randint(0, k - 1)
         if i != j:
             edges.append((min(i, j), max(i, j), rng.randint(1, 2)))

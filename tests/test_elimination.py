@@ -1,7 +1,9 @@
 """The fraction-free elimination kernel against sympy as an independent
-exact oracle, its always-on self-checks, and closed forms."""
+exact oracle, its always-on self-checks, and closed forms; the surface
+engine on the int intersection form against the all-Fraction engine."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -21,7 +23,17 @@ from singvol.exactmath import (
     solve_general,
     solve_linear,
 )
-from singvol.surface import classify, volume
+from singvol.surface import (
+    SingularityKind,
+    canonical_intersections,
+    classify,
+    cone_graph,
+    cusp_cycle_graph,
+    du_val_graph,
+    local_volume,
+    volume,
+    zariski_decompose,
+)
 
 from conftest import random_graph
 
@@ -170,6 +182,113 @@ def test_volume_and_class_under_relabelling(rng):
     before, after = classify(graph), classify(relabelled)
     assert after.kind == before.kind
     assert list(after.log_discrepancies) == [before.log_discrepancies[old] for old in order]
+
+
+def fraction_dot(u, v):
+    """The dot product with every operand made a Fraction, as exactmath.dot
+    computed it before it multiplied its operands as given."""
+    return sum((F(a) * F(b) for a, b in zip(u, v)), F(0))
+
+
+def fraction_matrix(graph):
+    """The intersection matrix with Fraction entries, as ResolutionGraph
+    built it before it kept ints."""
+    k = len(graph)
+    rows = [[F(0)] * k for _ in range(k)]
+    for idx, v in enumerate(graph.vertices):
+        rows[idx][idx] = F(v.self_int)
+    for i, j, mult in graph.edges:
+        rows[i][j] += mult
+        rows[j][i] += mult
+    return rows
+
+
+def fraction_zariski_decompose(graph, d):
+    """The dense Zariski loop on the Fraction matrix with fraction_dot, as
+    surface.zariski_decompose computed it before; returns (nef, neg)."""
+    matrix = fraction_matrix(graph)
+    d = tuple(F(c) for c in d)
+    k = len(d)
+    support = set()
+    neg = (F(0),) * k
+    for _ in range(k + 1):
+        nef = tuple(a - b for a, b in zip(d, neg))
+        products = [fraction_dot(row, nef) for row in matrix]
+        violating = [j for j in range(k) if products[j] < 0 and j not in support]
+        if not violating:
+            return nef, neg
+        support.update(violating)
+        rows = sorted(support)
+        sub = [[matrix[i][j] for j in rows] for i in rows]
+        sol = solve_linear(sub, [fraction_dot(matrix[i], d) for i in rows])
+        neg_list = [F(0)] * k
+        for idx, j in enumerate(rows):
+            neg_list[j] = sol[idx]
+        neg = tuple(neg_list)
+    raise AssertionError("the reference Zariski loop did not stabilize")
+
+
+def fraction_local_volume(graph, d):
+    nef, _ = fraction_zariski_decompose(graph, d)
+    return -fraction_dot(nef, [fraction_dot(row, nef) for row in fraction_matrix(graph)])
+
+
+def fraction_classify(graph):
+    """(kind, log discrepancies) from the Fraction matrix."""
+    a = tuple(x + 1 for x in solve_linear(fraction_matrix(graph), canonical_intersections(graph)))
+    if all(x > 0 for x in a):
+        return SingularityKind.KLT, a
+    if all(x >= 0 for x in a):
+        return SingularityKind.LC_NOT_KLT, a
+    return SingularityKind.NOT_LC, a
+
+
+def reference_graphs(rng):
+    """Du Val, random tree, cusp and cone graphs, each also relabelled."""
+    graphs = [du_val_graph(f"A{n}") for n in range(1, 13)]
+    graphs += [du_val_graph(f"D{n}") for n in range(4, 10)]
+    graphs += [du_val_graph(f"E{n}") for n in (6, 7, 8)]
+    graphs += [random_graph(rng, max_vertices=12, max_extra_edges=0) for _ in range(25)]
+    for _ in range(10):
+        selfs = [rng.randint(-4, -2) for _ in range(rng.randint(2, 9))]
+        selfs[rng.randrange(len(selfs))] = rng.randint(-5, -3)
+        graphs.append(cusp_cycle_graph(selfs))
+    graphs += [cone_graph(g, d) for g in range(4) for d in range(1, 5)]
+    relabelled = []
+    for graph in graphs:
+        order = list(range(len(graph)))
+        rng.shuffle(order)
+        relabelled.append(graph.permuted(order))
+    return graphs + relabelled
+
+
+class TestAgainstFractionReference:
+    """The surface engine on the int intersection form gives the values, and
+    the Fraction types, of the all-Fraction engine it replaced."""
+
+    def test_volume_and_classify(self):
+        for graph in reference_graphs(random.Random(809)):
+            kind, expected = fraction_classify(graph)
+            found = classify(graph)
+            assert found == (kind, expected), graph
+            assert all(type(a) is F for a in found.log_discrepancies), graph
+            value = volume(graph)
+            assert value == fraction_local_volume(graph, expected), graph
+            assert type(value) is F, graph
+
+    def test_zariski_and_local_volume(self):
+        rng = random.Random(810)
+        for graph in reference_graphs(rng):
+            for _ in range(3):
+                d = [rng.choice([rng.randint(-4, 4), F(rng.randint(-6, 6), rng.randint(1, 4))])
+                     for _ in range(len(graph))]
+                nef, neg = fraction_zariski_decompose(graph, d)
+                found = zariski_decompose(graph, d)
+                assert found == (nef, neg), (graph, d)
+                assert all(type(c) is F for part in found for c in part), (graph, d)
+                value = local_volume(graph, d)
+                assert value == fraction_local_volume(graph, d), (graph, d)
+                assert type(value) is F, (graph, d)
 
 
 class TestSelfChecks:

@@ -55,6 +55,27 @@ class TestRationals:
             parse_rational(bad)
 
 
+class TestDot:
+    @pytest.mark.parametrize(
+        "u, v, expected",
+        [
+            ((2, -3), (5, 1), F(7)),
+            ((2, 0), (F(1, 3), F(5)), F(2, 3)),
+            ((F(1, 2), F(-1, 4)), (F(2, 3), F(4)), F(-2, 3)),
+            ((), (), F(0)),
+        ],
+    )
+    def test_returns_a_fraction(self, u, v, expected):
+        value = dot(u, v)
+        assert value == expected
+        assert type(value) is F
+        assert type(dot(v, u)) is F
+
+    def test_rejects_a_length_mismatch(self):
+        with pytest.raises(InputError, match="dimension mismatch"):
+            dot((1, 2), (1,))
+
+
 class TestSolveLinear:
     def test_identity(self):
         assert solve_linear([[1, 0], [0, 1]], [3, 4]) == (3, 4)

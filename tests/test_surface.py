@@ -72,6 +72,50 @@ class TestGraphConstruction:
         assert swapped.vertices[0].self_int == -2
         assert swapped.intersection_matrix == ((-2, 1), (1, -3))
 
+    def test_intersection_matrix_entries_are_ints(self):
+        rng = random.Random(19)
+        graphs = [cone_graph(2, 3), du_val_graph("E8"), cusp_cycle_graph([-3, -2]),
+                  cusp_cycle_graph([-4, -2, -3, -2])]
+        graphs += [random_graph(rng, max_vertices=8) for _ in range(20)]
+        graphs += [g.permuted(list(reversed(range(len(g))))) for g in graphs]
+        for graph in graphs:
+            assert all(type(x) is int for row in graph.intersection_matrix for x in row)
+
+
+class TestCoefficientInput:
+    """Every reader of a divisor takes ints, Fractions and "p/q" text, and
+    raises InputError on bools and floats."""
+
+    BAD = [[True, False], [1.5, 0], [0, 2.0], [F(1), False]]
+
+    @pytest.mark.parametrize("d", BAD)
+    def test_numerical_pullback(self, two_vertex_graph, d):
+        with pytest.raises(InputError, match="not a rational"):
+            numerical_pullback(two_vertex_graph, d)
+
+    @pytest.mark.parametrize("d", BAD)
+    def test_intersect(self, two_vertex_graph, d):
+        with pytest.raises(InputError, match="not a rational"):
+            intersect(two_vertex_graph, d, (1, 0))
+        with pytest.raises(InputError, match="not a rational"):
+            intersect(two_vertex_graph, (1, 0), d)
+
+    @pytest.mark.parametrize("d", BAD)
+    def test_zariski_decompose(self, two_vertex_graph, d):
+        with pytest.raises(InputError, match="not a rational"):
+            zariski_decompose(two_vertex_graph, d)
+
+    @pytest.mark.parametrize("d", BAD)
+    def test_local_volume(self, two_vertex_graph, d):
+        with pytest.raises(InputError, match="not a rational"):
+            local_volume(two_vertex_graph, d)
+
+    def test_exact_forms_are_read(self, two_vertex_graph):
+        assert numerical_pullback(two_vertex_graph, ("5", 0)) == (-2, -1)
+        assert intersect(two_vertex_graph, (1, "0"), (F(1), 0)) == -3
+        assert zariski_decompose(two_vertex_graph, ("-1", "0")).neg_part == (0, F(1, 2))
+        assert local_volume(two_vertex_graph, (-1, "0/3")) == F(5, 2)
+
 
 class TestCanonicalIntersections:
     def test_single_vertex_adjunction(self):
