@@ -7,9 +7,10 @@ linear solves and kernels all come from one fraction-free (Bareiss)
 elimination over Python integers, whose solutions, kernels and
 inconsistency certificates are checked in integers on every call.
 
-The linear programming solver is a dense two-phase simplex with Bland's
-anti-cycling rule.  It always returns a certificate: an optimal point, an
-unbounded improving ray, or a Farkas combination witnessing infeasibility.
+The linear programming solver is a two-phase simplex over Fraction with
+Bland's anti-cycling rule, whose pivots update only the pivot row's nonzero
+columns.  It always returns a certificate: an optimal point, an unbounded
+improving ray, or a Farkas combination witnessing infeasibility.
 """
 
 from __future__ import annotations
@@ -96,9 +97,10 @@ def primitive_vector(v) -> tuple[int, ...]:
 
 
 def _entries(rows) -> list:
-    """Rows as lists of int or Fraction entries, checked to share one length."""
+    """Rows as lists of int or Fraction entries, checked to share one length.
+    Other entries are read by parse_rational, so bools and floats raise."""
     out = [
-        [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        [x if type(x) is int or type(x) is Fraction else parse_rational(x) for x in row]
         for row in rows
     ]
     if out and any(len(row) != len(out[0]) for row in out):
@@ -382,7 +384,8 @@ class LPOutcome(namedtuple("LPOutcome", "status value point ray farkas", default
 
 
 class _Tableau:
-    """Dense simplex tableau over Fraction with Bland's rule."""
+    """Simplex tableau over Fraction with Bland's rule.  Rows are stored in
+    full; a pivot touches only the pivot row's nonzero columns."""
 
     def __init__(self, rows, rhs, basis, ncols):
         self.rows = rows
@@ -409,16 +412,22 @@ class _Tableau:
         if inv != 1:
             self.rows[k] = row = [x * inv for x in row]
             self.rhs[k] *= inv
-        for r in range(len(self.rows)):
-            if r != k and self.rows[r][j]:
-                factor = self.rows[r][j]
-                other = self.rows[r]
-                self.rows[r] = [x - factor * y for x, y in zip(other, row)]
-                self.rhs[r] -= factor * self.rhs[k]
-        if self.obj[j]:
-            factor = self.obj[j]
-            self.obj = [x - factor * y for x, y in zip(self.obj, row)]
-            self.obj_val += factor * self.rhs[k]
+        # Subtracting a multiple of the pivot row leaves every column where
+        # it is zero as it was, so only its nonzero columns are updated.
+        nonzero = [(c, y) for c, y in enumerate(row) if y]
+        pivot_rhs = self.rhs[k]
+        for r, other in enumerate(self.rows):
+            factor = other[j]
+            if factor and r != k:
+                for c, y in nonzero:
+                    other[c] -= factor * y
+                self.rhs[r] -= factor * pivot_rhs
+        factor = self.obj[j]
+        if factor:
+            obj = self.obj
+            for c, y in nonzero:
+                obj[c] -= factor * y
+            self.obj_val += factor * pivot_rhs
         self.basis[k] = j
 
     def run(self, eligible):
@@ -703,7 +712,7 @@ def polytope_volume(vertices, dim: int) -> Fraction:
         )
     if dim < 1:
         raise InputError("dimension must be at least 1")
-    rational = [tuple(Fraction(c) for c in p) for p in vertices]
+    rational = [tuple([parse_rational(c) for c in p]) for p in vertices]
     if not rational:
         raise InputError("empty vertex list")
     if any(len(p) != dim for p in rational):

@@ -355,7 +355,7 @@ def module_generators(cone: ToricCone, lower_bounds, margin_scale: int = 1):
     search over that slab finds them all.  ``margin_scale`` widens the slab;
     the result must not depend on it, which the tests assert by doubling.
     """
-    lower = [Fraction(c) for c in lower_bounds]
+    lower = [xm.parse_rational(c) for c in lower_bounds]
     if len(lower) != len(cone.rays):
         raise InputError("one lower bound per ray is required")
     vertices = _region_vertices(cone, lower)

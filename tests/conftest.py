@@ -4,6 +4,13 @@ import pytest
 
 from singvol import MonomialIdeal, ResolutionGraph, ToricCone
 
+# Three isolated 3-D cones: the quadric, the cone over a hexagon and C^3/Z_3.
+CONES_3D = {
+    "quadric": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)],
+    "hexagon": [(1, 0, 1), (-1, 0, 1), (1, 1, 1), (-1, -1, 1), (0, 1, 1), (0, -1, 1)],
+    "c3z3": [(1, 0, 0), (0, 1, 0), (-1, -1, 3)],
+}
+
 
 @pytest.fixture
 def plane():
@@ -52,3 +59,29 @@ def random_graph(rng: random.Random, max_vertices: int = 5, max_extra_edges: int
         (-(degree[v] + rng.randint(1, 3)), rng.randint(0, 2)) for v in range(k)
     ]
     return ResolutionGraph(vertices, edges)
+
+
+def random_unimodular(rng, n):
+    """A random matrix in GL_n(Z) with its inverse, from elementary moves."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in a]
+    for _ in range(rng.randint(1, 6)):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        # a <- E a with E = 1 + c e_ij, inv <- inv E^{-1}
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        for row in inv:
+            row[j] -= c * row[i]
+        if rng.random() < 0.3:
+            a[i] = [-x for x in a[i]]
+            for row in inv:
+                row[i] = -row[i]
+    return a, inv
+
+
+def apply(m, v):
+    return tuple(sum(r * x for r, x in zip(row, v)) for row in m)
+
+
+def transpose(m):
+    return [list(col) for col in zip(*m)]

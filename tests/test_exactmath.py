@@ -90,6 +90,13 @@ class TestSolveLinear:
         with pytest.raises(DomainError):
             solve_linear([[1, 1], [2, 2]], [1, 1])
 
+    def test_bools_and_floats_raise(self):
+        with pytest.raises(InputError, match="not a rational"):
+            solve_linear([[1.5]], [True])
+        with pytest.raises(InputError, match="not a rational"):
+            determinant([[0.5, True], [0, 2]])
+        assert solve_linear([[2]], ["1/2"]) == (F(1, 4),)
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(InputError):
             solve_linear([[1, 0], [0, 1]], [1, 2, 3])
@@ -266,6 +273,12 @@ class TestPolytopeVolume:
     def test_dimension_cap(self):
         with pytest.raises(UnsupportedDimensionError):
             polytope_volume([(0, 0, 0, 0)], 4)
+
+    def test_bools_and_floats_raise(self):
+        with pytest.raises(InputError, match="not a rational"):
+            polytope_volume([(0, 0), (0.5, 0), (0, 1)], 2)
+        with pytest.raises(InputError, match="not a rational"):
+            polytope_volume([(0, 0), (True, 0), (0, 1)], 2)
 
     def test_cube(self):
         pts = [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)]

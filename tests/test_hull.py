@@ -40,15 +40,10 @@ from singvol.exactmath import (
 )
 from singvol.toric import minimal_elements
 
-from conftest import random_m_primary_ideal
+from conftest import CONES_3D, apply, random_m_primary_ideal, random_unimodular, transpose
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-CONES_3D = {
-    "quadric": [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)],
-    "hexagon": [(1, 0, 1), (-1, 0, 1), (1, 1, 1), (-1, -1, 1), (0, 1, 1), (0, -1, 1)],
-    "c3z3": [(1, 0, 0), (0, 1, 0), (-1, -1, 3)],
-}
 CONES_2D = {
     "plane": [(1, 0), (0, 1)],
     "a2": [(1, 0), (-1, 3)],
@@ -219,32 +214,6 @@ def random_plane_points(rng):
         base = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 6))]
         return [rng.choice(base) for _ in range(rng.randint(2, 12))]
     return [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(0, 2))]
-
-
-def random_unimodular(rng, n):
-    """A random matrix in GL_n(Z) with its inverse, from elementary moves."""
-    a = [[int(i == j) for j in range(n)] for i in range(n)]
-    inv = [row[:] for row in a]
-    for _ in range(rng.randint(1, 6)):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice([-2, -1, 1, 2])
-        # a <- E a with E = 1 + c e_ij, inv <- inv E^{-1}
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        for row in inv:
-            row[j] -= c * row[i]
-        if rng.random() < 0.3:
-            a[i] = [-x for x in a[i]]
-            for row in inv:
-                row[i] = -row[i]
-    return a, inv
-
-
-def apply(m, v):
-    return tuple(sum(r * x for r, x in zip(row, v)) for row in m)
-
-
-def transpose(m):
-    return [list(col) for col in zip(*m)]
 
 
 @functools.cache

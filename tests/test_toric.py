@@ -34,8 +34,9 @@ from singvol import (
     samuel_multiplicity,
     z_value,
 )
+from singvol.oracle import colength
 
-from conftest import random_m_primary_ideal
+from conftest import CONES_3D, apply, random_m_primary_ideal, random_unimodular, transpose
 
 D_SUM = (2, 1, 2, 1)
 D_ONE = (1, 1, 1, 0)
@@ -121,19 +122,6 @@ def isolation_verdict(rays):
     return "isolated"
 
 
-def random_unimodular(rng, n):
-    """A seeded element of GL_n(Z): a product of elementary matrices and a
-    sign change."""
-    a = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(2 * n):
-        i, j = rng.sample(range(n), 2)
-        k = rng.choice((-2, -1, 1, 2))
-        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
-    flip = rng.randrange(n)
-    a[flip] = [-x for x in a[flip]]
-    return a
-
-
 class TestIsolationInEveryDimension:
     """The facet test det(T, f) = +-<f, f> in dimensions 4 and 5."""
 
@@ -155,8 +143,8 @@ class TestIsolationInEveryDimension:
         rng = random.Random(4)
         verdict = isolation_verdict(rays)
         for _ in range(12):
-            a = random_unimodular(rng, 4)
-            image = [tuple(sum(x * r for x, r in zip(row, ray)) for row in a) for ray in rays]
+            a, _ = random_unimodular(rng, 4)
+            image = [apply(a, ray) for ray in rays]
             rng.shuffle(image)
             assert isolation_verdict(image) == verdict
 
@@ -467,6 +455,11 @@ class TestDefectIdeal:
         with pytest.raises(InputError):
             defect_ideal(quadric, ToricDivisor(quadric, (F(1, 2), 0, 0, 0)), 1)
 
+    def test_module_generator_bounds_reject_bools_and_floats(self, plane):
+        with pytest.raises(InputError, match="not a rational"):
+            module_generators(plane, [0.5, True])
+        assert module_generators(plane, [1, F(1)]) == ((1, 1),)
+
     def test_numerically_cartier_divisor_with_proper_defect(self):
         # On the A1 quotient cone, D = (1, 0) is numerically Cartier with a
         # half-integral certificate, so only 2D is Cartier: the defect ideal
@@ -492,6 +485,79 @@ class TestDefectIdeal:
         }
         assert values[1] <= values[2] <= values[4] <= values[8] <= bound
         assert bound - values[8] <= bound - values[1]
+
+
+def random_interior(rng, cone):
+    """An interior lattice point: the cone's interior point plus a random
+    nonnegative combination of its rays."""
+    weights = [rng.randint(0, 2) for _ in cone.rays]
+    return tuple(
+        p + sum(w * ray[j] for w, ray in zip(weights, cone.rays))
+        for j, p in enumerate(cone.interior_point())
+    )
+
+
+def section_answers(cone, coeffs, v, w):
+    """Envelope value at v, defect ideal and its first two colengths, and
+    the Izumi constant of (v, w), for the divisor with these coefficients."""
+    divisor = ToricDivisor(cone, coeffs)
+    defect = defect_ideal(cone, divisor)
+    colengths = (
+        tuple(colength(cone, defect, k) for k in (1, 2)) if defect.is_m_primary else None
+    )
+    return envelope_value(cone, divisor, v), defect, colengths, izumi_constant(cone, v, w)
+
+
+class TestSectionInvariance:
+    """Envelopes, defect ideals and Izumi constants do not depend on
+    coordinates: A in GL_3(Z) sends each ray r to A r, each valuation v to
+    A v and each exponent u to A^{-T} u, and relabelling the rays permutes
+    the coefficients with them."""
+
+    @pytest.mark.parametrize("name", sorted(CONES_3D))
+    def test_unimodular_change_of_coordinates(self, name):
+        rng = random.Random(30 + len(name))
+        cone = ToricCone(CONES_3D[name])
+        for _ in range(4):
+            a, inv = random_unimodular(rng, 3)
+            inv_t = transpose(inv)
+            image = ToricCone([apply(a, r) for r in cone.rays])
+            coeffs = [rng.randint(-2, 2) for _ in cone.rays]
+            v, w = random_interior(rng, cone), random_interior(rng, cone)
+            value, defect, colengths, izumi = section_answers(cone, coeffs, v, w)
+            moved = section_answers(image, coeffs, apply(a, v), apply(a, w))
+            assert moved[0] == value
+            assert set(moved[1].gens) == {apply(inv_t, u) for u in defect.gens}
+            assert moved[2] == colengths
+            assert moved[3] == izumi
+
+    @pytest.mark.parametrize("name", sorted(CONES_3D))
+    def test_ray_permutations(self, name):
+        rng = random.Random(40 + len(name))
+        cone = ToricCone(CONES_3D[name])
+        for _ in range(4):
+            order = list(range(len(cone.rays)))
+            rng.shuffle(order)
+            relabelled = ToricCone([cone.rays[i] for i in order])
+            coeffs = [rng.randint(-2, 2) for _ in cone.rays]
+            v, w = random_interior(rng, cone), random_interior(rng, cone)
+            value, defect, colengths, izumi = section_answers(cone, coeffs, v, w)
+            moved = section_answers(relabelled, [coeffs[i] for i in order], v, w)
+            assert moved[0] == value
+            assert set(moved[1].gens) == set(defect.gens)
+            assert moved[2] == colengths
+            assert moved[3] == izumi
+
+    @pytest.mark.parametrize("name", sorted(CONES_3D))
+    def test_homogeneity(self, name):
+        rng = random.Random(50 + len(name))
+        cone = ToricCone(CONES_3D[name])
+        for _ in range(6):
+            divisor = ToricDivisor(cone, [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in cone.rays])
+            v = random_interior(rng, cone)
+            value = envelope_value(cone, divisor, v)
+            for k in (2, 3, 5):
+                assert envelope_value(cone, divisor.scale(k), v) == k * value
 
 
 class TestIzumi:
