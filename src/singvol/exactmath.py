@@ -3,9 +3,10 @@ low-dimensional polytope volumes.
 
 Everything in this package is exact over ``fractions.Fraction`` and ``int``;
 no floating point is used anywhere.  Determinants, ranks, leading minors,
-linear solves and kernels all come from one fraction-free (Bareiss)
-elimination over Python integers, whose solutions, kernels and
-inconsistency certificates are checked in integers on every call.
+linear solves, kernels and adjugates all come from one fraction-free
+(Bareiss) elimination over Python integers, whose solutions, kernels,
+adjugates and inconsistency certificates are checked in integers on every
+call.
 
 The linear programming solver is a two-phase simplex over Fraction with
 Bland's anti-cycling rule, whose pivots update only the pivot row's nonzero
@@ -273,6 +274,34 @@ def solve_linear(m: Mat, b) -> Vec:
     y, det = _back_substitute(work, echelon, k)
     _verify_null(system, y + [-det], "solution")
     return tuple([Fraction(v, det) for v in y])
+
+
+def adjugate(m: Mat):
+    """det(M) and the rows of adj(M) for square nonsingular M, so that
+    M adj(M) = det(M) I.  One elimination of the rows beside an identity
+    block gives each column of adj(M) as the integer solution of
+    M x = det(M) e_j, and the integer product is checked on every call."""
+    rows = _entries(m)
+    k = len(rows)
+    if k == 0 or len(rows[0]) != k:
+        raise InputError("adjugate requires a square matrix")
+    ints, scales = _integer_rows(rows)
+    work = [row + [int(i == j) for j in range(k)] for i, row in enumerate(ints)]
+    echelon = _bareiss(work, k)
+    if len(echelon.pivots) < k:
+        raise DomainError("singular matrix in adjugate")
+    # The last pivot is det(M) up to the sign of the row permutation.
+    sign = echelon.sign
+    cols = [[sign * y for y in _back_substitute(work, echelon, k + j)[0]] for j in range(k)]
+    det = sign * echelon.minors[-1]
+    for i, row in enumerate(ints):
+        if [sum(a * y for a, y in zip(row, col)) for col in cols] != [det * (i == j) for j in range(k)]:
+            raise InternalError("adjugate failed its exact check")
+    # Row i of M was scaled by s_i, so adj(M) = adj(SM) S / det(S).
+    scale = prod(scales)
+    return Fraction(det, scale), tuple([
+        tuple([Fraction(col[i] * s, scale) for col, s in zip(cols, scales)]) for i in range(k)
+    ])
 
 
 def solve_general(a, b):

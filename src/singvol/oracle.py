@@ -28,14 +28,15 @@ DEFAULT_POWER_CAP = 64
 
 
 def colength(cone: ToricCone, a: MonomialIdeal, k: int, cap: int = DEFAULT_POWER_CAP) -> int:
-    """Number of monomials of the dual-cone semigroup outside the k-th power."""
+    """Number of monomials of the dual-cone semigroup outside the k-th power:
+    0 for the unit ideal, finite for an m-primary one."""
     if a.cone != cone:
         raise InputError("ideal does not live on the given cone")
     if k < 0:
         raise InputError("power must be nonnegative")
     if k > cap:
         raise DomainError(f"power {k} exceeds the configured cap {cap}")
-    if k == 0:
+    if k == 0 or a.is_unit:
         return 0
     if not a.is_m_primary:
         raise DomainError("colengths are finite only for m-primary ideals")

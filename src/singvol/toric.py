@@ -3,9 +3,12 @@
 A strongly convex full-dimensional cone sigma in Z^n carries an isolated
 torus-fixed point.  This module computes, exactly over the rationals:
 
-* nef envelopes of toric Weil divisors, as linear programs on the dual
-  lattice (the envelope of D at a valuation v in sigma is the maximum of
-  <m, v> over all linear forms m with <m, ray_i> <= d_i);
+* nef envelopes of toric Weil divisors: the envelope of D at a valuation
+  v in sigma is the maximum of <m, v> over all linear forms m with
+  <m, ray_i> <= d_i, and by LP duality the minimum of sum lam_k d_k over
+  the simplicial cells of rays whose cone holds v = sum lam_k ray_k.  It is
+  read off one cell, in integers from the cell's cached adjugate, with the
+  primal m and the dual lam checked to be feasible and of equal value;
 * the numerically-Cartier test with a linear-form certificate or an
   interior witness where the envelope sum goes negative;
 * monomial ideals: orders along valuations, Samuel and mixed
@@ -31,7 +34,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import ceil, factorial, floor, gcd, lcm
 
-from .errors import DomainError, InputError, UnsupportedDimensionError, check
+from .errors import DomainError, InputError, InternalError, UnsupportedDimensionError, check
 from . import exactmath as xm
 from .exactmath import INFEASIBLE, LPProblem, lp_max, OPTIMAL
 
@@ -83,6 +86,7 @@ class ToricCone:
             seen.add(vec)
             prim_rays.append(vec)
         self.rays = tuple(prim_rays)
+        self._cells = None  # built by the first envelope
 
         if xm.matrix_rank(self.rays) != self.dim:
             raise DomainError("cone is not full-dimensional: rays do not span")
@@ -226,9 +230,9 @@ class MonomialIdeal:
     """A monomial ideal in the semigroup ring of the dual cone.
 
     Stored by its minimal generating exponents.  The m-primary flag holds
-    exactly when the quotient by the ideal is finite dimensional, which for
-    a proper monomial ideal means every extreme ray of the dual cone carries
-    a generator.
+    exactly for a proper ideal whose quotient is finite dimensional, that is
+    when every extreme ray of the dual cone carries a generator.  As usual,
+    the unit ideal, whose quotient is zero, is not m-primary.
     """
 
     def __init__(self, cone: ToricCone, gens):
@@ -390,18 +394,84 @@ def _region_vertices(cone: ToricCone, lower):
 # ---------------------------------------------------------------------------
 
 
+# A simplicial cell: the indices of n linearly independent rays, the
+# determinant (made positive) of the matrix B with those rays as rows, the
+# adjugate A of B (B A = det I) by columns for lam and by rows for m, and
+# the indices of the other rays.  On the cell, v = sum lam_k ray_k with lam = A^T v / det,
+# and the form tight on its rays is m = A d_B / det.
+_Cell = namedtuple("_Cell", "rays det cols rows others")
+
+
+def _simplicial_cells(cone: ToricCone):
+    """The cells of every n-subset of the rays with nonzero determinant, in
+    combinations order; at most C(r, n) of them for r rays.  Built on the
+    cone's first envelope and cached on it."""
+    if cone._cells is None:
+        cells = []
+        every = range(len(cone.rays))
+        for subset in itertools.combinations(every, cone.dim):
+            try:
+                det, adj = xm.adjugate([cone.rays[i] for i in subset])
+            except DomainError:  # these rays span no cell
+                continue
+            sign = 1 if det > 0 else -1
+            rows = tuple([tuple([sign * x.numerator for x in row]) for row in adj])
+            others = tuple([i for i in every if i not in subset])
+            cells.append(_Cell(subset, sign * det.numerator, tuple(zip(*rows)), rows, others))
+        cone._cells = tuple(cells)
+    return cone._cells
+
+
+def _envelope(cone: ToricCone, coeffs, v):
+    """The envelope at v in sigma from the first cell whose dual weights
+    lam = A^T v / det are nonnegative and whose form m = A d_B / det
+    satisfies <m, ray_i> <= d_i.  Such a cell exists by LP duality, and the
+    equal objective values <m, v> = sum lam_k d_k certify both optima.
+
+    Works in integers, with d cleared of denominators once.  Returns the
+    value, m, the cell and the integer weights lam * det.
+    """
+    scale = lcm(*[c.denominator for c in coeffs])
+    d = [c.numerator * (scale // c.denominator) for c in coeffs]
+    rays = cone.rays
+    for cell in _simplicial_cells(cone):
+        lam = [_idot(col, v) for col in cell.cols]
+        if min(lam) < 0:
+            continue
+        det = cell.det
+        d_cell = [d[i] for i in cell.rays]
+        m = [_idot(row, d_cell) for row in cell.rows]
+        # m is tight on the cell's rays by construction; the check below
+        # does not take that on trust.
+        if all(_idot(m, rays[i]) <= d[i] * det for i in cell.others):
+            break
+    else:
+        raise InternalError(f"no simplicial cell certifies the envelope at {v}")
+    check(all(_idot(m, ray) <= di * det for ray, di in zip(rays, d)),
+          "the envelope's linear form is infeasible")
+    check(min(lam) >= 0 and [
+        sum([l * rays[i][j] for l, i in zip(lam, cell.rays)]) for j in range(cone.dim)
+    ] == [det * x for x in v], "the envelope's dual weights do not combine the rays to v")
+    value = _idot(m, v)
+    check(value == _idot(lam, d_cell), "the envelope's primal and dual values differ")
+    denom = det * scale
+    return Fraction(value, denom), tuple([Fraction(x, denom) for x in m]), cell, lam
+
+
 def envelope_certificate(cone: ToricCone, divisor: ToricDivisor, v):
     """Envelope value at a valuation v in sigma, with an optimal linear form.
 
-    Solves max <m, v> subject to <m, ray_i> <= d_i.  Boundedness is exactly
-    membership of v in the cone, which is checked first.
+    The value is max <m, v> subject to <m, ray_i> <= d_i, which is bounded
+    exactly when v lies in the cone, as is checked first.  It is evaluated
+    over the cone's simplicial cells; among tied optima, m is the form of
+    the first certifying cell.
     """
+    if divisor.cone.rays != cone.rays:
+        raise InputError("the divisor's coefficients are not indexed by the cone's rays")
     v = _as_lattice_vector(v, cone.dim)
     if not cone.contains(v):
         raise DomainError(f"valuation vector {v} lies outside the cone")
-    outcome = lp_max(envelope_problem(cone, divisor, v))
-    check(outcome.status == OPTIMAL, "envelope LP inside the cone is not bounded")
-    return outcome.value, outcome.point
+    return _envelope(cone, divisor.coeffs, v)[:2]
 
 
 def envelope_problem(cone: ToricCone, divisor: ToricDivisor, v) -> LPProblem:

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from singvol import DomainError, InternalError
 from singvol import exactmath as xm
 from singvol.exactmath import (
+    adjugate,
     determinant,
     failing_principal_minor,
     is_negative_definite,
@@ -83,6 +84,19 @@ class TestAgainstSympy:
     @given(matrices(square=True))
     def test_determinant(self, rows):
         assert determinant(rows) == to_sympy(rows).det()
+
+    @settings(max_examples=80, deadline=None)
+    @given(matrices(square=True))
+    def test_adjugate(self, rows):
+        matrix = to_sympy(rows)
+        if matrix.det() == 0:
+            with pytest.raises(DomainError, match="^singular matrix in adjugate$"):
+                adjugate(rows)
+            return
+        det, adj = adjugate(rows)
+        assert type(det) is F and all(type(x) is F for row in adj for x in row)
+        assert det == matrix.det()
+        assert [list(row) for row in adj] == matrix.adjugate().tolist()
 
     @settings(max_examples=80, deadline=None)
     @given(matrices())
@@ -308,6 +322,8 @@ class TestSelfChecks:
             solve_general([[2, 1], [1, 3], [3, 4]], [1, 1, 2])
         with pytest.raises(InternalError, match="kernel vector"):
             kernel_vector([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(InternalError, match="^adjugate failed its exact check$"):
+            adjugate([[2, 1], [1, 3]])
 
     def test_wrong_certificate(self, monkeypatch):
         bareiss = xm._bareiss

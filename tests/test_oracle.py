@@ -68,6 +68,12 @@ class TestColength:
         for k in (1, 2, 3, 4):
             assert colength(cone, mx, k) == comb(k + 3, 4)
 
+    def test_unit_ideal_has_colength_zero(self, plane, quadric):
+        for cone in (plane, quadric):
+            unit = MonomialIdeal(cone, [(0,) * cone.dim])
+            assert unit.is_unit and not unit.is_m_primary
+            assert [colength(cone, unit, k) for k in (0, 1, 2)] == [0, 0, 0]
+
     def test_requires_m_primary(self, plane):
         with pytest.raises(DomainError):
             colength(plane, MonomialIdeal(plane, [(1, 0)]), 2)

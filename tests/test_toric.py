@@ -168,6 +168,15 @@ class TestEnvelope:
         with pytest.raises(DomainError, match="outside"):
             envelope_value(quadric, ToricDivisor(quadric, D_SUM), (0, 0, -1))
 
+    def test_divisor_of_another_cone_raises(self, quadric):
+        # A divisor's coefficients follow its own cone's rays, in order.
+        c3z3 = ToricCone(CONES_3D["c3z3"])
+        relabelled = ToricCone(quadric.rays[::-1])
+        for cone in (c3z3, relabelled):
+            divisor = ToricDivisor(cone, (1, 2, 3, 4)[:len(cone.rays)])
+            with pytest.raises(InputError, match="not indexed by the cone's rays"):
+                envelope_value(quadric, divisor, (1, 1, 1))
+
     def test_trace_property(self, quadric):
         for coeffs in [D_SUM, D_ONE, D_TWO, (3, -2, 5, 0)]:
             divisor = ToricDivisor(quadric, coeffs)
@@ -498,13 +507,12 @@ def random_interior(rng, cone):
 
 
 def section_answers(cone, coeffs, v, w):
-    """Envelope value at v, defect ideal and its first two colengths, and
-    the Izumi constant of (v, w), for the divisor with these coefficients."""
+    """Envelope value at v, defect ideal and its first two colengths (0 for
+    the unit ideal of a Cartier divisor), and the Izumi constant of (v, w),
+    for the divisor with these coefficients."""
     divisor = ToricDivisor(cone, coeffs)
     defect = defect_ideal(cone, divisor)
-    colengths = (
-        tuple(colength(cone, defect, k) for k in (1, 2)) if defect.is_m_primary else None
-    )
+    colengths = tuple(colength(cone, defect, k) for k in (1, 2))
     return envelope_value(cone, divisor, v), defect, colengths, izumi_constant(cone, v, w)
 
 
@@ -652,9 +660,34 @@ class TestSelfChecks:
         with pytest.raises(InternalError, match="no vertex"):
             module_generators(quadric, [0, 0, 0, 0])
 
-    def test_unbounded_envelope(self, monkeypatch, quadric):
-        monkeypatch.setattr(toric, "lp_max", lambda problem: xm.LPOutcome(status=xm.UNBOUNDED))
-        with pytest.raises(InternalError, match="not bounded"):
+    @staticmethod
+    def corrupt_cells(monkeypatch, cone, fields):
+        cells = toric._simplicial_cells(cone)
+        monkeypatch.setattr(cone, "_cells", tuple(c._replace(**fields(c)) for c in cells))
+
+    def test_envelope_form_infeasible(self, monkeypatch, quadric):
+        # Cells that forget their other rays accept the first cell holding
+        # v; at (1, 1, 1) its form (1, 1, 1) breaks <m, ray_3> <= 0.
+        self.corrupt_cells(monkeypatch, quadric, fields=lambda c: {"others": ()})
+        with pytest.raises(InternalError, match="linear form is infeasible"):
+            envelope_certificate(quadric, ToricDivisor(quadric, D_ONE), (1, 1, 1))
+
+    def test_envelope_weights_miss_v(self, monkeypatch, quadric):
+        doubled = lambda c: {"cols": tuple(tuple(2 * x for x in col) for col in c.cols)}
+        self.corrupt_cells(monkeypatch, quadric, fields=doubled)
+        with pytest.raises(InternalError, match="do not combine the rays to v"):
+            envelope_certificate(quadric, ToricDivisor(quadric, D_SUM), (1, 1, 1))
+
+    def test_envelope_values_differ(self, monkeypatch, quadric):
+        # m = 0 is feasible for D >= 0 but not optimal at (1, 1, 1).
+        zero = lambda c: {"rows": tuple((0,) * len(row) for row in c.rows)}
+        self.corrupt_cells(monkeypatch, quadric, fields=zero)
+        with pytest.raises(InternalError, match="primal and dual values differ"):
+            envelope_certificate(quadric, ToricDivisor(quadric, D_SUM), (1, 1, 1))
+
+    def test_envelope_without_cells(self, monkeypatch, quadric):
+        monkeypatch.setattr(quadric, "_cells", ())
+        with pytest.raises(InternalError, match="no simplicial cell"):
             envelope_certificate(quadric, ToricDivisor(quadric, D_SUM), (1, 1, 1))
 
     def test_wrong_cartier_certificate(self, monkeypatch, quadric):
