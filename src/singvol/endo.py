@@ -93,6 +93,7 @@ class ToricEndo:
 def pullback_divisor(endo: ToricEndo, divisor: ToricDivisor) -> ToricDivisor:
     """Pull back a toric divisor: the coefficient at a ray v is c times the
     coefficient at the ray carrying A(v) = c * (primitive image)."""
+    toric._check_indexed(endo.cone, divisor)
     coeffs = tuple(
         Fraction(scale) * divisor.coeffs[target]
         for scale, target in zip(endo.ray_scales, endo.ray_targets)

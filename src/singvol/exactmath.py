@@ -3,10 +3,9 @@ low-dimensional polytope volumes.
 
 Everything in this package is exact over ``fractions.Fraction`` and ``int``;
 no floating point is used anywhere.  Determinants, ranks, leading minors,
-linear solves, kernels and adjugates all come from one fraction-free
-(Bareiss) elimination over Python integers, whose solutions, kernels,
-adjugates and inconsistency certificates are checked in integers on every
-call.
+linear solves and integer adjugates all come from one fraction-free
+(Bareiss) elimination over Python integers, whose solutions, adjugates and
+inconsistency certificates are checked in integers on every call.
 
 The linear programming solver is a two-phase simplex over Fraction with
 Bland's anti-cycling rule, whose pivots update only the pivot row's nonzero
@@ -236,27 +235,6 @@ def matrix_rank(m) -> int:
     return len(_bareiss(_integer_rows(rows)[0], len(rows[0])).pivots)
 
 
-def kernel_vector(rows) -> tuple[int, ...] | None:
-    """A primitive integer vector spanning the kernel of a nonempty matrix,
-    or None when the kernel is not a line."""
-    ints, _ = _integer_rows(_entries(rows))
-    if not ints:
-        raise InputError("kernel_vector needs at least one row")
-    ncols = len(ints[0])
-    work = [row[:] for row in ints]
-    echelon = _bareiss(work, ncols)
-    if len(echelon.pivots) != ncols - 1:
-        return None
-    free = next(c for c in range(ncols) if c not in echelon.pivots)
-    y, d = _back_substitute(work, echelon, free)
-    vec = [0] * ncols
-    vec[free] = d
-    for c, v in zip(echelon.pivots, y):
-        vec[c] = -v
-    _verify_null(ints, vec, "kernel vector")
-    return primitive_vector(vec)
-
-
 def solve_linear(m: Mat, b) -> Vec:
     """Solve Mx = b exactly for square nonsingular M."""
     rows = _entries(m)
@@ -276,17 +254,16 @@ def solve_linear(m: Mat, b) -> Vec:
     return tuple([Fraction(v, det) for v in y])
 
 
-def adjugate(m: Mat):
-    """det(M) and the rows of adj(M) for square nonsingular M, so that
-    M adj(M) = det(M) I.  One elimination of the rows beside an identity
-    block gives each column of adj(M) as the integer solution of
-    M x = det(M) e_j, and the integer product is checked on every call."""
-    rows = _entries(m)
+def adjugate(m):
+    """det(M) and the columns of adj(M) for a square nonsingular integer
+    matrix M, so that M adj(M) = det(M) I.  One elimination of the rows
+    beside an identity block gives column j as the integer solution of
+    M x = det(M) e_j, and the product is checked on every call."""
+    rows = [list(integer_vector(row)) for row in m]
     k = len(rows)
-    if k == 0 or len(rows[0]) != k:
+    if k == 0 or any(len(row) != k for row in rows):
         raise InputError("adjugate requires a square matrix")
-    ints, scales = _integer_rows(rows)
-    work = [row + [int(i == j) for j in range(k)] for i, row in enumerate(ints)]
+    work = [row + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
     echelon = _bareiss(work, k)
     if len(echelon.pivots) < k:
         raise DomainError("singular matrix in adjugate")
@@ -294,14 +271,10 @@ def adjugate(m: Mat):
     sign = echelon.sign
     cols = [[sign * y for y in _back_substitute(work, echelon, k + j)[0]] for j in range(k)]
     det = sign * echelon.minors[-1]
-    for i, row in enumerate(ints):
-        if [sum(a * y for a, y in zip(row, col)) for col in cols] != [det * (i == j) for j in range(k)]:
+    for i, row in enumerate(rows):
+        if [sum([a * y for a, y in zip(row, col)]) for col in cols] != [det * (i == j) for j in range(k)]:
             raise InternalError("adjugate failed its exact check")
-    # Row i of M was scaled by s_i, so adj(M) = adj(SM) S / det(S).
-    scale = prod(scales)
-    return Fraction(det, scale), tuple([
-        tuple([Fraction(col[i] * s, scale) for col, s in zip(cols, scales)]) for i in range(k)
-    ])
+    return det, tuple([tuple(col) for col in cols])
 
 
 def solve_general(a, b):

@@ -1,14 +1,18 @@
 """Affine toric singularities given by rational cones.
 
 A strongly convex full-dimensional cone sigma in Z^n carries an isolated
-torus-fixed point.  This module computes, exactly over the rationals:
+torus-fixed point.  A cone builds its simplicial cells once, at
+construction: for each n-subset of its rays with nonzero determinant, the
+integer adjugate of those rays.  The facets, the isolation test, the
+envelopes and the vertices of section regions are all read off these
+cells.  This module computes, exactly over the rationals:
 
 * nef envelopes of toric Weil divisors: the envelope of D at a valuation
   v in sigma is the maximum of <m, v> over all linear forms m with
   <m, ray_i> <= d_i, and by LP duality the minimum of sum lam_k d_k over
   the simplicial cells of rays whose cone holds v = sum lam_k ray_k.  It is
-  read off one cell, in integers from the cell's cached adjugate, with the
-  primal m and the dual lam checked to be feasible and of equal value;
+  read off one cell, in integers, with the primal m and the dual lam
+  checked to be feasible and of equal value;
 * the numerically-Cartier test with a linear-form certificate or an
   interior witness where the envelope sum goes negative;
 * monomial ideals: orders along valuations, Samuel and mixed
@@ -50,14 +54,47 @@ def _idot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
+# A simplicial cell: the indices of n linearly independent rays, the
+# determinant (made positive) of the matrix B with those rays as rows, the
+# adjugate A of B (B A = det I) by columns and by rows, and the indices of
+# the other rays.  On the cell, v = sum lam_k ray_k with lam = A^T v / det,
+# and the form with <m, ray_k> = c_k on its rays is m = A c_B / det.
+_Cell = namedtuple("_Cell", "rays det cols rows others")
+
+
+def _simplicial_cells(rays, n):
+    """The cells of every n-subset of the rays with nonzero determinant, in
+    combinations order; at most C(r, n) of them for r rays."""
+    cells = []
+    every = range(len(rays))
+    for subset in itertools.combinations(every, n):
+        try:
+            det, cols = xm.adjugate([rays[i] for i in subset])
+        except DomainError:  # these rays span no cell
+            continue
+        if det < 0:
+            det, cols = -det, tuple([tuple([-x for x in col]) for col in cols])
+        others = tuple([i for i in every if i not in subset])
+        cells.append(_Cell(subset, det, cols, tuple(zip(*cols)), others))
+    return tuple(cells)
+
+
+def _tight_form(cell: _Cell, c):
+    """det times the form tight on the cell at the integer coefficients c,
+    which are indexed by all rays: A c_B."""
+    c_cell = [c[i] for i in cell.rays]
+    return [_idot(row, c_cell) for row in cell.rows]
+
+
 class ToricCone:
     """A strongly convex full-dimensional rational cone with primitive rays.
 
-    The constructor derives the inward facet normals (the H-representation)
-    and checks that every listed ray is extreme and that every proper face
-    is smooth, which is exactly the condition for the toric variety to have
-    an isolated singularity.  A face of a smooth cone is smooth, so the
-    facets are tested, in every dimension.
+    The constructor builds the simplicial cells, reads the inward facet
+    normals (the H-representation) off them, and checks that every listed
+    ray is extreme and that every proper face is smooth, which is exactly
+    the condition for the toric variety to have an isolated singularity.
+    A face of a smooth cone is smooth, so the facets are tested, in every
+    dimension.
     """
 
     def __init__(self, rays, dim=None):
@@ -86,12 +123,28 @@ class ToricCone:
             seen.add(vec)
             prim_rays.append(vec)
         self.rays = tuple(prim_rays)
-        self._cells = None  # built by the first envelope
-
-        if xm.matrix_rank(self.rays) != self.dim:
+        self.cells = _simplicial_cells(self.rays, self.dim)
+        if not self.cells:
             raise DomainError("cone is not full-dimensional: rays do not span")
+        if self.dim == 1 and len(self.rays) != 1:
+            raise DomainError("a one-dimensional strongly convex cone has exactly one ray")
 
-        self.facet_normals = self._compute_facet_normals()
+        # Column k of a cell's adjugate pairs det > 0 with the cell's ray k
+        # and 0 with its other rays: it is the vector of signed maximal
+        # minors of those n - 1 rays.  When it pairs >= 0 with every ray it
+        # is g times an inward facet normal, g the gcd of those minors.
+        # Cells sharing those n - 1 rays repeat the test, so it runs once
+        # per primitive column.
+        gcds, tested = {}, set()
+        for cell in self.cells:
+            for col in cell.cols:
+                g = gcd(*col)
+                normal = tuple([x // g for x in col])
+                if normal not in tested:
+                    tested.add(normal)
+                    if all(_idot(normal, self.rays[i]) >= 0 for i in cell.others):
+                        gcds[normal] = g
+        self.facet_normals = tuple(sorted(gcds))
         if xm.matrix_rank(self.facet_normals) != self.dim:
             raise DomainError("cone is not strongly convex: it contains a line")
 
@@ -102,41 +155,13 @@ class ToricCone:
                     f"ray {ray} is not an extreme ray of the cone spanned by the input"
                 )
 
-        self._check_smooth_facets()
-
-    def _compute_facet_normals(self):
-        if self.dim == 1:
-            if len(self.rays) != 1:
-                raise DomainError(
-                    "a one-dimensional strongly convex cone has exactly one ray"
-                )
-            return (self.rays[0],)
-        normals = set()
-        for subset in itertools.combinations(self.rays, self.dim - 1):
-            normal = xm.kernel_vector(subset)
-            if normal is None:
-                continue
-            sides = [_idot(normal, ray) for ray in self.rays]
-            if all(s >= 0 for s in sides):
-                candidate = normal
-            elif all(s <= 0 for s in sides):
-                candidate = tuple(-x for x in normal)
-            else:
-                continue
-            tight = [r for r in self.rays if _idot(candidate, r) == 0]
-            if xm.matrix_rank(tight) == self.dim - 1:
-                normals.add(candidate)
-        return tuple(sorted(normals))
-
-    def _check_smooth_facets(self):
-        # A simplicial facet with rays T and primitive normal f is smooth when
-        # the gcd g of the maximal minors of T is 1.  Those minors, signed, form
-        # a vector orthogonal to T, hence +-g*f, so det(T, f) = +-g*<f, f>.
+        # A simplicial facet is smooth exactly when its rays' maximal minors
+        # have gcd 1.
         for normal in self.facet_normals:
             tight = [r for r in self.rays if _idot(normal, r) == 0]
             if len(tight) != self.dim - 1:
                 raise DomainError(f"facet with normal {normal} is not simplicial")
-            if abs(xm.determinant(tight + [normal])) != _idot(normal, normal):
+            if gcds[normal] != 1:
                 spanned = ", ".join(map(str, tight[:-1])) + f" and {tight[-1]}"
                 raise DomainError(
                     f"facet spanned by {spanned} is a singular cone, so the "
@@ -195,8 +220,7 @@ class ToricDivisor(namedtuple("ToricDivisor", "cone coeffs")):
         return ToricDivisor(self.cone, tuple(-c for c in self.coeffs))
 
     def __add__(self, other):
-        if self.cone != other.cone:
-            raise InputError("divisors live on different cones")
+        _check_indexed(self.cone, other)
         return ToricDivisor(
             self.cone, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
@@ -204,6 +228,13 @@ class ToricDivisor(namedtuple("ToricDivisor", "cone coeffs")):
     def scale(self, t):
         t = xm.parse_rational(t)
         return ToricDivisor(self.cone, tuple(t * c for c in self.coeffs))
+
+
+def _check_indexed(cone: ToricCone, divisor: ToricDivisor):
+    """Raise InputError unless the divisor's coefficients follow the cone's
+    rays in order; a cone listing the same rays in another order does not."""
+    if divisor.cone.rays != cone.rays:
+        raise InputError("the divisor's coefficients are not indexed by the cone's rays")
 
 
 def minimal_elements(cone: ToricCone, points):
@@ -348,7 +379,7 @@ def _lattice_points_between(cone: ToricCone, lower, upper):
     return points
 
 
-def module_generators(cone: ToricCone, lower_bounds, margin_scale: int = 1):
+def module_generators(cone: ToricCone, lower_bounds):
     """Minimal generators of {u in M : <u, ray_i> >= c_i} as a module over
     the dual-cone semigroup.
 
@@ -356,8 +387,7 @@ def module_generators(cone: ToricCone, lower_bounds, margin_scale: int = 1):
     plus a nonnegative combination of dual rays; if any dual-ray coefficient
     reaches 1 the element is dominated.  Minimal generators therefore lie
     within the vertex margins plus one zonotope of dual rays, and an exact
-    search over that slab finds them all.  ``margin_scale`` widens the slab;
-    the result must not depend on it, which the tests assert by doubling.
+    search over that slab finds them all.
     """
     lower = [xm.parse_rational(c) for c in lower_bounds]
     if len(lower) != len(cone.rays):
@@ -370,56 +400,27 @@ def module_generators(cone: ToricCone, lower_bounds, margin_scale: int = 1):
             [xm.dot(v, ray) - lower[i] for v in vertices], default=Fraction(0)
         )
         shift = sum(_idot(w, ray) for w in cone.dual_rays)
-        margins.append(margin_scale * (max(Fraction(0), vertex_margin) + shift))
+        margins.append(max(Fraction(0), vertex_margin) + shift)
     points = _lattice_points_between(cone, lower, margins)
     return minimal_elements(cone, points)
 
 
 def _region_vertices(cone: ToricCone, lower):
-    rows = cone.rays
-    n = cone.dim
+    """The vertices of {u : <u, ray_i> >= lower_i}, one per cell whose tight
+    form meets every other bound, in cell order."""
+    (c,), (scale,) = xm._integer_rows([lower])
     vertices = []
-    for subset in itertools.combinations(range(len(rows)), n):
-        try:
-            point = xm.solve_linear([rows[i] for i in subset], [lower[i] for i in subset])
-        except DomainError:  # singular: these rays meet in no vertex
-            continue
-        if all(xm.dot(point, ray) >= lo for ray, lo in zip(rows, lower)):
-            vertices.append(point)
+    for cell in cone.cells:
+        m = _tight_form(cell, c)
+        if all(_idot(m, cone.rays[i]) >= c[i] * cell.det for i in cell.others):
+            denom = cell.det * scale
+            vertices.append(tuple([Fraction(x, denom) for x in m]))
     return vertices
 
 
 # ---------------------------------------------------------------------------
 # Nef envelopes
 # ---------------------------------------------------------------------------
-
-
-# A simplicial cell: the indices of n linearly independent rays, the
-# determinant (made positive) of the matrix B with those rays as rows, the
-# adjugate A of B (B A = det I) by columns for lam and by rows for m, and
-# the indices of the other rays.  On the cell, v = sum lam_k ray_k with lam = A^T v / det,
-# and the form tight on its rays is m = A d_B / det.
-_Cell = namedtuple("_Cell", "rays det cols rows others")
-
-
-def _simplicial_cells(cone: ToricCone):
-    """The cells of every n-subset of the rays with nonzero determinant, in
-    combinations order; at most C(r, n) of them for r rays.  Built on the
-    cone's first envelope and cached on it."""
-    if cone._cells is None:
-        cells = []
-        every = range(len(cone.rays))
-        for subset in itertools.combinations(every, cone.dim):
-            try:
-                det, adj = xm.adjugate([cone.rays[i] for i in subset])
-            except DomainError:  # these rays span no cell
-                continue
-            sign = 1 if det > 0 else -1
-            rows = tuple([tuple([sign * x.numerator for x in row]) for row in adj])
-            others = tuple([i for i in every if i not in subset])
-            cells.append(_Cell(subset, sign * det.numerator, tuple(zip(*rows)), rows, others))
-        cone._cells = tuple(cells)
-    return cone._cells
 
 
 def _envelope(cone: ToricCone, coeffs, v):
@@ -431,16 +432,14 @@ def _envelope(cone: ToricCone, coeffs, v):
     Works in integers, with d cleared of denominators once.  Returns the
     value, m, the cell and the integer weights lam * det.
     """
-    scale = lcm(*[c.denominator for c in coeffs])
-    d = [c.numerator * (scale // c.denominator) for c in coeffs]
+    (d,), (scale,) = xm._integer_rows([coeffs])
     rays = cone.rays
-    for cell in _simplicial_cells(cone):
+    for cell in cone.cells:
         lam = [_idot(col, v) for col in cell.cols]
         if min(lam) < 0:
             continue
         det = cell.det
-        d_cell = [d[i] for i in cell.rays]
-        m = [_idot(row, d_cell) for row in cell.rows]
+        m = _tight_form(cell, d)
         # m is tight on the cell's rays by construction; the check below
         # does not take that on trust.
         if all(_idot(m, rays[i]) <= d[i] * det for i in cell.others):
@@ -453,7 +452,8 @@ def _envelope(cone: ToricCone, coeffs, v):
         sum([l * rays[i][j] for l, i in zip(lam, cell.rays)]) for j in range(cone.dim)
     ] == [det * x for x in v], "the envelope's dual weights do not combine the rays to v")
     value = _idot(m, v)
-    check(value == _idot(lam, d_cell), "the envelope's primal and dual values differ")
+    check(value == _idot(lam, [d[i] for i in cell.rays]),
+          "the envelope's primal and dual values differ")
     denom = det * scale
     return Fraction(value, denom), tuple([Fraction(x, denom) for x in m]), cell, lam
 
@@ -466,8 +466,7 @@ def envelope_certificate(cone: ToricCone, divisor: ToricDivisor, v):
     over the cone's simplicial cells; among tied optima, m is the form of
     the first certifying cell.
     """
-    if divisor.cone.rays != cone.rays:
-        raise InputError("the divisor's coefficients are not indexed by the cone's rays")
+    _check_indexed(cone, divisor)
     v = _as_lattice_vector(v, cone.dim)
     if not cone.contains(v):
         raise DomainError(f"valuation vector {v} lies outside the cone")
@@ -498,6 +497,7 @@ def is_numerically_cartier(cone: ToricCone, divisor: ToricDivisor) -> Numericall
     constructively, an interior valuation where the sum of the envelopes of
     D and -D is negative; that witness is returned together with the gap.
     """
+    _check_indexed(cone, divisor)
     solution, lam = xm.solve_general(cone.rays, divisor.coeffs)
     if solution is not None:
         check(xm.mat_vec(cone.rays, solution) == divisor.coeffs, "wrong Cartier certificate")
@@ -640,6 +640,7 @@ def defect_ideal(cone: ToricCone, divisor: ToricDivisor, m: int = 1) -> Monomial
     Generated by sums of a minimal module generator of each factor, then
     minimalized.  It is the unit ideal exactly when mD is Cartier.
     """
+    _check_indexed(cone, divisor)
     if cone.dim > 3:
         raise UnsupportedDimensionError("defect ideals are computed for dimension <= 3")
     if m < 1:

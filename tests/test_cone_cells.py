@@ -1,0 +1,215 @@
+"""ToricCone reads its facets and its isolation test off its simplicial
+cells.  Here the (n-1)-subset facet search and the determinant smoothness
+test that the cells replace are kept as references, on an integer
+Gauss-Jordan elimination with a Fraction back solve and on cofactor
+expansion, and compared with the constructor on seeded ray sets in
+dimensions 1-4, invalid ones included."""
+
+import itertools
+import random
+from collections import Counter
+from fractions import Fraction as F
+from math import comb, gcd, lcm
+
+import pytest
+
+import singvol.toric as toric
+from singvol import DomainError, ToricCone
+from singvol.exactmath import solve_linear
+
+from conftest import CONES_3D, apply, random_unimodular, transpose
+
+RAY_SETS = 5000
+
+
+def ray_sets(seed, count):
+    """(n, rays): up to n + 3 distinct primitive rays with entries in
+    [-b, b], b <= 3; every fifth set is a GL_n(Z) image of a 3-D isolated
+    cone with up to two extra rays, so that valid cones are common."""
+    rng = random.Random(seed)
+    sets = []
+    while len(sets) < count:
+        if len(sets) % 5 == 4:
+            n = 3
+            a, _ = random_unimodular(rng, 3)
+            rays = [apply(a, r) for r in rng.choice(list(CONES_3D.values()))]
+            extra = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 2))]
+        else:
+            n = rng.randint(1, 4)
+            bound = rng.choice([1, 1, 2, 3])
+            rays = []
+            extra = [tuple(rng.randint(-bound, bound) for _ in range(n))
+                     for _ in range(rng.randint(max(1, n - 1), n + 3))]
+        for v in extra:
+            if any(v):
+                g = gcd(*v)
+                v = tuple(x // g for x in v)
+                if v not in rays:
+                    rays.append(v)
+        if rays:
+            sets.append((n, rays))
+    return sets
+
+
+def _idot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _eliminate(rows, ncols):
+    """Gauss-Jordan elimination by integer row operations, each row kept
+    divided by the gcd of its entries: reduced rows, pivot columns."""
+    a = [list(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        top = a[r]
+        for i in range(len(a)):
+            f = a[i][c]
+            if i != r and f:
+                row = [top[c] * x - f * y for x, y in zip(a[i], top)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g else row
+        pivots.append(c)
+    return a, pivots
+
+
+def _rank(rows, n):
+    return len(_eliminate(rows, n)[1])
+
+
+def _kernel_line(rows, n):
+    """A primitive integer vector spanning the kernel, or None when the
+    kernel is not a line."""
+    a, pivots = _eliminate(rows, n)
+    if len(pivots) != n - 1:
+        return None
+    free = next(c for c in range(n) if c not in pivots)
+    vec = [F(0)] * n
+    vec[free] = F(1)
+    for row, c in zip(a, pivots):
+        vec[c] = F(-row[free], row[c])
+    scale = lcm(*[x.denominator for x in vec])
+    ints = [int(x * scale) for x in vec]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def _det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def reference_facets(rays, n):
+    """The sorted inward facet normals of an isolated cone on distinct
+    primitive rays, or the DomainError the constructor raises."""
+    if _rank(rays, n) != n:
+        raise DomainError("cone is not full-dimensional: rays do not span")
+    if n == 1:
+        if len(rays) != 1:
+            raise DomainError("a one-dimensional strongly convex cone has exactly one ray")
+        normals = (tuple(rays[0]),)
+    else:
+        found = set()
+        for subset in itertools.combinations(rays, n - 1):
+            normal = _kernel_line(subset, n)
+            if normal is None:
+                continue
+            sides = [_idot(normal, ray) for ray in rays]
+            if all(s >= 0 for s in sides):
+                candidate = normal
+            elif all(s <= 0 for s in sides):
+                candidate = tuple(-x for x in normal)
+            else:
+                continue
+            if _rank([r for r in rays if _idot(candidate, r) == 0], n) == n - 1:
+                found.add(candidate)
+        normals = tuple(sorted(found))
+    if _rank(normals, n) != n:
+        raise DomainError("cone is not strongly convex: it contains a line")
+    for ray in rays:
+        if _rank([f for f in normals if _idot(f, ray) == 0], n) != n - 1:
+            raise DomainError(f"ray {ray} is not an extreme ray of the cone spanned by the input")
+    for normal in normals:
+        tight = [r for r in rays if _idot(normal, r) == 0]
+        if len(tight) != n - 1:
+            raise DomainError(f"facet with normal {normal} is not simplicial")
+        if abs(_det(tight + [normal])) != _idot(normal, normal):
+            spanned = ", ".join(map(str, tight[:-1])) + f" and {tight[-1]}"
+            raise DomainError(
+                f"facet spanned by {spanned} is a singular cone, so the singularity is not isolated"
+            )
+    return normals
+
+
+def outcome(build, rays, n):
+    try:
+        return build(rays, n)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def test_constructor_matches_the_subset_and_determinant_references():
+    kinds = Counter()
+    for n, rays in ray_sets(2010, RAY_SETS):
+        expected = outcome(reference_facets, rays, n)
+        found = outcome(lambda rays, n: ToricCone(rays, dim=n).facet_normals, rays, n)
+        assert found == expected, (n, rays)
+        kinds[(n, "ok") if type(expected[0]) is tuple else expected[1].split(" ")[0]] += 1
+    # Every dimension has valid cones, and every kind of rejection occurs.
+    assert all(kinds[(n, "ok")] >= 20 for n in range(1, 5)), kinds
+    assert all(kinds[word] >= 10 for word in ("cone", "a", "ray", "facet")), kinds
+    assert sum(kinds[(n, "ok")] for n in range(1, 5)) >= 500, kinds
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_facets_follow_gl_n_and_ray_permutations(seed):
+    """Under v -> A v the facet normals map by A^{-T}; relabelling the rays
+    changes neither them nor the number of cells."""
+    rng = random.Random(seed)
+    checked = 0
+    for n, rays in ray_sets(seed, 300):
+        a, inv = random_unimodular(rng, n) if n > 1 else ([[-1]], [[-1]])
+        image = [apply(a, r) for r in rays]
+        rng.shuffle(image)
+        try:
+            cone = ToricCone(rays, dim=n)
+        except DomainError:
+            with pytest.raises(DomainError):
+                ToricCone(image, dim=n)
+            continue
+        moved = ToricCone(image, dim=n)
+        assert moved.facet_normals == tuple(sorted(apply(transpose(inv), f) for f in cone.facet_normals))
+        assert len(moved.cells) == len(cone.cells) <= comb(len(rays), n)
+        checked += 1
+    assert checked >= 50
+
+
+def test_region_vertices_match_subset_solves():
+    """The section-region vertices read off the cells equal those of a
+    linear solve on every n-subset of the rays, in the same order."""
+    rng = random.Random(11)
+    checked = 0
+    for n, rays in ray_sets(11, 400):
+        try:
+            cone = ToricCone(rays, dim=n)
+        except DomainError:
+            continue
+        for _ in range(3):
+            lower = [F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in rays]
+            expected = []
+            for subset in itertools.combinations(range(len(rays)), n):
+                try:
+                    point = solve_linear([rays[i] for i in subset], [lower[i] for i in subset])
+                except DomainError:
+                    continue
+                if all(_idot(point, ray) >= lo for ray, lo in zip(rays, lower)):
+                    expected.append(point)
+            assert toric._region_vertices(cone, lower) == expected, (rays, lower)
+            checked += 1
+    assert checked >= 150

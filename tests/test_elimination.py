@@ -12,14 +12,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singvol import DomainError, InternalError
+from singvol import DomainError, InputError, InternalError
 from singvol import exactmath as xm
 from singvol.exactmath import (
     adjugate,
     determinant,
     failing_principal_minor,
     is_negative_definite,
-    kernel_vector,
     matrix_rank,
     solve_general,
     solve_linear,
@@ -51,16 +50,17 @@ def to_sympy(rows):
 
 
 @st.composite
-def matrices(draw, square=False, max_size=8):
+def matrices(draw, square=False, max_size=8, integer=False):
     """Integer or rational matrices up to max_size x max_size; about half
     have rows that are integer combinations of fewer rows, so singular and
-    rank-deficient inputs are common."""
+    rank-deficient inputs are common.  With ``integer`` every entry is an
+    int."""
     nrows = draw(st.integers(1, max_size))
     ncols = nrows if square else draw(st.integers(1, max_size))
-    if draw(st.booleans()):
+    if not integer and draw(st.booleans()):
         entry = st.fractions(-9, 9, max_denominator=6)
     else:
-        entry = st.integers(-9, 9).map(F)
+        entry = st.integers(-9, 9) if integer else st.integers(-9, 9).map(F)
     row = st.lists(entry, min_size=ncols, max_size=ncols)
     if not draw(st.booleans()):
         return draw(st.lists(row, min_size=nrows, max_size=nrows))
@@ -69,7 +69,7 @@ def matrices(draw, square=False, max_size=8):
     rows = list(basis)
     for _ in range(nrows - rank):
         coeffs = draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank))
-        rows.append([sum((c * b[j] for c, b in zip(coeffs, basis)), F(0)) for j in range(ncols)])
+        rows.append([sum((c * b[j] for c, b in zip(coeffs, basis)), 0 if integer else F(0)) for j in range(ncols)])
     order = draw(st.permutations(range(nrows)))
     return [rows[i] for i in order]
 
@@ -86,17 +86,21 @@ class TestAgainstSympy:
         assert determinant(rows) == to_sympy(rows).det()
 
     @settings(max_examples=80, deadline=None)
-    @given(matrices(square=True))
+    @given(matrices(square=True, integer=True))
     def test_adjugate(self, rows):
-        matrix = to_sympy(rows)
+        halved = [row[:] for row in rows]
+        halved[-1][-1] = F(2 * rows[-1][-1] + 1, 2)
+        with pytest.raises(InputError, match="not an integer vector"):
+            adjugate(halved)
+        matrix = sympy.Matrix(rows)
         if matrix.det() == 0:
             with pytest.raises(DomainError, match="^singular matrix in adjugate$"):
                 adjugate(rows)
             return
-        det, adj = adjugate(rows)
-        assert type(det) is F and all(type(x) is F for row in adj for x in row)
+        det, cols = adjugate(rows)
+        assert type(det) is int and all(type(x) is int for col in cols for x in col)
         assert det == matrix.det()
-        assert [list(row) for row in adj] == matrix.adjugate().tolist()
+        assert [list(row) for row in zip(*cols)] == matrix.adjugate().tolist()
 
     @settings(max_examples=80, deadline=None)
     @given(matrices())
@@ -161,19 +165,13 @@ class TestAgainstSympy:
             assert all(sum(l * row[j] for l, row in zip(lam, rows)) == 0 for j in range(ncols))
             assert xm.dot(lam, b) != 0
 
-    @settings(max_examples=80, deadline=None)
-    @given(matrices())
-    def test_kernel_vector(self, rows):
-        basis = to_sympy(rows).nullspace()
-        vec = kernel_vector(rows)
-        if len(basis) != 1:
-            assert vec is None
-            return
-        assert all(type(v) is int for v in vec)
-        assert xm.primitive_vector(vec) == vec
-        assert all(xm.dot(row, vec) == 0 for row in rows)
-        assert sympy.Matrix([vec]).rank() == 1
-        assert sympy.Matrix.hstack(basis[0], sympy.Matrix(vec)).rank() == 1
+
+@pytest.mark.parametrize("rows", [
+    [[F(1, 2), 0], [0, 1]], [[1, 2], [3, "4"]], [[True, 0], [0, 1]], [[1, 2], [3]], [],
+])
+def test_adjugate_takes_square_integer_matrices(rows):
+    with pytest.raises(InputError):
+        adjugate(rows)
 
 
 def test_chain_determinants_closed_form():
@@ -320,8 +318,6 @@ class TestSelfChecks:
             solve_linear([[2, 1], [1, 3]], [1, 1])
         with pytest.raises(InternalError, match="solution"):
             solve_general([[2, 1], [1, 3], [3, 4]], [1, 1, 2])
-        with pytest.raises(InternalError, match="kernel vector"):
-            kernel_vector([[1, 2, 3], [4, 5, 6]])
         with pytest.raises(InternalError, match="^adjugate failed its exact check$"):
             adjugate([[2, 1], [1, 3]])
 

@@ -16,6 +16,7 @@ from singvol import (
     MonomialIdeal,
     ToricCone,
     ToricDivisor,
+    ToricEndo,
     UnsupportedDimensionError,
     defect_ideal,
     envelope_certificate,
@@ -31,6 +32,7 @@ from singvol import (
     mixed_multiplicity,
     module_generators,
     ord_value,
+    pullback_divisor,
     samuel_multiplicity,
     z_value,
 )
@@ -123,7 +125,8 @@ def isolation_verdict(rays):
 
 
 class TestIsolationInEveryDimension:
-    """The facet test det(T, f) = +-<f, f> in dimensions 4 and 5."""
+    """The facet test g = 1, g the gcd of a cell's adjugate column, in
+    dimensions 4 and 5."""
 
     def test_singular_facet_is_rejected(self):
         with pytest.raises(DomainError, match=r"facet spanned by \(1, 0, 0, 0\), \(1, 2, 0, 0\) and "):
@@ -217,6 +220,54 @@ class TestEnvelope:
         assert value == 3
         for ray, d in zip(quadric.rays, divisor.coeffs):
             assert sum(m * x for m, x in zip(point, ray)) <= d
+
+
+class TestRayOrder:
+    """A divisor of a cone that lists the same rays in another order is
+    rejected, not read at the wrong rays.  The divisors have coefficients
+    1, 2, ... at the rays of the quadric and the hexagon rotated by one."""
+
+    @pytest.fixture(params=["quadric", "hexagon"])
+    def rotated(self, request):
+        rays = CONES_3D[request.param]
+        cone, rotated = ToricCone(rays), ToricCone(rays[1:] + rays[:1])
+        assert cone == rotated
+        return cone, ToricDivisor(rotated, range(1, len(rays) + 1))
+
+    def test_divisor_moved_through_the_ray_map(self, rotated):
+        cone, divisor = rotated
+        at = dict(zip(divisor.cone.rays, divisor.coeffs))
+        moved = ToricDivisor(cone, [at[ray] for ray in cone.rays])
+        ideal = defect_ideal(divisor.cone, divisor)
+        assert defect_ideal(cone, moved) == ideal
+        # Cartier on the quadric; 51 generators on the hexagon.
+        assert len(ideal.gens) == {4: 1, 6: 51}[len(cone.rays)]
+        assert (is_numerically_cartier(cone, moved).is_numerically_cartier
+                == is_numerically_cartier(divisor.cone, divisor).is_numerically_cartier
+                == ideal.is_unit)
+
+    def test_sum(self, rotated):
+        cone, divisor = rotated
+        with pytest.raises(InputError, match="not indexed by the cone's rays"):
+            ToricDivisor(cone, (0,) * len(cone.rays)) + divisor
+
+    def test_defect_ideal(self, rotated):
+        cone, divisor = rotated
+        with pytest.raises(InputError, match="not indexed by the cone's rays"):
+            defect_ideal(cone, divisor)
+
+    def test_is_numerically_cartier(self, rotated, monkeypatch):
+        cone, divisor = rotated
+        # Raised by the ray-order check, before any envelope is evaluated.
+        monkeypatch.setattr(toric, "_envelope", None)
+        with pytest.raises(InputError, match="not indexed by the cone's rays"):
+            is_numerically_cartier(cone, divisor)
+
+    def test_pullback_divisor(self, rotated):
+        cone, divisor = rotated
+        identity = ToricEndo(cone, [[int(i == j) for j in range(3)] for i in range(3)])
+        with pytest.raises(InputError, match="not indexed by the cone's rays"):
+            pullback_divisor(identity, divisor)
 
 
 class TestNumericallyCartier:
@@ -453,9 +504,16 @@ class TestDefectIdeal:
             (plane, [0, 0]),
         ]
         for cone, bounds in cases:
-            assert module_generators(cone, bounds) == module_generators(
-                cone, bounds, margin_scale=2
-            )
+            # The slab of module_generators, twice as wide.
+            lower = [F(c) for c in bounds]
+            vertices = toric._region_vertices(cone, lower)
+            margins = [
+                2 * (max([F(0)] + [xm.dot(v, ray) - lo for v in vertices])
+                     + sum(toric._idot(w, ray) for w in cone.dual_rays))
+                for ray, lo in zip(cone.rays, lower)
+            ]
+            wide = toric._lattice_points_between(cone, lower, margins)
+            assert module_generators(cone, bounds) == toric.minimal_elements(cone, wide)
 
     def test_section_module_of_trivial_divisor(self, quadric):
         assert module_generators(quadric, [0, 0, 0, 0]) == ((0, 0, 0),)
@@ -662,8 +720,7 @@ class TestSelfChecks:
 
     @staticmethod
     def corrupt_cells(monkeypatch, cone, fields):
-        cells = toric._simplicial_cells(cone)
-        monkeypatch.setattr(cone, "_cells", tuple(c._replace(**fields(c)) for c in cells))
+        monkeypatch.setattr(cone, "cells", tuple(c._replace(**fields(c)) for c in cone.cells))
 
     def test_envelope_form_infeasible(self, monkeypatch, quadric):
         # Cells that forget their other rays accept the first cell holding
@@ -686,7 +743,7 @@ class TestSelfChecks:
             envelope_certificate(quadric, ToricDivisor(quadric, D_SUM), (1, 1, 1))
 
     def test_envelope_without_cells(self, monkeypatch, quadric):
-        monkeypatch.setattr(quadric, "_cells", ())
+        monkeypatch.setattr(quadric, "cells", ())
         with pytest.raises(InternalError, match="no simplicial cell"):
             envelope_certificate(quadric, ToricDivisor(quadric, D_SUM), (1, 1, 1))
 
