@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd
 
 from .errors import DomainError, InputError
 from . import exactmath as xm
@@ -47,19 +48,16 @@ class ToricEndo:
         scales = []
         for ray in cone.rays:
             image = self.apply(ray)
-            if all(x == 0 for x in image):
-                raise DomainError(f"ray {ray} maps to zero")
             prim = xm.primitive_vector(image)
             if prim not in ray_index:
                 raise DomainError(
                     f"the matrix does not preserve the cone: ray {ray} maps to "
                     f"{image}, which is not on an extreme ray"
                 )
-            scale = next(i // p for i, p in zip(image, prim) if p != 0)
-            if scale < 1:
-                raise DomainError(f"ray {ray} maps to a negative multiple of a ray")
+            # image = gcd * prim, and prim keeps its orientation: the negative
+            # of a ray is never a ray of a strongly convex cone.
             targets.append(ray_index[prim])
-            scales.append(scale)
+            scales.append(gcd(*image))
         if set(targets) != set(range(len(cone.rays))):
             raise DomainError(
                 "the matrix does not map the extreme-ray set onto itself"
@@ -118,11 +116,7 @@ def sample_valuations(cone: ToricCone):
         samples.append(
             xm.primitive_vector(tuple(a + b for a, b in zip(total, ray)))
         )
-    unique = []
-    for s in samples:
-        if s not in unique:
-            unique.append(s)
-    return tuple(unique)
+    return tuple(dict.fromkeys(samples))
 
 
 class CheckItem(namedtuple("CheckItem", "name left right")):
@@ -146,8 +140,7 @@ class PushPullReport(namedtuple("PushPullReport", "degree checks")):
 
 
 def check_push_pull(endo: ToricEndo, divisor: ToricDivisor | None = None,
-                    ideal: MonomialIdeal | None = None,
-                    samples=None) -> PushPullReport:
+                    ideal: MonomialIdeal | None = None) -> PushPullReport:
     """Sampled verification of the pull-back transformation laws.
 
     For each sample valuation v the envelope of the pulled-back divisor at v
@@ -156,12 +149,10 @@ def check_push_pull(endo: ToricEndo, divisor: ToricDivisor | None = None,
     dimension two) must scale by the degree.
     """
     cone = endo.cone
-    if samples is None:
-        samples = sample_valuations(cone)
     checks = []
     if divisor is not None:
         pulled = pullback_divisor(endo, divisor)
-        for v in samples:
+        for v in sample_valuations(cone):
             image = endo.apply(v)
             checks.append(
                 CheckItem(

@@ -312,6 +312,7 @@ def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 
 def ideal_power(a: MonomialIdeal, k: int) -> MonomialIdeal:
+    (k,) = xm.integer_vector((k,))
     if k < 0:
         raise InputError("ideal power wants a nonnegative exponent")
     if k == 0:
@@ -337,17 +338,12 @@ def hilbert_basis(cone: ToricCone):
     """Minimal generating set of the dual-cone semigroup.
 
     Every irreducible element lies in the half-open zonotope spanned by the
-    primitive dual rays, so an exact search over that box suffices.
+    primitive dual rays.  That is the section slab at c = 0, whose region is
+    the dual cone with the single vertex 0, so the basis is the set of
+    minimal nonzero points of that slab.
     """
-    margins = [
-        sum(_idot(w, ray) for w in cone.dual_rays) for ray in cone.rays
-    ]
-    points = [
-        u
-        for u in _lattice_points_between(cone, [0] * len(cone.rays), margins)
-        if any(x != 0 for x in u)
-    ]
-    return minimal_elements(cone, points)
+    points = _section_slab(cone, [0] * len(cone.rays))
+    return minimal_elements(cone, [u for u in points if any(u)])
 
 
 def maximal_ideal(cone: ToricCone) -> MonomialIdeal:
@@ -355,13 +351,13 @@ def maximal_ideal(cone: ToricCone) -> MonomialIdeal:
     return MonomialIdeal(cone, hilbert_basis(cone))
 
 
-def _lattice_points_between(cone: ToricCone, lower, upper):
-    """Integer points u with lower_i <= <u, ray_i> <= lower_i + upper_i."""
+def _lattice_points_between(cone: ToricCone, lower, widths):
+    """Integer points u with lower_i <= <u, ray_i> <= lower_i + widths_i."""
     n = cone.dim
     constraints = []
-    for ray, lo, hi in zip(cone.rays, lower, upper):
+    for ray, lo, width in zip(cone.rays, lower, widths):
         constraints.append(([-x for x in ray], -lo))
-        constraints.append((ray, lo + hi))
+        constraints.append((ray, lo + width))
     box = []
     for j in range(n):
         hi_out = lp_max(LPProblem([int(i == j) for i in range(n)], constraints))
@@ -374,7 +370,7 @@ def _lattice_points_between(cone: ToricCone, lower, upper):
     points = []
     for u in itertools.product(*[range(lo, hi + 1) for lo, hi in box]):
         pairings = [_idot(u, ray) for ray in cone.rays]
-        if all(lo <= p <= lo + hi for p, lo, hi in zip(pairings, lower, upper)):
+        if all(lo <= p <= lo + width for p, lo, width in zip(pairings, lower, widths)):
             points.append(tuple(u))
     return points
 
@@ -383,38 +379,43 @@ def module_generators(cone: ToricCone, lower_bounds):
     """Minimal generators of {u in M : <u, ray_i> >= c_i} as a module over
     the dual-cone semigroup.
 
-    Any element decomposes as a convex combination of the region's vertices
-    plus a nonnegative combination of dual rays; if any dual-ray coefficient
-    reaches 1 the element is dominated.  Minimal generators therefore lie
-    within the vertex margins plus one zonotope of dual rays, and an exact
-    search over that slab finds them all.
+    <u, ray_i> is an integer, so each rational bound c_i is first rounded up
+    to ceil(c_i); the region then has the same lattice points and integer
+    bounds.  Any element decomposes as a convex combination of the region's
+    vertices plus a nonnegative combination of dual rays; if any dual-ray
+    coefficient reaches 1 the element is dominated.  Minimal generators
+    therefore lie in the section slab, and are its minimal elements.
     """
-    lower = [xm.parse_rational(c) for c in lower_bounds]
-    if len(lower) != len(cone.rays):
+    c = [ceil(xm.parse_rational(x)) for x in lower_bounds]
+    if len(c) != len(cone.rays):
         raise InputError("one lower bound per ray is required")
-    vertices = _region_vertices(cone, lower)
+    return minimal_elements(cone, _section_slab(cone, c))
+
+
+def _section_slab(cone: ToricCone, c):
+    """The lattice points u with c_i <= <u, ray_i> <= c_i + width_i, for
+    integer bounds c.  The width on ray i is the largest excess
+    <v, ray_i> - c_i over the region's vertices v, floored and clipped at
+    0, plus the zonotope shift sum_w <w, ray_i> over the dual rays w."""
+    vertices = _region_vertices(cone, c)
     check(vertices, "the section region has no vertex, yet it is pointed and nonempty")
-    margins = []
-    for i, ray in enumerate(cone.rays):
-        vertex_margin = max(
-            [xm.dot(v, ray) - lower[i] for v in vertices], default=Fraction(0)
-        )
-        shift = sum(_idot(w, ray) for w in cone.dual_rays)
-        margins.append(max(Fraction(0), vertex_margin) + shift)
-    points = _lattice_points_between(cone, lower, margins)
-    return minimal_elements(cone, points)
+    widths = []
+    for ray, lo in zip(cone.rays, c):
+        excess = max([_idot(m, ray) // det for m, det in vertices]) - lo
+        shift = sum([_idot(w, ray) for w in cone.dual_rays])
+        widths.append(max(0, excess) + shift)
+    return _lattice_points_between(cone, c, widths)
 
 
-def _region_vertices(cone: ToricCone, lower):
-    """The vertices of {u : <u, ray_i> >= lower_i}, one per cell whose tight
-    form meets every other bound, in cell order."""
-    (c,), (scale,) = xm._integer_rows([lower])
+def _region_vertices(cone: ToricCone, c):
+    """The vertices v of {u : <u, ray_i> >= c_i} for integer c, one per cell
+    whose tight form meets every other bound, in cell order, each as the
+    pair (det * v, det)."""
     vertices = []
     for cell in cone.cells:
         m = _tight_form(cell, c)
         if all(_idot(m, cone.rays[i]) >= c[i] * cell.det for i in cell.others):
-            denom = cell.det * scale
-            vertices.append(tuple([Fraction(x, denom) for x in m]))
+            vertices.append((m, cell.det))
     return vertices
 
 
@@ -643,15 +644,13 @@ def defect_ideal(cone: ToricCone, divisor: ToricDivisor, m: int = 1) -> Monomial
     _check_indexed(cone, divisor)
     if cone.dim > 3:
         raise UnsupportedDimensionError("defect ideals are computed for dimension <= 3")
+    (m,) = xm.integer_vector((m,))
     if m < 1:
         raise InputError("defect ideal wants a positive multiple m")
-    coeffs = []
-    for d in divisor.coeffs:
-        if Fraction(d).denominator != 1:
-            raise InputError("defect ideals are defined for integer divisors")
-        coeffs.append(int(d))
-    plus = module_generators(cone, [-m * d for d in coeffs])
-    minus = module_generators(cone, [m * d for d in coeffs])
+    if any(d.denominator != 1 for d in divisor.coeffs):
+        raise InputError("defect ideals are defined for integer divisors")
+    plus = module_generators(cone, [-m * d for d in divisor.coeffs])
+    minus = module_generators(cone, [m * d for d in divisor.coeffs])
     sums = {tuple(x + y for x, y in zip(u, u2)) for u in plus for u2 in minus}
     return MonomialIdeal(cone, sums)
 

@@ -192,7 +192,9 @@ def test_facets_follow_gl_n_and_ray_permutations(seed):
 
 def test_region_vertices_match_subset_solves():
     """The section-region vertices read off the cells equal those of a
-    linear solve on every n-subset of the rays, in the same order."""
+    linear solve on every n-subset of the rays, in the same order.  The
+    cells take integer bounds, so rational ones are cleared of their
+    denominators first; each vertex comes back as (det * v, det)."""
     rng = random.Random(11)
     checked = 0
     for n, rays in ray_sets(11, 400):
@@ -210,6 +212,10 @@ def test_region_vertices_match_subset_solves():
                     continue
                 if all(_idot(point, ray) >= lo for ray, lo in zip(rays, lower)):
                     expected.append(point)
-            assert toric._region_vertices(cone, lower) == expected, (rays, lower)
+            scale = lcm(*[x.denominator for x in lower])
+            pairs = toric._region_vertices(cone, [int(x * scale) for x in lower])
+            assert all(det > 0 and all(type(x) is int for x in m) for m, det in pairs)
+            found = [tuple([F(x, det * scale) for x in m]) for m, det in pairs]
+            assert found == expected, (rays, lower)
             checked += 1
     assert checked >= 150

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import ceil, lcm
 
 import pytest
 
@@ -36,7 +37,7 @@ from singvol import (
     samuel_multiplicity,
     z_value,
 )
-from singvol.oracle import colength
+from singvol.oracle import colength, multiplicity_estimate
 
 from conftest import CONES_3D, apply, random_m_primary_ideal, random_unimodular, transpose
 
@@ -481,6 +482,24 @@ class TestMixedMultiplicity:
             mixed_multiplicity(plane, [a])
 
 
+def slab_at_bounds(cone, lower, stretch=1):
+    """The lattice points of a slab over the rational bounds as given, not
+    rounded: lower_i <= <u, ray_i> <= lower_i + stretch * margin_i, the
+    margin being the largest vertex excess, clipped at 0, plus the zonotope
+    shift."""
+    scale = lcm(*[c.denominator for c in lower])
+    vertices = [
+        [F(x, det * scale) for x in m]
+        for m, det in toric._region_vertices(cone, [int(c * scale) for c in lower])
+    ]
+    margins = [
+        stretch * (max([F(0)] + [xm.dot(v, ray) - lo for v in vertices])
+                   + sum(toric._idot(w, ray) for w in cone.dual_rays))
+        for ray, lo in zip(cone.rays, lower)
+    ]
+    return toric._lattice_points_between(cone, lower, margins)
+
+
 class TestDefectIdeal:
     def test_zero_divisor_gives_unit(self, quadric):
         assert defect_ideal(quadric, ToricDivisor(quadric, (0, 0, 0, 0)), 1).is_unit
@@ -504,16 +523,23 @@ class TestDefectIdeal:
             (plane, [0, 0]),
         ]
         for cone, bounds in cases:
-            # The slab of module_generators, twice as wide.
-            lower = [F(c) for c in bounds]
-            vertices = toric._region_vertices(cone, lower)
-            margins = [
-                2 * (max([F(0)] + [xm.dot(v, ray) - lo for v in vertices])
-                     + sum(toric._idot(w, ray) for w in cone.dual_rays))
-                for ray, lo in zip(cone.rays, lower)
-            ]
-            wide = toric._lattice_points_between(cone, lower, margins)
+            wide = slab_at_bounds(cone, [F(c) for c in bounds], stretch=2)
             assert module_generators(cone, bounds) == toric.minimal_elements(cone, wide)
+
+    @pytest.mark.parametrize("rays", [
+        CONES_3D["quadric"], CONES_3D["hexagon"], CONES_3D["c3z3"],
+        [(0, 1), (5, -2)], [(0, 1), (7, -3)],
+    ], ids=["quadric", "hexagon", "c3z3", "cyclic-5-2", "cyclic-7-3"])
+    def test_rational_bounds_round_up(self, rays):
+        # <u, ray_i> is an integer, so c_i and ceil(c_i) cut out the same
+        # lattice points; the slab at the unrounded c is the reference.
+        cone = ToricCone(rays)
+        rng = random.Random(12)
+        for _ in range(6):
+            lower = [F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in rays]
+            gens = module_generators(cone, lower)
+            assert gens == module_generators(cone, [ceil(c) for c in lower]), lower
+            assert gens == toric.minimal_elements(cone, slab_at_bounds(cone, lower)), lower
 
     def test_section_module_of_trivial_divisor(self, quadric):
         assert module_generators(quadric, [0, 0, 0, 0]) == ((0, 0, 0),)
@@ -697,6 +723,38 @@ class TestLogDiscrepancy:
             log_discrepancy_value(quadric, (1, 0, 0))
         with pytest.raises(DomainError):
             log_discrepancy_value(quadric, (2, 2, 0))
+
+
+EXPONENT_CALLS = ["ideal_power", "defect_ideal", "colength", "kmax", "ks"]
+
+
+class TestIntegerExponents:
+    """Powers, multiples and sample powers are read by integer_vector: text,
+    bools and non-integer fractions raise InputError, and an integer-valued
+    Fraction is that integer."""
+
+    @staticmethod
+    def call(name, plane, quadric):
+        a = MonomialIdeal(plane, [(1, 0), (0, 2)])
+        d = ToricDivisor(quadric, D_ONE)
+        return {
+            "ideal_power": lambda k: ideal_power(a, k),
+            "defect_ideal": lambda k: defect_ideal(quadric, d, k),
+            "colength": lambda k: colength(plane, a, k),
+            "kmax": lambda k: multiplicity_estimate(plane, a, k),
+            "ks": lambda k: multiplicity_estimate(plane, a, 4, ks=(k,)),
+        }[name]
+
+    @pytest.mark.parametrize("name", EXPONENT_CALLS)
+    @pytest.mark.parametrize("k", ["2", True, F(3, 2), 2.5], ids=["text", "bool", "fraction", "float"])
+    def test_non_integers_raise(self, plane, quadric, name, k):
+        with pytest.raises(InputError, match="not an integer vector"):
+            self.call(name, plane, quadric)(k)
+
+    @pytest.mark.parametrize("name", EXPONENT_CALLS)
+    def test_integer_fraction_is_an_integer(self, plane, quadric, name):
+        call = self.call(name, plane, quadric)
+        assert call(F(4, 2)) == call(2)
 
 
 class TestIncreasingNets:
