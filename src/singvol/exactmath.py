@@ -63,21 +63,36 @@ def mat_vec(m: Mat, v) -> Vec:
     return tuple([dot(row, v) for row in m])
 
 
+def _as_int(x):
+    """x as an int when it is an int or an integer-valued Fraction, else
+    None: text, the bools True and False and floats are not integers here,
+    as parse_rational reads no bool and no float as a rational."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int(x)
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    return None
+
+
+def integer(x) -> int:
+    """x as an int, such as 2 or Fraction(4, 2).  Raises InputError for
+    anything else, "2", True and 2.0 included."""
+    i = _as_int(x)
+    if i is None:
+        raise InputError(f"not an integer: {x!r}")
+    return i
+
+
 def integer_vector(v) -> tuple[int, ...]:
     """The entries of v as ints.  Raises InputError unless every entry is an
-    integer value, such as 2, Fraction(4, 2) or 2.0; text such as "2" and
-    the bools True and False are not numbers."""
+    int or an integer-valued Fraction, such as 2 or Fraction(4, 2); text
+    such as "2", the bools True and False and floats such as 2.0 are not."""
     ints = []
     for x in v:
         if type(x) is not int:
-            try:
-                i = int(x)
-                exact = not isinstance(x, (str, bytes, bool)) and Fraction(x) == i
-            except (TypeError, ValueError, OverflowError):
-                exact = False
-            if not exact:
+            x = _as_int(x)
+            if x is None:
                 raise InputError(f"not an integer vector: {v}")
-            x = i
         ints.append(x)
     return tuple(ints)
 

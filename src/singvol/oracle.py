@@ -32,7 +32,7 @@ def colength(cone: ToricCone, a: MonomialIdeal, k: int, cap: int = DEFAULT_POWER
     0 for the unit ideal, finite for an m-primary one."""
     if a.cone != cone:
         raise InputError("ideal does not live on the given cone")
-    (k,) = xm.integer_vector((k,))
+    k = xm.integer(k)
     if k < 0:
         raise InputError("power must be nonnegative")
     if k > cap:
@@ -91,7 +91,7 @@ class CountReport(namedtuple("CountReport", "ks colengths fitted")):
 
 def multiplicity_estimate(cone: ToricCone, a: MonomialIdeal, kmax: int, ks=None) -> CountReport:
     """Count colengths for k up to kmax and fit the leading coefficient."""
-    (kmax,) = xm.integer_vector((kmax,))
+    kmax = xm.integer(kmax)
     ks = xm.integer_vector(range(1, kmax + 1) if ks is None else ks)
     if any(k < 1 or k > kmax for k in ks):
         raise InputError("sample powers must lie in 1..kmax")

@@ -16,10 +16,13 @@ cells.  This module computes, exactly over the rationals:
 * the numerically-Cartier test with a linear-form certificate or an
   interior witness where the envelope sum goes negative;
 * monomial ideals: orders along valuations, Samuel and mixed
-  multiplicities via exact Newton-region covolumes, products, powers,
-  Hilbert bases and maximal ideals;
+  multiplicities via exact Newton-region covolumes, products, powers and
+  maximal ideals;
+* Hilbert bases of the dual cone, from the fundamental parallelepipeds of
+  the simplicial pieces of a pulling triangulation of it, each enumerated
+  as the det cosets of the lattice its rays span;
 * defect ideals of Weil divisors, via minimal module generators of the
-  section modules found by exact lattice search;
+  section modules found by exact lattice search in a slab;
 * Izumi comparison constants between interior valuations;
 * the log-discrepancy function, whose nonnegativity certifies that the
   toric volume vanishes.
@@ -103,7 +106,7 @@ class ToricCone:
             raise InputError("a cone needs at least one ray")
         if dim is None:
             dim = len(rays[0])
-        (self.dim,) = xm.integer_vector((dim,))
+        self.dim = xm.integer(dim)
         if self.dim < 1:
             raise InputError("cone dimension must be at least 1")
         seen = set()
@@ -312,7 +315,7 @@ def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 
 def ideal_power(a: MonomialIdeal, k: int) -> MonomialIdeal:
-    (k,) = xm.integer_vector((k,))
+    k = xm.integer(k)
     if k < 0:
         raise InputError("ideal power wants a nonnegative exponent")
     if k == 0:
@@ -337,13 +340,87 @@ def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 def hilbert_basis(cone: ToricCone):
     """Minimal generating set of the dual-cone semigroup.
 
-    Every irreducible element lies in the half-open zonotope spanned by the
-    primitive dual rays.  That is the section slab at c = 0, whose region is
-    the dual cone with the single vertex 0, so the basis is the set of
-    minimal nonzero points of that slab.
+    The dual cone is cut into simplicial pieces spanned by dual rays.  A
+    lattice point of a piece cone(w_1, ..., w_n) is a nonnegative integer
+    combination of the w_k plus a point of the piece's fundamental
+    parallelepiped, so the dual rays and those points generate the
+    semigroup, and the basis is the set of their minimal nonzero elements
+    (Bruns and Koch, J. Symbolic Comput. 2001).
     """
-    points = _section_slab(cone, [0] * len(cone.rays))
-    return minimal_elements(cone, [u for u in points if any(u)])
+    n = cone.dim
+    points = set(cone.dual_rays)
+    for piece in _dual_triangulation(cone):
+        rays = [cone.dual_rays[i] for i in piece]
+        cells = _simplicial_cells(rays, n)
+        check(len(cells) == 1, f"the dual cone's piece {rays} is not simplicial")
+        points.update(_parallelepiped_points(cells[0], rays))
+    points.discard((0,) * n)
+    return minimal_elements(cone, points)
+
+
+def _dual_triangulation(cone: ToricCone):
+    """A pulling triangulation of the dual cone, as tuples of n indices into
+    cone.dual_rays.
+
+    A face of the dual cone is the set of its dual rays, and its facets
+    are the largest proper nonempty faces cut out by one ray of the cone:
+    the dual rays of the face orthogonal to that ray.  A face spanned by as
+    many rays as its dimension is its own piece; any other face is coned
+    from its first ray over the pieces of its facets without that ray.
+    """
+    zeros = [
+        frozenset([i for i, w in enumerate(cone.dual_rays) if _idot(w, ray) == 0])
+        for ray in cone.rays
+    ]
+
+    def pieces(face, dim):
+        if len(face) == dim:
+            return [tuple(sorted(face))]
+        cuts = {face & z for z in zeros} - {face, frozenset()}
+        apex = min(face)
+        return [
+            (apex,) + piece
+            for g in cuts if apex not in g and not any(g < h for h in cuts)
+            for piece in pieces(g, dim - 1)
+        ]
+
+    return pieces(frozenset(range(len(cone.dual_rays))), cone.dim)
+
+
+def _parallelepiped_points(cell: _Cell, rays):
+    """The lattice points u = sum lam_k w_k with 0 <= lam_k < 1 of the
+    simplicial cone on the rays w_k of a cell, lam_k = <col_k, u> / det.
+
+    There is one per coset of the lattice the w_k span, det in all.  They
+    are reached from 0 by adding unit vectors and reducing each sum to its
+    coset's point; the count and the bounds are checked.
+    """
+    n, det = len(rays), cell.det
+    zero = (0,) * n
+    points, frontier = {zero}, [zero]
+    # A reduction that goes wrong could reach more than det points; the
+    # count check below stops it.
+    while frontier and len(points) <= det:
+        u = frontier.pop()
+        for j in range(n):
+            v = _reduce_to_parallelepiped(cell, rays, u[:j] + (u[j] + 1,) + u[j + 1:])
+            if v not in points:
+                points.add(v)
+                frontier.append(v)
+    check(len(points) == det,
+          f"a parallelepiped of determinant {det} holds {len(points)} lattice points")
+    check(all(0 <= _idot(col, u) < det for u in points for col in cell.cols),
+          "a parallelepiped point lies outside its parallelepiped")
+    return points
+
+
+def _reduce_to_parallelepiped(cell: _Cell, rays, u):
+    """u - sum_k floor(lam_k) w_k: the point of u's coset in the cell's
+    fundamental parallelepiped."""
+    floors = [_idot(col, u) // cell.det for col in cell.cols]
+    return tuple([
+        x - sum([f * w[j] for f, w in zip(floors, rays)]) for j, x in enumerate(u)
+    ])
 
 
 def maximal_ideal(cone: ToricCone) -> MonomialIdeal:
@@ -394,9 +471,10 @@ def module_generators(cone: ToricCone, lower_bounds):
 
 def _section_slab(cone: ToricCone, c):
     """The lattice points u with c_i <= <u, ray_i> <= c_i + width_i, for
-    integer bounds c.  The width on ray i is the largest excess
-    <v, ray_i> - c_i over the region's vertices v, floored and clipped at
-    0, plus the zonotope shift sum_w <w, ray_i> over the dual rays w."""
+    integer bounds c, where module_generators searches.  The width on ray i
+    is the largest excess <v, ray_i> - c_i over the region's vertices v,
+    floored and clipped at 0, plus the zonotope shift sum_w <w, ray_i> over
+    the dual rays w."""
     vertices = _region_vertices(cone, c)
     check(vertices, "the section region has no vertex, yet it is pointed and nonempty")
     widths = []
@@ -644,7 +722,7 @@ def defect_ideal(cone: ToricCone, divisor: ToricDivisor, m: int = 1) -> Monomial
     _check_indexed(cone, divisor)
     if cone.dim > 3:
         raise UnsupportedDimensionError("defect ideals are computed for dimension <= 3")
-    (m,) = xm.integer_vector((m,))
+    m = xm.integer(m)
     if m < 1:
         raise InputError("defect ideal wants a positive multiple m")
     if any(d.denominator != 1 for d in divisor.coeffs):

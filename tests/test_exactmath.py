@@ -371,13 +371,13 @@ class TestLpAgainstFloatSolver:
 class TestIntegerVectors:
     def test_primitive_vector(self):
         assert primitive_vector((4, -6, 0)) == (2, -3, 0)
-        assert primitive_vector((F(4), 2.0)) == (2, 1)
+        assert primitive_vector((F(4), 2)) == (2, 1)
 
     @pytest.mark.parametrize(
         "v",
         [
             ["x", 1], [None, 1], [F(1, 2), 1], [1.5, 1], [float("inf"), 1], ["1", 1], [b"1", 1],
-            [True, 0], [1, False],
+            [True, 0], [1, False], [F(4), 2.0], [2.0, 1],
         ],
     )
     def test_non_integer_entries_are_input_errors(self, v):

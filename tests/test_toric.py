@@ -63,7 +63,7 @@ class TestConeConstruction:
             ToricCone([(2, 2), (0, 1)])
 
     @pytest.mark.parametrize(
-        "bad", [("a", 0), (None, 0), (0.5, 0), ("1", 0), (" 1 ", 0), (b"1", 0), (True, 0)]
+        "bad", [("a", 0), (None, 0), (0.5, 0), (1.0, 0), ("1", 0), (" 1 ", 0), (b"1", 0), (True, 0)]
     )
     def test_rejects_non_integer_entries(self, bad):
         with pytest.raises(InputError, match="not an integer vector"):
@@ -729,9 +729,9 @@ EXPONENT_CALLS = ["ideal_power", "defect_ideal", "colength", "kmax", "ks"]
 
 
 class TestIntegerExponents:
-    """Powers, multiples and sample powers are read by integer_vector: text,
-    bools and non-integer fractions raise InputError, and an integer-valued
-    Fraction is that integer."""
+    """Powers, multiples and sample powers are read by exactmath.integer and
+    integer_vector: text, bools, floats (2.0 too) and non-integer fractions
+    raise InputError, and an integer-valued Fraction is that integer."""
 
     @staticmethod
     def call(name, plane, quadric):
@@ -746,10 +746,14 @@ class TestIntegerExponents:
         }[name]
 
     @pytest.mark.parametrize("name", EXPONENT_CALLS)
-    @pytest.mark.parametrize("k", ["2", True, F(3, 2), 2.5], ids=["text", "bool", "fraction", "float"])
+    @pytest.mark.parametrize("k", ["2", True, F(3, 2), 2.5, 2.0],
+                             ids=["text", "bool", "fraction", "float", "integral-float"])
     def test_non_integers_raise(self, plane, quadric, name, k):
-        with pytest.raises(InputError, match="not an integer vector"):
+        # A scalar is named as one; only the sample powers ks are a vector.
+        message = f"not an integer vector: ({k!r},)" if name == "ks" else f"not an integer: {k!r}"
+        with pytest.raises(InputError) as error:
             self.call(name, plane, quadric)(k)
+        assert str(error.value) == message
 
     @pytest.mark.parametrize("name", EXPONENT_CALLS)
     def test_integer_fraction_is_an_integer(self, plane, quadric, name):
