@@ -90,9 +90,12 @@ def integer_vector(v) -> tuple[int, ...]:
     ints = []
     for x in v:
         if type(x) is not int:
-            x = _as_int(x)
-            if x is None:
-                raise InputError(f"not an integer vector: {v}")
+            y = _as_int(x)
+            if y is None:
+                # An iterator is read once: name the entries read and the rest.
+                named = ints + [x] + list(v) if iter(v) is v else v
+                raise InputError(f"not an integer vector: {named}")
+            x = y
         ints.append(x)
     return tuple(ints)
 

@@ -37,9 +37,9 @@ has d_i = <m, ray_i>.  Sections of O(D) are the lattice points u with
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
-from math import ceil, factorial, floor, gcd, lcm
+from math import ceil, comb, factorial, floor, gcd, lcm, prod
 
 from .errors import DomainError, InputError, InternalError, UnsupportedDimensionError, check
 from . import exactmath as xm
@@ -686,11 +686,22 @@ def samuel_multiplicity(cone: ToricCone, a: MonomialIdeal) -> Fraction:
 
 
 def mixed_multiplicity(cone: ToricCone, ideals) -> Fraction:
-    """Mixed multiplicity by inclusion-exclusion polarization of products.
+    """Mixed multiplicity by polarization over the distinct products.
 
-    e(a_1, ..., a_n) = (1/n!) sum over nonempty S of (-1)^(n-|S|) e(prod_S).
-    Minus this value is the intersection number over the fixed point of the
-    nef divisors cut out by the ideals.
+    Group the arguments into distinct ideals b_1, ..., b_m taken k_1, ...,
+    k_m times.  Gathering the 2^n - 1 nonempty subsets of the arguments by
+    their product b^j = b_1^j_1 ... b_m^j_m gives
+
+        e(a_1, ..., a_n) = (1/n!) sum over 0 <= j <= k, j != 0, of
+                           (-1)^(n - |j|) C(k_1, j_1) ... C(k_m, j_m) e(b^j).
+
+    Each b^j is one ideal_product from b^(j - e_i), i the last index with
+    j_i > 0, and e is taken once per distinct product ideal: e(a, a, a)
+    takes 3 multiplicities and 2 products, e(m, m, m^2) takes 4
+    multiplicities, since m.m = m^2.  Mixed multiplicities of m-primary
+    ideals are positive integers, so the sum is checked to be a positive
+    multiple of n!.  Minus this value is the intersection number over the
+    fixed point of the nef divisors cut out by the ideals.
     """
     ideals = list(ideals)
     n = cone.dim
@@ -703,13 +714,21 @@ def mixed_multiplicity(cone: ToricCone, ideals) -> Fraction:
     for a in ideals:
         if not a.is_m_primary:
             raise DomainError("mixed multiplicity needs m-primary ideals")
-    total = Fraction(0)
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            product = ideals[subset[0]]
-            for i in subset[1:]:
-                product = ideal_product(product, ideals[i])
-            total += (-1) ** (n - size) * samuel_multiplicity(cone, product)
+    counts = Counter(ideals)
+    distinct, k = list(counts), list(counts.values())
+    products, values, total = {}, {}, 0
+    for j in itertools.product(*[range(ki + 1) for ki in k]):
+        if not any(j):
+            continue
+        i = max(t for t, jt in enumerate(j) if jt)
+        below = products.get(j[:i] + (j[i] - 1,) + j[i + 1:])
+        product = distinct[i] if below is None else ideal_product(below, distinct[i])
+        products[j] = product
+        if product not in values:
+            values[product] = samuel_multiplicity(cone, product)
+        total += (-1) ** (n - sum(j)) * prod(map(comb, k, j)) * values[product]
+    check(total > 0 and total % factorial(n) == 0,
+          f"polarized sum {total} is not a positive multiple of {n}!")
     return total / factorial(n)
 
 

@@ -114,6 +114,18 @@ class TestToricCommands:
         assert code == 0
         assert json.loads(out)["mixed_multiplicity"] == "2"
 
+    def test_mixed_powers_of_the_maximal_ideal(self, capsys, tmp_path, quadric_file):
+        # e(m, m, m^2) = 1 * 1 * 2 * e(m) = 4 on the quadric, where e(m) = 2.
+        m = write(tmp_path, "m.json", {"gens": [[1, 0, 0], [0, 1, 0], [1, 0, 1], [0, 1, 1]]})
+        m2 = write(tmp_path, "m2.json", {"gens": [
+            [0, 2, 0], [0, 2, 1], [0, 2, 2], [1, 1, 0], [1, 1, 1], [1, 1, 2], [2, 0, 0], [2, 0, 1], [2, 0, 2],
+        ]})
+        code, out, err = run(
+            capsys, ["toric", "mixed", "--cone", quadric_file, "--ideals", m, m, m2]
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"mixed_multiplicity": "4"}
+
     def test_defect(self, capsys, tmp_path, quadric_file):
         divisor = write(tmp_path, "d.json", {"coeffs": ["1", "1", "1", "0"]})
         code, out, _ = run(

@@ -384,6 +384,25 @@ class TestIntegerVectors:
         with pytest.raises(InputError, match="not an integer vector"):
             primitive_vector(v)
 
+    @pytest.mark.parametrize(
+        "v, named",
+        [
+            ([1, 1.5], "[1, 1.5]"),
+            ((1, 1.5), "(1, 1.5)"),
+            ([F(4, 2), "2", 3], "[Fraction(2, 1), '2', 3]"),
+            ({1.5}, "{1.5}"),
+            ((x for x in [1, 1.5]), "[1, 1.5]"),
+            (iter([F(4, 2), "2", 3]), "[2, '2', 3]"),
+        ],
+        ids=["list", "tuple", "list-kept-as-given", "set", "generator", "iterator-read-once"],
+    )
+    def test_rejected_vector_names_its_entries(self, v, named):
+        # Lists, tuples and sets are named as given; an iterator, which can
+        # be read only once, by the entries read so far and those after.
+        with pytest.raises(InputError) as error:
+            xm.integer_vector(v)
+        assert str(error.value) == f"not an integer vector: {named}"
+
 
 class TestLpSelfChecks:
     """Every LP certificate is checked before it is returned; a wrong one

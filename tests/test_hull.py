@@ -2,8 +2,9 @@
 
 The triple-enumeration hull and Newton-region covolume, the
 combinations-with-replacement ideal power, the all-pairs minimal elements,
-and the 2-D hull and 3x3 determinant over Fractions are kept here as
-references: the engines must agree with them exactly.
+the 2^n - 1 subset polarization of mixed multiplicities, and the 2-D hull
+and 3x3 determinant over Fractions are kept here as references: the
+engines must agree with them exactly.
 """
 
 import functools
@@ -19,7 +20,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import singvol.exactmath as xm
+import singvol.toric as toric
 from singvol import (
+    DomainError,
+    InputError,
     InternalError,
     MonomialIdeal,
     ToricCone,
@@ -164,6 +168,20 @@ def brute_force_power(a, k):
         for combo in itertools.combinations_with_replacement(a.gens, k)
     }
     return MonomialIdeal(a.cone, sums)
+
+
+def subset_mixed_multiplicity(cone, ideals):
+    """(1/n!) sum over the nonempty subsets S of the arguments of
+    (-1)^(n-|S|) e(prod_S), one product and one multiplicity per subset."""
+    n = cone.dim
+    total = F(0)
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            product = ideals[subset[0]]
+            for i in subset[1:]:
+                product = ideal_product(product, ideals[i])
+            total += (-1) ** (n - size) * samuel_multiplicity(cone, product)
+    return total / math.factorial(n)
 
 
 # -- random inputs -------------------------------------------------------------
@@ -403,6 +421,127 @@ class TestTeissierInequalities:
             )
 
 
+MIXED_PATTERNS = {2: ["aa", "ab"], 3: ["aaa", "aab", "aba", "baa", "abc"]}
+
+
+def pattern_ideals(rng, cone, pattern):
+    """Arguments following a pattern such as "aab": equal letters are equal
+    ideals, built as separate objects; distinct letters are random ideals."""
+    drawn = {}
+    for letter in pattern:
+        drawn.setdefault(letter, random_ideal(rng, cone))
+    return [MonomialIdeal(cone, drawn[letter].gens) for letter in pattern]
+
+
+def counting(monkeypatch, *names):
+    """Count the calls mixed_multiplicity makes to the named toric functions."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(toric, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(toric, name, counted)
+    return calls
+
+
+class TestMixedPolarization:
+    """mixed_multiplicity gathers the subsets of equal product: it must give
+    the subset loop's value with fewer products and multiplicities."""
+
+    @pytest.mark.parametrize(
+        "name, pattern",
+        [(name, p) for name in sorted(CONES_2D) for p in MIXED_PATTERNS[2]]
+        + [(name, p) for name in sorted(CONES_3D) for p in MIXED_PATTERNS[3]],
+    )
+    def test_matches_subset_loop(self, name, pattern):
+        cone = ToricCone({**CONES_2D, **CONES_3D}[name])
+        rng = random.Random(f"{name}-{pattern}")
+        for _ in range(6):
+            ideals = pattern_ideals(rng, cone, pattern)
+            assert mixed_multiplicity(cone, ideals) == subset_mixed_multiplicity(cone, ideals)
+
+    def test_argument_order(self):
+        rng = random.Random(14)
+        for name in sorted(CONES_3D):
+            cone = ToricCone(CONES_3D[name])
+            for pattern in ("aab", "abc"):
+                ideals = pattern_ideals(rng, cone, pattern)
+                values = {mixed_multiplicity(cone, list(p)) for p in itertools.permutations(ideals)}
+                assert len(values) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(MIXED_PATTERNS[3]))
+    def test_unimodular_images_with_shuffled_rays(self, rng, pattern):
+        cone = ToricCone(CONES_3D[rng.choice(sorted(CONES_3D))])
+        ideals = pattern_ideals(rng, cone, pattern)
+        a, inv = random_unimodular(rng, 3)
+        rays = [apply(a, r) for r in cone.rays]
+        rng.shuffle(rays)
+        image = ToricCone(rays)
+        inv_t = transpose(inv)
+        moved = [MonomialIdeal(image, [apply(inv_t, g) for g in i.gens]) for i in ideals]
+        assert mixed_multiplicity(image, moved) == mixed_multiplicity(cone, ideals)
+
+    def test_diagonal_is_samuel_multiplicity(self):
+        rng = random.Random(15)
+        for _ in range(20):
+            cone = random_cone(rng)
+            a = random_ideal(rng, cone)
+            assert mixed_multiplicity(cone, [a] * cone.dim) == samuel_multiplicity(cone, a)
+
+    @pytest.mark.parametrize("name", sorted(CONES_3D))
+    def test_powers_of_the_maximal_ideal(self, name):
+        cone = ToricCone(CONES_3D[name])
+        m = maximal_ideal(cone)
+        e_m = samuel_multiplicity(cone, m)
+        for orders in [(1, 1, 1), (1, 1, 2), (2, 1, 1), (1, 2, 2), (1, 2, 3)]:
+            ideals = [ideal_power(m, i) for i in orders]
+            assert mixed_multiplicity(cone, ideals) == math.prod(orders) * e_m
+
+    def test_ideals_on_different_cones_raise(self):
+        quadric, c3z3 = ToricCone(CONES_3D["quadric"]), ToricCone(CONES_3D["c3z3"])
+        mq, mc = maximal_ideal(quadric), maximal_ideal(c3z3)
+        for ideals in ([mq, mq, mc], [mc, mq, mq], [mc, mc, mc]):
+            with pytest.raises(InputError, match="does not live on the given cone"):
+                mixed_multiplicity(quadric, ideals)
+
+    def test_relabelled_cone_is_the_same_cone(self):
+        quadric = ToricCone(CONES_3D["quadric"])
+        relabelled = ToricCone(CONES_3D["quadric"][::-1])
+        m = maximal_ideal(quadric)
+        ideals = [m, MonomialIdeal(relabelled, m.gens), ideal_power(m, 2)]
+        assert mixed_multiplicity(quadric, ideals) == 4
+
+    def test_non_m_primary_ideal_raises(self):
+        plane = ToricCone(CONES_2D["plane"])
+        a = MonomialIdeal(plane, [(1, 0), (0, 2)])
+        for ideals in ([a, MonomialIdeal(plane, [(1, 0)])], [MonomialIdeal(plane, [(0, 1)])] * 2):
+            with pytest.raises(DomainError, match="m-primary"):
+                mixed_multiplicity(plane, ideals)
+
+    @pytest.mark.parametrize(
+        "pattern, samuel_calls, products",
+        [("aaa", 3, 2), ("aab", 5, 3), ("abc", 7, 4), ("aa", 2, 1), ("ab", 3, 1)],
+    )
+    def test_work_counts(self, monkeypatch, pattern, samuel_calls, products):
+        cone = ToricCone(CONES_2D["plane"] if len(pattern) == 2 else CONES_3D["hexagon"])
+        ideals = pattern_ideals(random.Random(pattern), cone, pattern)
+        expected = subset_mixed_multiplicity(cone, ideals)
+        calls = counting(monkeypatch, "samuel_multiplicity", "ideal_product")
+        assert mixed_multiplicity(cone, ideals) == expected
+        assert calls == {"samuel_multiplicity": samuel_calls, "ideal_product": products}
+
+    def test_equal_products_share_one_multiplicity(self, monkeypatch):
+        # m.m and m^2 are one ideal: e(m, m, m^2) takes e(m), e(m^2),
+        # e(m^3) and e(m^4), where the subset loop takes seven.
+        quadric = ToricCone(CONES_3D["quadric"])
+        m = maximal_ideal(quadric)
+        ideals = [m, m, ideal_power(m, 2)]
+        calls = counting(monkeypatch, "samuel_multiplicity", "ideal_product")
+        assert mixed_multiplicity(quadric, ideals) == 4
+        assert calls == {"samuel_multiplicity": 4, "ideal_product": 3}
+
+
 class TestMinimalElementsAgainstBruteForce:
     def test_random_sets_with_repeats(self):
         rng = random.Random(1975)
@@ -486,6 +625,66 @@ class TestInvariance:
 
 
 # -- self-checks ---------------------------------------------------------------
+
+
+class TestMixedIntegralityCheck:
+    """The polarized sum of an m-primary mixed multiplicity is a positive
+    multiple of n!; a multiplicity off on one product breaks that."""
+
+    @staticmethod
+    def off_on(monkeypatch, target, shift):
+        real = toric.samuel_multiplicity
+
+        def shifted(cone, a):
+            return real(cone, a) + (shift(cone) if a == target else 0)
+
+        monkeypatch.setattr(toric, "samuel_multiplicity", shifted)
+
+    @pytest.mark.parametrize("power", [1, 2, 3])
+    def test_off_by_one_raises(self, monkeypatch, power):
+        cone = ToricCone(CONES_3D["hexagon"])
+        a = random_ideal(random.Random(power), cone)
+        self.off_on(monkeypatch, ideal_power(a, power), lambda cone: 1)
+        with pytest.raises(InternalError, match="positive multiple of 3!"):
+            mixed_multiplicity(cone, [a, a, a])
+
+    def test_off_by_one_on_a_product_of_two_raises(self, monkeypatch):
+        plane = ToricCone(CONES_2D["plane"])
+        a = MonomialIdeal(plane, [(1, 0), (0, 2)])
+        b = MonomialIdeal(plane, [(2, 0), (0, 1)])
+        self.off_on(monkeypatch, ideal_product(a, b), lambda cone: 1)
+        with pytest.raises(InternalError, match="positive multiple of 2!"):
+            mixed_multiplicity(plane, [a, b])
+
+    def test_nonpositive_sum_raises(self, monkeypatch):
+        # e(a, b) = (e(ab) - e(a) - e(b)) / 2 = 1 here; an e(ab) lowered by
+        # 2 leaves a multiple of 2! that is not positive.
+        plane = ToricCone(CONES_2D["plane"])
+        a = MonomialIdeal(plane, [(1, 0), (0, 2)])
+        b = MonomialIdeal(plane, [(2, 0), (0, 1)])
+        self.off_on(monkeypatch, ideal_product(a, b), lambda cone: -2)
+        with pytest.raises(InternalError, match="polarized sum 0 "):
+            mixed_multiplicity(plane, [a, b])
+
+    def test_check_survives_optimize_flag(self):
+        script = (
+            "import singvol.toric as toric\n"
+            "from singvol import InternalError, MonomialIdeal, ToricCone, mixed_multiplicity\n"
+            "real = toric.samuel_multiplicity\n"
+            "toric.samuel_multiplicity = lambda cone, a: real(cone, a) + (len(a.gens) == 3)\n"
+            "plane = ToricCone([(1, 0), (0, 1)])\n"
+            "a = MonomialIdeal(plane, [(1, 0), (0, 2)])\n"
+            "b = MonomialIdeal(plane, [(2, 0), (0, 1)])\n"
+            "try:\n"
+            "    mixed_multiplicity(plane, [a, b])\n"
+            "except InternalError:\n"
+            "    print('checked')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.stdout.strip() == "checked", proc.stderr
 
 
 class TestCompactFaceVerifier:

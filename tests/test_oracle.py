@@ -102,6 +102,14 @@ class TestMultiplicityEstimate:
         assert all(err <= F(4, k) for err, k in zip(errors, report.ks))
         assert errors[-1] <= errors[0]
 
+    def test_sample_powers_from_a_generator(self, plane):
+        ideal = MonomialIdeal(plane, [(1, 0), (0, 2)])
+        report = multiplicity_estimate(plane, ideal, 4, ks=(k for k in (2, 4)))
+        assert report == multiplicity_estimate(plane, ideal, 4, ks=(2, 4))
+        with pytest.raises(InputError) as error:
+            multiplicity_estimate(plane, ideal, 4, ks=(k for k in (2, 1.5, 4)))
+        assert str(error.value) == "not an integer vector: [2, 1.5, 4]"
+
     def test_quadric_certifies_covolume_engine(self, quadric):
         mx = maximal_ideal(quadric)
         report = multiplicity_estimate(quadric, mx, 10, ks=(5, 10))
