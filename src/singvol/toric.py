@@ -4,8 +4,9 @@ A strongly convex full-dimensional cone sigma in Z^n carries an isolated
 torus-fixed point.  A cone builds its simplicial cells once, at
 construction: for each n-subset of its rays with nonzero determinant, the
 integer adjugate of those rays.  The facets, the isolation test, the
-envelopes and the vertices of section regions are all read off these
-cells.  This module computes, exactly over the rationals:
+envelopes, the numerically-Cartier test and the vertices of section
+regions are all read off these cells.  This module computes, exactly over
+the rationals:
 
 * nef envelopes of toric Weil divisors: the envelope of D at a valuation
   v in sigma is the maximum of <m, v> over all linear forms m with
@@ -14,7 +15,8 @@ cells.  This module computes, exactly over the rationals:
   read off one cell, in integers, with the primal m and the dual lam
   checked to be feasible and of equal value;
 * the numerically-Cartier test with a linear-form certificate or an
-  interior witness where the envelope sum goes negative;
+  interior witness where the envelope sum goes negative, both read off
+  the first cell in integers;
 * monomial ideals: orders along valuations, Samuel and mixed
   multiplicities via exact Newton-region covolumes, products, powers and
   maximal ideals;
@@ -39,7 +41,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter, namedtuple
 from fractions import Fraction
-from math import ceil, comb, factorial, floor, gcd, lcm, prod
+from math import ceil, comb, factorial, floor, gcd, prod
+from operator import mul
 
 from .errors import DomainError, InputError, InternalError, UnsupportedDimensionError, check
 from . import exactmath as xm
@@ -54,7 +57,7 @@ def _as_lattice_vector(v, dim) -> tuple[int, ...]:
 
 
 def _idot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 # A simplicial cell: the indices of n linearly independent rays, the
@@ -508,21 +511,26 @@ def _envelope(cone: ToricCone, coeffs, v):
     satisfies <m, ray_i> <= d_i.  Such a cell exists by LP duality, and the
     equal objective values <m, v> = sum lam_k d_k certify both optima.
 
-    Works in integers, with d cleared of denominators once.  Returns the
-    value, m, the cell and the integer weights lam * det.
+    Works in integers, with d cleared of denominators once; a cell is left
+    at its first negative weight.  Returns the value, m, the cell and the
+    integer weights lam * det.
     """
     (d,), (scale,) = xm._integer_rows([coeffs])
     rays = cone.rays
     for cell in cone.cells:
-        lam = [_idot(col, v) for col in cell.cols]
-        if min(lam) < 0:
-            continue
-        det = cell.det
-        m = _tight_form(cell, d)
-        # m is tight on the cell's rays by construction; the check below
-        # does not take that on trust.
-        if all(_idot(m, rays[i]) <= d[i] * det for i in cell.others):
-            break
+        lam = []
+        for col in cell.cols:
+            weight = _idot(col, v)
+            if weight < 0:
+                break
+            lam.append(weight)
+        else:
+            det = cell.det
+            m = _tight_form(cell, d)
+            # m is tight on the cell's rays by construction; the check below
+            # does not take that on trust.
+            if all(_idot(m, rays[i]) <= d[i] * det for i in cell.others):
+                break
     else:
         raise InternalError(f"no simplicial cell certifies the envelope at {v}")
     check(all(_idot(m, ray) <= di * det for ray, di in zip(rays, d)),
@@ -547,7 +555,7 @@ def envelope_certificate(cone: ToricCone, divisor: ToricDivisor, v):
     """
     _check_indexed(cone, divisor)
     v = _as_lattice_vector(v, cone.dim)
-    if not cone.contains(v):
+    if not all(_idot(f, v) >= 0 for f in cone.facet_normals):
         raise DomainError(f"valuation vector {v} lies outside the cone")
     return _envelope(cone, divisor.coeffs, v)[:2]
 
@@ -575,11 +583,22 @@ def is_numerically_cartier(cone: ToricCone, divisor: ToricDivisor) -> Numericall
     certificate.  Otherwise the inconsistency of that linear system yields,
     constructively, an interior valuation where the sum of the envelopes of
     D and -D is negative; that witness is returned together with the gap.
+
+    Both are read off the cone's first cell B, in integers, with d cleared
+    of denominators: its tight form m = A d_B is the only candidate, and the
+    first ray i it misses gives the relation lam = det e_i - sum_k
+    <col_k, ray_i> e_{B_k} among the rays, with <lam, d> = det d_i -
+    <m, ray_i> != 0.
     """
     _check_indexed(cone, divisor)
-    solution, lam = xm.solve_general(cone.rays, divisor.coeffs)
-    if solution is not None:
-        check(xm.mat_vec(cone.rays, solution) == divisor.coeffs, "wrong Cartier certificate")
+    (d,), (scale,) = xm._integer_rows([divisor.coeffs])
+    rays, cell = cone.rays, cone.cells[0]
+    det = cell.det
+    m = _tight_form(cell, d)
+    missed = next((i for i in cell.others if _idot(m, rays[i]) != det * d[i]), None)
+    if missed is None:
+        check(all(_idot(m, ray) == det * di for ray, di in zip(rays, d)),
+              "wrong Cartier certificate")
         sample = cone.interior_point()
         total = envelope_value(cone, divisor, sample) + envelope_value(
             cone, -divisor, sample
@@ -589,17 +608,20 @@ def is_numerically_cartier(cone: ToricCone, divisor: ToricDivisor) -> Numericall
             "numerically-Cartier contradiction: a linear certificate exists "
             f"but the envelope sum at {sample} is {total}",
         )
-        return NumericallyCartierResult(True, certificate=solution)
+        denom = det * scale
+        return NumericallyCartierResult(True, certificate=tuple([Fraction(x, denom) for x in m]))
 
-    # lam pairs to zero against every ray matrix row yet not against d.
-    if xm.dot(lam, divisor.coeffs) > 0:
-        lam = tuple(-x for x in lam)
-    scale = lcm(*[x.denominator for x in lam])
-    lam = [int(x * scale) for x in lam]
+    lam = [0] * len(rays)
+    lam[missed] = det
+    for k, col in zip(cell.rays, cell.cols):
+        lam[k] = -_idot(col, rays[missed])
+    check(_idot(lam, d) != 0 and not any(_idot(lam, column) for column in zip(*rays)),
+          "the inconsistency certificate is not a relation among the rays that d breaks")
     # w is both the lam > 0 and the -lam < 0 combination of rays, so a face
     # that holds w holds every ray in the relation lam.  The proper faces of
     # an isolated cone are simplicial, their rays carry no relation, and w is
-    # interior.  Its envelope sum is at most <lam, d> < 0.
+    # interior.  Its envelope sum is at most both <lam, d> and -<lam, d>, so
+    # it is negative whatever the sign of lam.
     w = tuple(
         sum(max(l, 0) * ray[j] for l, ray in zip(lam, cone.rays))
         for j in range(cone.dim)

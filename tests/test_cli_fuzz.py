@@ -1,0 +1,167 @@
+"""The CLI exit-code contract under generated JSON: `toric env`, `toric
+numcartier`, `toric defect` and `validate` exit 0, 2, 3 or 4 and never raise.
+
+Inputs mix valid isolated cones and divisors with wrong types, bools,
+floats, wrong lengths, non-primitive and zero rays, and valuations outside
+the cone.  Entries stay small, so every defect ideal is cheap.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from singvol.cli import main
+
+CONES = [
+    [[1, 0], [0, 1]],
+    [[1, 0], [-2, 3]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]],
+    [[1, 0, 1], [-1, 0, 1], [1, 1, 1], [-1, -1, 1], [0, 1, 1], [0, -1, 1]],
+    [[1, 0, 0], [0, 1, 0], [-1, -1, 3]],
+    [[1, 0, 0, 1], [-1, 0, 0, 1], [0, 1, 0, 1], [0, -1, 0, 1], [0, 0, 1, 1], [0, 0, -1, 1]],
+]
+
+junk = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "a", "1", "-1/2", "3/0", "1_0", " 1", "1.5", "+2"]),
+)
+entries = st.one_of(st.integers(-3, 3), junk)
+vectors = st.lists(st.integers(-3, 3), min_size=1, max_size=5)
+json_values = st.recursive(
+    st.one_of(st.integers(-3, 3), junk),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["dim", "rays", "coeffs", "gens", "x"]), inner, max_size=3),
+    ),
+    max_leaves=10,
+)
+
+
+@st.composite
+def cones(draw):
+    """A listed cone, possibly with one ray scaled (non-primitive), dropped,
+    lengthened, zeroed or given a junk entry; or up to five generated rays
+    in dimension 2 or 3; or any JSON."""
+    kind = draw(st.integers(0, 3))
+    if kind == 3:
+        return draw(json_values)
+    if kind == 2:
+        n = draw(st.integers(2, 3))
+        ray = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        rays = draw(st.lists(ray, min_size=1, max_size=5))
+        return {"dim": draw(st.one_of(st.just(n), entries)), "rays": rays}
+    rays = [list(ray) for ray in draw(st.sampled_from(CONES))]
+    if kind == 1:
+        i = draw(st.integers(0, len(rays) - 1))
+        change = draw(st.sampled_from(["scale", "drop", "lengthen", "junk", "zero"]))
+        if change == "scale":
+            rays[i] = [2 * x for x in rays[i]]
+        elif change == "drop":
+            del rays[i]
+        elif change == "lengthen":
+            rays[i].append(1)
+        elif change == "junk":
+            rays[i][0] = draw(junk)
+        else:
+            rays[i] = [0] * len(rays[i])
+    return {"dim": len(rays[0]) if rays else 0, "rays": rays}
+
+
+coefficient = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["2", "-1", "1/2", "-3/2", "0"]),
+    entries,
+)
+
+
+def shape(cone):
+    """(number of rays, dimension) of a cone object, or None."""
+    rays = cone.get("rays") if isinstance(cone, dict) else None
+    if isinstance(rays, list) and rays and isinstance(rays[0], list):
+        return len(rays), len(rays[0])
+    return None
+
+
+@st.composite
+def divisors(draw, cone):
+    """Mostly one coefficient per ray, some of them junk; else any length,
+    or any JSON."""
+    kind, count = draw(st.integers(0, 3)), (shape(cone) or (3, 3))[0]
+    if kind == 3:
+        return draw(json_values)
+    size = draw(st.integers(1, 7)) if kind == 2 else count
+    strategy = st.integers(-3, 3) if kind == 0 else coefficient
+    return {"coeffs": draw(st.lists(strategy, min_size=size, max_size=size))}
+
+
+@st.composite
+def at_texts(draw, cone):
+    """A sum of rays (inside the cone), its negative (outside it), any short
+    vector, or malformed text."""
+    kind = draw(st.integers(0, 3))
+    rays = cone["rays"] if shape(cone) else []
+    if kind < 2 and rays and all(type(x) is int for ray in rays for x in ray):
+        weights = draw(st.lists(st.integers(0, 2), min_size=len(rays), max_size=len(rays)))
+        v = [sum(w * ray[j] for w, ray in zip(weights, rays) if j < len(ray))
+             for j in range(len(rays[0]))]
+        v = v if kind == 0 else [-x for x in v]
+    elif kind < 3:
+        v = draw(vectors)
+    else:
+        return draw(st.sampled_from(["", "1,,2", "a", "1.0,2", "1, 2", "--1,1"]))
+    return ",".join(map(str, v))
+
+
+@st.composite
+def invocations(draw):
+    """(argv without the file paths, the cone object, the other object)."""
+    command = draw(st.sampled_from(["env", "numcartier", "defect", "validate"]))
+    cone = draw(cones())
+    other = draw(divisors(cone))
+    if command == "env":
+        return ["toric", "env", "--at=" + draw(at_texts(cone))], cone, other
+    if command == "numcartier":
+        return ["toric", "numcartier"], cone, other
+    if command == "defect":
+        argv = ["toric", "defect", "--m", str(draw(st.integers(0, 2)))]
+        if draw(st.booleans()):
+            argv.append("--at=" + draw(at_texts(cone)))
+        return argv, cone, other
+    kind = draw(st.sampled_from(["cone", "divisor", "ideal", "matrix", "graph"]))
+    target = draw(st.one_of(st.just(cone), st.just(other), json_values))
+    return ["validate", "--kind", kind], cone, target
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(invocations())
+def test_exit_codes_under_generated_json(workdir, invocation):
+    argv, cone, other = invocation
+    cone_path, other_path = workdir / "cone.json", workdir / "other.json"
+    cone_path.write_text(json.dumps(cone))
+    other_path.write_text(json.dumps(other))
+    if argv[0] == "validate":
+        argv = argv + ["--cone", str(cone_path), str(other_path)]
+    else:
+        argv = argv + ["--cone", str(cone_path), "--divisor", str(other_path)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects an option value
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, cone, other, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert err.getvalue().startswith(("error: ", "usage: ")), err.getvalue()

@@ -1,15 +1,23 @@
-"""Envelopes from simplicial cells against the simplex and the vertex
-enumerator, on 2,052 seeded (cone, divisor, v) triples: 2-D cyclic cones,
-the quadric, the hexagon and C^3/Z_3 with GL_3(Z) images of each, and the
-4-D cone over the octahedron."""
+"""Envelopes and numerically-Cartier tests from simplicial cells against
+independent references.
+
+* Envelopes against the simplex and the vertex enumerator, on 2,052 seeded
+  (cone, divisor, v) triples: 2-D cyclic cones, the quadric, the hexagon and
+  C^3/Z_3 with GL_3(Z) images of each, and the 4-D cone over the octahedron.
+* Both answers against exactmath.solve_general and the vertex enumerator on
+  2-D cyclic cones and on the 3-D and 4-D cones with GL_n(Z) images and
+  permuted rays, for integer and rational divisors, Cartier or not.
+"""
 
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
+import singvol.exactmath as xm
 import singvol.toric as toric
-from singvol import ToricCone, ToricDivisor, envelope_certificate, lp_max
+from singvol import ToricCone, ToricDivisor, envelope_certificate, is_numerically_cartier, lp_max
 from singvol.oracle import lp_vertex_enumerate
 
 from conftest import CONES_3D, apply, random_unimodular
@@ -87,3 +95,107 @@ def test_cells_agree_with_simplex_and_vertices(label, rays):
     # The uniqueness comparison is not vacuous on any cone.
     assert unique >= 10
 
+
+
+def permuted_cone_cases():
+    """(label, rays): the cyclic cones, and each 3-D cone and the octahedral
+    cone as given, with its rays permuted, and two GL_n(Z) images of it, one
+    of them with permuted rays; 22 cones in all."""
+    cases = [(f"cyclic-{p}-{q}", [(1, 0), (-q, p)]) for p, q in CYCLIC]
+    rng = random.Random(2011)
+    for name, rays in sorted(CONES_3D.items()) + [("octahedron", OCTAHEDRON)]:
+        n = len(rays[0])
+        a, b = random_unimodular(rng, n)[0], random_unimodular(rng, n)[0]
+        images, images_2 = [apply(a, r) for r in rays], [apply(b, r) for r in rays]
+        cases += [
+            (name, rays),
+            (f"{name}-permuted", rng.sample(rays, len(rays))),
+            (f"{name}-image", images),
+            (f"{name}-image-permuted", rng.sample(images_2, len(images_2))),
+        ]
+    return cases
+
+
+PERMUTED_CASES = permuted_cone_cases()
+DIVISORS_PER_CONE = 60
+
+
+def pairing(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def enumerated_envelope(cone, coeffs, v):
+    """The optimal value and the optimal vertices of the envelope LP, by
+    vertex enumeration."""
+    vertices = lp_vertex_enumerate(toric.envelope_problem(cone, ToricDivisor(cone, coeffs), v))
+    best = max(value for _, value in vertices)
+    return best, {point for point, value in vertices if value == best}
+
+
+def reference_numerically_cartier(cone, coeffs):
+    """(flag, certificate, witness, gap) through solve_general: the solution of
+    <m, ray_i> = d_i, or else a left-null vector lam of the rays with
+    <lam, d> < 0, whose positive part combines the rays to the witness; the
+    gap is the envelope sum there, by vertex enumeration."""
+    solution, lam = xm.solve_general(cone.rays, coeffs)
+    if solution is not None:
+        return True, solution, None, None
+    if pairing(lam, coeffs) > 0:
+        lam = [-x for x in lam]
+    scale = lcm(*[x.denominator for x in lam])
+    w = [sum(max(l * scale, 0) * ray[j] for l, ray in zip(lam, cone.rays)) for j in range(cone.dim)]
+    witness = xm.primitive_vector(w)
+    plus, _ = enumerated_envelope(cone, coeffs, witness)
+    minus, _ = enumerated_envelope(cone, [-d for d in coeffs], witness)
+    return False, None, witness, plus + minus
+
+
+def divisor_coefficients(rng, cone, t):
+    """Integer or rational coefficients; every third divisor is Cartier,
+    from an integer or a rational form."""
+    if t % 3 == 0:
+        m = [F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])) for _ in range(cone.dim)]
+        return [pairing(m, ray) for ray in cone.rays]
+    if t % 3 == 1:
+        return [F(rng.randint(-6, 6)) for _ in cone.rays]
+    return [F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in cone.rays]
+
+
+def forbidden(*args):
+    raise AssertionError("the cell path called the Fraction linear algebra")
+
+
+@pytest.mark.parametrize("label,rays", PERMUTED_CASES, ids=[label for label, _ in PERMUTED_CASES])
+def test_cells_agree_with_solve_general_and_vertices(label, rays, monkeypatch):
+    rng = random.Random(f"numcartier-cells-{label}")
+    cone = ToricCone(rays)
+    cases = []
+    for t in range(DIVISORS_PER_CONE):
+        coeffs = divisor_coefficients(rng, cone, t)
+        v = valuation(rng, cone, t % 3)
+        cases.append((coeffs, v, reference_numerically_cartier(cone, coeffs),
+                      enumerated_envelope(cone, coeffs, v)))
+    # Neither answer solves a Fraction system or takes a Fraction product.
+    for name in ("solve_general", "mat_vec", "dot"):
+        monkeypatch.setattr(xm, name, forbidden)
+    outcomes = set()
+    for coeffs, v, expected, (best, optima) in cases:
+        divisor = ToricDivisor(cone, coeffs)
+        result = is_numerically_cartier(cone, divisor)
+        assert tuple(result) == expected, (coeffs, result, expected)
+        outcomes.add(result.is_numerically_cartier)
+        value, m = envelope_certificate(cone, divisor, v)
+        assert value == best and m in optima, (coeffs, v, value, m)
+    # A simplicial cone is Q-factorial: every divisor on it is Cartier.
+    assert outcomes == ({True} if len(rays) == cone.dim else {True, False})
+
+
+def test_relation_of_opposite_sign():
+    # The first cell's relation here is (-2, -2, 2, 2, 0, 0), -2 times that of
+    # solve_general; the witness and the gap do not depend on the sign.
+    cone = ToricCone(OCTAHEDRON)
+    coeffs = [F(5), F(3), F(0), F(-5, 3), F(1), F(1)]
+    assert xm.solve_general(cone.rays, coeffs)[1] == (1, 1, -1, -1, 0, 0)
+    result = is_numerically_cartier(cone, ToricDivisor(cone, coeffs))
+    assert tuple(result) == reference_numerically_cartier(cone, coeffs)
+    assert result.witness == (0, 0, 0, 1) and result.gap == F(-29, 6)

@@ -41,6 +41,8 @@ from singvol.oracle import colength, multiplicity_estimate
 
 from conftest import CONES_3D, apply, random_m_primary_ideal, random_unimodular, transpose
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 D_SUM = (2, 1, 2, 1)
 D_ONE = (1, 1, 1, 0)
 D_TWO = (1, 0, 1, 1)
@@ -809,14 +811,31 @@ class TestSelfChecks:
         with pytest.raises(InternalError, match="no simplicial cell"):
             envelope_certificate(quadric, ToricDivisor(quadric, D_SUM), (1, 1, 1))
 
+    # The numerically-Cartier test reads the first cell B: its form
+    # m = A d_B is tight on B, the divisor is Cartier when m meets d on the
+    # other rays, and otherwise the first ray i it misses gives the relation
+    # det e_i - sum_k <col_k, ray_i> e_{B_k}.  On the quadric B = (0, 1, 2)
+    # and D_ONE misses ray 3.
+    WRONG_CARTIER = {"others": ()}
+    ZERO_RELATION = {"det": 0, "cols": ((0, 0, 0),) * 3}
+    BROKEN_RELATION = {"cols": ((2, 0, 0), (0, 2, 0), (0, 0, 2))}
+
     def test_wrong_cartier_certificate(self, monkeypatch, quadric):
-        monkeypatch.setattr(xm, "solve_general", lambda a, b: ((F(0),) * 3, None))
-        with pytest.raises(InternalError, match="certificate"):
-            is_numerically_cartier(quadric, ToricDivisor(quadric, D_SUM))
+        # A cell that forgets its other rays accepts its form unchecked.
+        self.corrupt_cells(monkeypatch, quadric, fields=lambda c: self.WRONG_CARTIER)
+        with pytest.raises(InternalError, match="wrong Cartier certificate"):
+            is_numerically_cartier(quadric, ToricDivisor(quadric, D_ONE))
 
     def test_zero_inconsistency_combination(self, monkeypatch, quadric):
-        monkeypatch.setattr(xm, "solve_general", lambda a, b: (None, (F(0),) * 4))
-        with pytest.raises(InternalError, match="zero valuation"):
+        # A zero combination pairs to zero with d, so it certifies nothing.
+        self.corrupt_cells(monkeypatch, quadric, fields=lambda c: self.ZERO_RELATION)
+        with pytest.raises(InternalError, match="not a relation among the rays"):
+            is_numerically_cartier(quadric, ToricDivisor(quadric, D_ONE))
+
+    def test_inconsistency_not_a_relation(self, monkeypatch, quadric):
+        # Doubled columns give ray_3 - 2 ray_3, which is not zero.
+        self.corrupt_cells(monkeypatch, quadric, fields=lambda c: self.BROKEN_RELATION)
+        with pytest.raises(InternalError, match="not a relation among the rays"):
             is_numerically_cartier(quadric, ToricDivisor(quadric, D_ONE))
 
     def test_nonnegative_gap(self, monkeypatch, quadric):
@@ -851,9 +870,26 @@ class TestSelfChecks:
             "except InternalError:\n"
             "    print('checked')\n"
         )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=SRC)
         proc = subprocess.run(
             [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
         )
         assert proc.stdout.strip() == "checked", proc.stderr
+
+    def test_cell_checks_survive_optimize_flag(self):
+        script = (
+            "import singvol.toric as toric\n"
+            "from singvol import InternalError\n"
+            "for fields in (%r, %r, %r):\n"
+            "    cone = toric.ToricCone([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])\n"
+            "    cone.cells = tuple(c._replace(**fields) for c in cone.cells)\n"
+            "    try:\n"
+            "        toric.is_numerically_cartier(cone, toric.ToricDivisor(cone, %r))\n"
+            "    except InternalError:\n"
+            "        print('checked')\n"
+        ) % (self.WRONG_CARTIER, self.ZERO_RELATION, self.BROKEN_RELATION, D_ONE)
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.stdout.split() == ["checked"] * 3, proc.stderr
