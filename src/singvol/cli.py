@@ -122,9 +122,9 @@ def _cmd_surface_classify(args):
 
 
 def _cmd_surface_pullback(args):
-    graph = args.graph
-    rhs = args.divisor if args.divisor is not None else surface_mod.canonical_intersections(graph)
-    return {"coeffs": _rats(surface_mod.numerical_pullback(graph, rhs))}
+    if args.divisor is None:
+        return {"coeffs": _rats(surface_mod.discrepancies(args.graph))}
+    return {"coeffs": _rats(surface_mod.numerical_pullback(args.graph, args.divisor))}
 
 
 def _cmd_surface_zariski(args):
@@ -134,7 +134,7 @@ def _cmd_surface_zariski(args):
     return {
         "nef_part": _rats(decomposition.nef_part),
         "neg_part": _rats(decomposition.neg_part),
-        "local_volume": format_rational(surface_mod.local_volume(graph, d)),
+        "local_volume": format_rational(surface_mod.nef_volume(graph, decomposition.nef_part)),
     }
 
 

@@ -338,15 +338,22 @@ def failing_principal_minor(m: Mat):
     rows = _entries(m)
     k = min(len(rows), len(rows[0])) if rows else 0
     ints, scales = _integer_rows(rows)
+    failing = _failing_minor(_bareiss(ints, k, pivoting=False).minors, scales)
+    if failing is None and len(rows) > k:
+        # A taller than wide matrix has no square leading block this big.
+        raise InputError("determinant requires a square matrix")
+    return failing
+
+
+def _failing_minor(minors, scales):
+    """Size and value of the first leading principal minor with
+    (-1)^size minor <= 0, or None, from the pivots of a pass without row
+    swaps over rows that were multiplied by scales before it."""
     scale = 1
-    minors = _bareiss(ints, k, pivoting=False).minors
     for size, (minor, row_scale) in enumerate(zip(minors, scales), 1):
         scale *= row_scale
         if (-1) ** size * minor <= 0:
             return size, Fraction(minor, scale)
-    if len(rows) > k:
-        # A taller than wide matrix has no square leading block this big.
-        raise InputError("determinant requires a square matrix")
     return None
 
 

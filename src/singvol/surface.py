@@ -20,6 +20,7 @@ import enum
 import re
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 
 from .errors import DomainError, InputError, InternalError, check
 from . import exactmath as xm
@@ -37,7 +38,10 @@ class Vertex(namedtuple("Vertex", "self_int genus")):
 
 
 class ResolutionGraph:
-    """Weighted dual graph of a resolution with exact validity checks."""
+    """Weighted dual graph of a resolution with exact validity checks.
+
+    Construction eliminates the intersection matrix once: the same pass
+    checks negative definiteness and solves for the log discrepancies."""
 
     def __init__(self, vertices, edges):
         verts = []
@@ -88,13 +92,25 @@ class ResolutionGraph:
             if len(seen) != k:
                 raise DomainError("resolution graph is not connected")
 
-        failing = xm.failing_principal_minor(self.intersection_matrix)
+        # One elimination without row swaps of M beside the canonical column
+        # K_j = 2g_j - 2 - s_j.  Its pivots are the leading principal minors,
+        # which decide negative definiteness (Sylvester), and back
+        # substitution gives y = D x for the discrepancies x, M x = K, with
+        # D = det M.
+        canonical = [2 * v.genus - 2 - v.self_int for v in verts]
+        work = [row + [c] for row, c in zip(rows, canonical)]
+        echelon = xm._bareiss(work, k, pivoting=False)
+        failing = xm._failing_minor(echelon.minors, [1] * k)
         if failing is not None:
             size, minor = failing
             raise DomainError(
                 "intersection matrix is not negative definite: leading principal "
                 f"minor of size {size} has determinant {xm.format_rational(minor)}"
             )
+        y, det = xm._back_substitute(work, echelon, k)
+        if _products(self, y) != [det * c for c in canonical]:
+            raise InternalError("the discrepancies failed their exact check")
+        self._log_discrepancies = tuple([Fraction(v + det, det) for v in y])
 
     def __len__(self):
         return len(self.vertices)
@@ -135,9 +151,21 @@ def _as_coeffs(graph, d):
     return coeffs
 
 
+def _products(graph: ResolutionGraph, x) -> list:
+    """The integers x . E_j for an integer divisor x, from the
+    self-intersections and the edges in O(|V| + |E|)."""
+    products = [v.self_int * c for v, c in zip(graph.vertices, x)]
+    for i, j, mult in graph.edges:
+        products[i] += mult * x[j]
+        products[j] += mult * x[i]
+    return products
+
+
 def intersect(graph: ResolutionGraph, d1, d2) -> Fraction:
-    """Intersection number of two exceptional divisors."""
-    return xm.dot(_as_coeffs(graph, d1), xm.mat_vec(graph.intersection_matrix, _as_coeffs(graph, d2)))
+    """Intersection number of two exceptional divisors.  Both are cleared of
+    denominators once, so the sum runs on ints and makes one Fraction."""
+    (a, b), (sa, sb) = xm._integer_rows([_as_coeffs(graph, d1), _as_coeffs(graph, d2)])
+    return Fraction(sum(map(mul, a, _products(graph, b))), sa * sb)
 
 
 def canonical_intersections(graph: ResolutionGraph):
@@ -162,12 +190,14 @@ def numerical_pullback(graph: ResolutionGraph, rhs):
 
 
 def discrepancies(graph: ResolutionGraph):
-    return numerical_pullback(graph, canonical_intersections(graph))
+    """The numerical pull-back of the canonical intersection numbers."""
+    return tuple([a - 1 for a in graph._log_discrepancies])
 
 
 def log_discrepancy_divisor(graph: ResolutionGraph):
-    """Coefficients of the log-discrepancy divisor: discrepancy plus one."""
-    return tuple([a + 1 for a in discrepancies(graph)])
+    """Coefficients of the log-discrepancy divisor: discrepancy plus one,
+    solved when the graph was built."""
+    return graph._log_discrepancies
 
 
 class ZariskiDecomposition(namedtuple("ZariskiDecomposition", "nef_part neg_part")):
@@ -229,8 +259,12 @@ def volume(graph: ResolutionGraph) -> Fraction:
 
 def local_volume(graph: ResolutionGraph, d) -> Fraction:
     """Minus the self-intersection of the nef part of d."""
-    decomposition = zariski_decompose(graph, d)
-    value = -intersect(graph, decomposition.nef_part, decomposition.nef_part)
+    return nef_volume(graph, zariski_decompose(graph, d).nef_part)
+
+
+def nef_volume(graph: ResolutionGraph, nef) -> Fraction:
+    """Minus the self-intersection of a nef part, checked nonnegative."""
+    value = -intersect(graph, nef, nef)
     check(value >= 0, "the local volume is negative")
     return value
 

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from singvol import InputError, ToricCone
+from singvol import InputError, ToricCone, jsonio, surface
 from singvol.cli import build_parser, main
 from singvol.endo import CheckItem, PushPullReport, SurfaceCoverReport, ToricVolumeReport
 from singvol.exactmath import LPOutcome, LPProblem
@@ -217,6 +217,28 @@ class TestSurfaceCommands:
             capsys, ["surface", "pullback", "--graph", graph, "--divisor", rhs]
         )
         assert json.loads(out) == {"coeffs": ["-2", "-1"]}
+
+    @pytest.mark.parametrize("divisor", [None, {"coeffs": ["-1", "1/3", "2"]}])
+    def test_zariski_decomposes_once(self, capsys, tmp_path, monkeypatch, divisor):
+        """The local volume is read off the decomposition already in hand."""
+        graph = write(tmp_path, "cusp.json", jsonio.graph_to_obj(cusp_cycle_graph([-3, -2, -4])))
+        argv = ["surface", "zariski", "--graph", graph]
+        if divisor is not None:
+            argv += ["--divisor", write(tmp_path, "d.json", divisor)]
+        calls = []
+        decompose = surface.zariski_decompose
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return decompose(*args, **kwargs)
+
+        monkeypatch.setattr(surface, "zariski_decompose", counted)
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert len(calls) == 1
+        payload = json.loads(out)
+        nef = [F(c) for c in payload["nef_part"]]
+        assert F(payload["local_volume"]) == -surface.intersect(calls[0][0], nef, nef)
 
 
 class TestEndoCommands:

@@ -1,9 +1,12 @@
 """The CLI exit-code contract under generated JSON: `toric env`, `toric
-numcartier`, `toric defect` and `validate` exit 0, 2, 3 or 4 and never raise.
+numcartier`, `toric defect` and `validate` exit 0, 2, 3 or 4, and `surface
+volume`, `classify` and `zariski` exit 0, 2 or 3; none raises.
 
 Inputs mix valid isolated cones and divisors with wrong types, bools,
 floats, wrong lengths, non-primitive and zero rays, and valuations outside
-the cone.  Entries stay small, so every defect ideal is cheap.
+the cone.  Graphs mix negative-definite trees and cycles with graphs that
+are not negative definite, disconnected, or carry loops, bools, floats or
+missing vertices.  Entries stay small, so every computation is cheap.
 """
 
 import io
@@ -137,9 +140,80 @@ def invocations(draw):
     return ["validate", "--kind", kind], cone, target
 
 
+@st.composite
+def graphs(draw):
+    """A random tree plus extra edges, each self-intersection at most minus
+    the degree (negative definite when strictly below it), possibly
+    spoilt: a vertex made too positive, an edge dropped (disconnected), a
+    loop, an edge to a missing vertex, a negative genus or a junk entry;
+    or any JSON."""
+    kind = draw(st.integers(0, 3))
+    if kind == 3:
+        return draw(json_values)
+    k = draw(st.integers(1, 6))
+    edges = [[draw(st.integers(0, v - 1)), v, draw(st.integers(1, 2))] for v in range(1, k)]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        if i != j:
+            edges.append([i, j, draw(st.integers(1, 2))])
+    degree = [0] * k
+    for i, j, mult in edges:
+        degree[i] += mult
+        degree[j] += mult
+    vertices = [{"self": -degree[v] - draw(st.integers(0, 2)), "genus": draw(st.integers(0, 2))}
+                for v in range(k)]
+    if kind > 0:
+        change = draw(st.sampled_from(["positive", "drop", "loop", "missing", "junk", "genus"]))
+        v = draw(st.integers(0, k - 1))
+        if change == "positive":
+            vertices[v]["self"] = draw(st.integers(-1, 2))
+        elif change == "drop":
+            if edges:
+                del edges[draw(st.integers(0, len(edges) - 1))]
+        elif change == "loop":
+            edges.append([v, v, 1])
+        elif change == "missing":
+            edges.append([v, k + draw(st.integers(0, 2)), 1])
+        elif change == "junk":
+            if edges and draw(st.booleans()):
+                edges[0][draw(st.integers(0, 2))] = draw(junk)
+            else:
+                vertices[v][draw(st.sampled_from(["self", "genus"]))] = draw(junk)
+        else:
+            vertices[v]["genus"] = -1
+    return {"vertices": vertices, "edges": edges}
+
+
+@st.composite
+def surface_invocations(draw):
+    """(argv without the file paths, the graph object, a divisor or None)."""
+    command = draw(st.sampled_from(["volume", "classify", "zariski"]))
+    graph = draw(graphs())
+    divisor = None
+    if command == "zariski" and draw(st.booleans()):
+        vertices = graph.get("vertices") if isinstance(graph, dict) else None
+        count = len(vertices) if isinstance(vertices, list) else 3
+        size = count if draw(st.booleans()) else draw(st.integers(1, 7))
+        divisor = draw(st.one_of(
+            st.fixed_dictionaries({"coeffs": st.lists(coefficient, min_size=size, max_size=size)}),
+            json_values,
+        ))
+    return ["surface", command], graph, divisor
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects an option value
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -153,15 +227,30 @@ def test_exit_codes_under_generated_json(workdir, invocation):
         argv = argv + ["--cone", str(cone_path), str(other_path)]
     else:
         argv = argv + ["--cone", str(cone_path), "--divisor", str(other_path)]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects an option value
-            code = exc.code
-    assert code in (0, 2, 3, 4), (argv, cone, other, code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+    code, out, err = run_main(argv)
+    assert code in (0, 2, 3, 4), (argv, cone, other, code, err)
+    assert "Traceback" not in err
     if code == 0:
-        json.loads(out.getvalue())
+        json.loads(out)
     else:
-        assert err.getvalue().startswith(("error: ", "usage: ")), err.getvalue()
+        assert err.startswith(("error: ", "usage: ")), err
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(surface_invocations())
+def test_surface_exit_codes_under_generated_json(workdir, invocation):
+    argv, graph, divisor = invocation
+    graph_path = workdir / "graph.json"
+    graph_path.write_text(json.dumps(graph))
+    argv = argv + ["--graph", str(graph_path)]
+    if divisor is not None:
+        divisor_path = workdir / "divisor.json"
+        divisor_path.write_text(json.dumps(divisor))
+        argv += ["--divisor", str(divisor_path)]
+    code, out, err = run_main(argv)
+    assert code in (0, 2, 3), (argv, graph, divisor, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+    else:
+        assert err.startswith("error: "), err

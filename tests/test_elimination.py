@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singvol import DomainError, InputError, InternalError
+from singvol import DomainError, InputError, InternalError, ResolutionGraph
 from singvol import exactmath as xm
 from singvol.exactmath import (
     adjugate,
@@ -30,6 +30,7 @@ from singvol.surface import (
     cone_graph,
     cusp_cycle_graph,
     du_val_graph,
+    intersect,
     local_volume,
     volume,
     zariski_decompose,
@@ -303,6 +304,49 @@ class TestAgainstFractionReference:
                 assert type(value) is F, (graph, d)
 
 
+def rational_divisor(rng, k):
+    return [rng.choice([rng.randint(-4, 4), F(rng.randint(-6, 6), rng.randint(1, 6)),
+                        f"{rng.randint(-9, 9)}/{rng.randint(1, 5)}"]) for _ in range(k)]
+
+
+def multigraphs(rng):
+    """Random graphs with repeated edges between one pair of vertices, and
+    cusp cycles of length two, whose one edge has multiplicity 2."""
+    graphs = [cusp_cycle_graph([rng.randint(-5, -2), rng.randint(-5, -3)]) for _ in range(5)]
+    while len(graphs) < 25:
+        graph = random_graph(rng, max_vertices=8, max_extra_edges=6)
+        pairs = [(i, j) for i, j, _ in graph.edges]
+        if len(set(pairs)) < len(pairs):
+            graphs.append(graph)
+    return graphs
+
+
+class TestIntersect:
+    """The integer sum over vertices and edges against the dense Fraction
+    form it replaced."""
+
+    def test_against_fraction_reference(self):
+        rng = random.Random(811)
+        for graph in reference_graphs(rng) + multigraphs(rng):
+            matrix = fraction_matrix(graph)
+            for _ in range(3):
+                a, b = rational_divisor(rng, len(graph)), rational_divisor(rng, len(graph))
+                fa, fb = [xm.parse_rational(c) for c in a], [xm.parse_rational(c) for c in b]
+                found = intersect(graph, a, b)
+                assert found == fraction_dot(fa, [fraction_dot(row, fb) for row in matrix]), (graph, a, b)
+                assert type(found) is F
+
+    def test_symmetric_and_invariant_under_relabelling(self):
+        rng = random.Random(812)
+        for graph in reference_graphs(rng) + multigraphs(rng):
+            a, b = rational_divisor(rng, len(graph)), rational_divisor(rng, len(graph))
+            order = list(range(len(graph)))
+            rng.shuffle(order)
+            value = intersect(graph, a, b)
+            assert intersect(graph, b, a) == value
+            assert intersect(graph.permuted(order), [a[old] for old in order], [b[old] for old in order]) == value
+
+
 class TestSelfChecks:
     """A wrong elimination result raises InternalError, never a bare assert."""
 
@@ -320,6 +364,9 @@ class TestSelfChecks:
             solve_general([[2, 1], [1, 3], [3, 4]], [1, 1, 2])
         with pytest.raises(InternalError, match="^adjugate failed its exact check$"):
             adjugate([[2, 1], [1, 3]])
+        for build in (lambda: du_val_graph("A3"), lambda: ResolutionGraph([(-3, 2), (-2, 0)], [(0, 1, 1)])):
+            with pytest.raises(InternalError, match="^the discrepancies failed their exact check$"):
+                build()
 
     def test_wrong_certificate(self, monkeypatch):
         bareiss = xm._bareiss
@@ -343,9 +390,14 @@ class TestSelfChecks:
             "    xm.solve_linear([[2, 1], [1, 3]], [1, 1])\n"
             "except InternalError:\n"
             "    print('checked')\n"
+            "from singvol import ResolutionGraph\n"
+            "try:\n"
+            "    ResolutionGraph([(-3, 2), (-2, 0)], [(0, 1, 1)])\n"
+            "except InternalError:\n"
+            "    print('graph checked')\n"
         )
         env = dict(os.environ, PYTHONPATH=SRC)
         proc = subprocess.run(
             [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
         )
-        assert proc.stdout.strip() == "checked", proc.stderr
+        assert proc.stdout.splitlines() == ["checked", "graph checked"], proc.stderr
