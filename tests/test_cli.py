@@ -1,8 +1,5 @@
 import argparse
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +14,7 @@ from singvol.surface import (
 )
 from singvol.toric import NumericallyCartierResult, ToricDivisor
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+from conftest import run_python
 
 
 def write(tmp_path, name, obj):
@@ -498,10 +495,7 @@ class TestStartUp:
             "print(' '.join(sorted(set(sys.modules) - before)))\n"
             "print(' '.join(sorted(sys.modules)))\n"
         )
-        env = dict(os.environ, PYTHONPATH=SRC)
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
-        )
+        proc = run_python(script)
         assert proc.returncode == 0, proc.stderr
         new, every = proc.stdout.splitlines()
         return set(new.split()), set(every.split())

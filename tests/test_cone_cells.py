@@ -1,9 +1,8 @@
 """ToricCone reads its facets and its isolation test off its simplicial
-cells.  Here the (n-1)-subset facet search and the determinant smoothness
-test that the cells replace are kept as references, on an integer
-Gauss-Jordan elimination with a Fraction back solve and on cofactor
-expansion, and compared with the constructor on seeded ray sets in
-dimensions 1-4, invalid ones included."""
+cells.  The (n-1)-subset facet search and the determinant smoothness test
+that the cells replace (``reference.reference_facets``) are compared with
+the constructor on seeded ray sets in dimensions 1-4, invalid ones
+included."""
 
 import itertools
 import random
@@ -18,6 +17,7 @@ from singvol import DomainError, ToricCone
 from singvol.exactmath import solve_linear
 
 from conftest import CONES_3D, apply, random_unimodular, transpose
+from reference import idot, reference_facets
 
 RAY_SETS = 5000
 
@@ -49,102 +49,6 @@ def ray_sets(seed, count):
         if rays:
             sets.append((n, rays))
     return sets
-
-
-def _idot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _eliminate(rows, ncols):
-    """Gauss-Jordan elimination by integer row operations, each row kept
-    divided by the gcd of its entries: reduced rows, pivot columns."""
-    a = [list(row) for row in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        p = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        top = a[r]
-        for i in range(len(a)):
-            f = a[i][c]
-            if i != r and f:
-                row = [top[c] * x - f * y for x, y in zip(a[i], top)]
-                g = gcd(*row)
-                a[i] = [x // g for x in row] if g else row
-        pivots.append(c)
-    return a, pivots
-
-
-def _rank(rows, n):
-    return len(_eliminate(rows, n)[1])
-
-
-def _kernel_line(rows, n):
-    """A primitive integer vector spanning the kernel, or None when the
-    kernel is not a line."""
-    a, pivots = _eliminate(rows, n)
-    if len(pivots) != n - 1:
-        return None
-    free = next(c for c in range(n) if c not in pivots)
-    vec = [F(0)] * n
-    vec[free] = F(1)
-    for row, c in zip(a, pivots):
-        vec[c] = F(-row[free], row[c])
-    scale = lcm(*[x.denominator for x in vec])
-    ints = [int(x * scale) for x in vec]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
-
-
-def _det(m):
-    if not m:
-        return 1
-    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
-               for j in range(len(m)) if m[0][j])
-
-
-def reference_facets(rays, n):
-    """The sorted inward facet normals of an isolated cone on distinct
-    primitive rays, or the DomainError the constructor raises."""
-    if _rank(rays, n) != n:
-        raise DomainError("cone is not full-dimensional: rays do not span")
-    if n == 1:
-        if len(rays) != 1:
-            raise DomainError("a one-dimensional strongly convex cone has exactly one ray")
-        normals = (tuple(rays[0]),)
-    else:
-        found = set()
-        for subset in itertools.combinations(rays, n - 1):
-            normal = _kernel_line(subset, n)
-            if normal is None:
-                continue
-            sides = [_idot(normal, ray) for ray in rays]
-            if all(s >= 0 for s in sides):
-                candidate = normal
-            elif all(s <= 0 for s in sides):
-                candidate = tuple(-x for x in normal)
-            else:
-                continue
-            if _rank([r for r in rays if _idot(candidate, r) == 0], n) == n - 1:
-                found.add(candidate)
-        normals = tuple(sorted(found))
-    if _rank(normals, n) != n:
-        raise DomainError("cone is not strongly convex: it contains a line")
-    for ray in rays:
-        if _rank([f for f in normals if _idot(f, ray) == 0], n) != n - 1:
-            raise DomainError(f"ray {ray} is not an extreme ray of the cone spanned by the input")
-    for normal in normals:
-        tight = [r for r in rays if _idot(normal, r) == 0]
-        if len(tight) != n - 1:
-            raise DomainError(f"facet with normal {normal} is not simplicial")
-        if abs(_det(tight + [normal])) != _idot(normal, normal):
-            spanned = ", ".join(map(str, tight[:-1])) + f" and {tight[-1]}"
-            raise DomainError(
-                f"facet spanned by {spanned} is a singular cone, so the singularity is not isolated"
-            )
-    return normals
 
 
 def outcome(build, rays, n):
@@ -210,7 +114,7 @@ def test_region_vertices_match_subset_solves():
                     point = solve_linear([rays[i] for i in subset], [lower[i] for i in subset])
                 except DomainError:
                     continue
-                if all(_idot(point, ray) >= lo for ray, lo in zip(rays, lower)):
+                if all(idot(point, ray) >= lo for ray, lo in zip(rays, lower)):
                     expected.append(point)
             scale = lcm(*[x.denominator for x in lower])
             pairs = toric._region_vertices(cone, [int(x * scale) for x in lower])

@@ -30,7 +30,7 @@ from singvol.toric import (
     samuel_multiplicity,
 )
 
-from conftest import random_unimodular
+from conftest import apply, random_unimodular
 
 CYCLIC = [(n, q) for n in range(2, 30) for q in range(1, n) if gcd(n, q) == 1]
 
@@ -57,10 +57,6 @@ def valuations(bs):
 
 def chain(bs):
     return surface.ResolutionGraph([(-b, 0) for b in bs], [(i, i + 1, 1) for i in range(len(bs) - 1)])
-
-
-def apply(a, v):
-    return tuple(sum(a[i][j] * v[j] for j in range(2)) for i in range(2))
 
 
 def test_continued_fraction_closes_the_cone():

@@ -1,13 +1,10 @@
 """The fraction-free elimination kernel against sympy as an independent
 exact oracle, its always-on self-checks, and closed forms; the surface
-engine on the int intersection form against the all-Fraction engine."""
+engine on the int intersection form against the all-Fraction engine of
+``reference.py``."""
 
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,8 +21,6 @@ from singvol.exactmath import (
     solve_linear,
 )
 from singvol.surface import (
-    SingularityKind,
-    canonical_intersections,
     classify,
     cone_graph,
     cusp_cycle_graph,
@@ -36,14 +31,15 @@ from singvol.surface import (
     zariski_decompose,
 )
 
-from conftest import random_graph
+from conftest import random_graph, run_python
+from reference import (
+    fraction_classify, fraction_dot, fraction_local_volume, fraction_matrix, fraction_zariski_decompose,
+)
 
 try:
     import sympy
 except ImportError:  # sympy is an optional, test-only oracle
     sympy = None
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def to_sympy(rows):
@@ -197,65 +193,6 @@ def test_volume_and_class_under_relabelling(rng):
     assert list(after.log_discrepancies) == [before.log_discrepancies[old] for old in order]
 
 
-def fraction_dot(u, v):
-    """The dot product with every operand made a Fraction, as exactmath.dot
-    computed it before it multiplied its operands as given."""
-    return sum((F(a) * F(b) for a, b in zip(u, v)), F(0))
-
-
-def fraction_matrix(graph):
-    """The intersection matrix with Fraction entries, as ResolutionGraph
-    built it before it kept ints."""
-    k = len(graph)
-    rows = [[F(0)] * k for _ in range(k)]
-    for idx, v in enumerate(graph.vertices):
-        rows[idx][idx] = F(v.self_int)
-    for i, j, mult in graph.edges:
-        rows[i][j] += mult
-        rows[j][i] += mult
-    return rows
-
-
-def fraction_zariski_decompose(graph, d):
-    """The dense Zariski loop on the Fraction matrix with fraction_dot, as
-    surface.zariski_decompose computed it before; returns (nef, neg)."""
-    matrix = fraction_matrix(graph)
-    d = tuple(F(c) for c in d)
-    k = len(d)
-    support = set()
-    neg = (F(0),) * k
-    for _ in range(k + 1):
-        nef = tuple(a - b for a, b in zip(d, neg))
-        products = [fraction_dot(row, nef) for row in matrix]
-        violating = [j for j in range(k) if products[j] < 0 and j not in support]
-        if not violating:
-            return nef, neg
-        support.update(violating)
-        rows = sorted(support)
-        sub = [[matrix[i][j] for j in rows] for i in rows]
-        sol = solve_linear(sub, [fraction_dot(matrix[i], d) for i in rows])
-        neg_list = [F(0)] * k
-        for idx, j in enumerate(rows):
-            neg_list[j] = sol[idx]
-        neg = tuple(neg_list)
-    raise AssertionError("the reference Zariski loop did not stabilize")
-
-
-def fraction_local_volume(graph, d):
-    nef, _ = fraction_zariski_decompose(graph, d)
-    return -fraction_dot(nef, [fraction_dot(row, nef) for row in fraction_matrix(graph)])
-
-
-def fraction_classify(graph):
-    """(kind, log discrepancies) from the Fraction matrix."""
-    a = tuple(x + 1 for x in solve_linear(fraction_matrix(graph), canonical_intersections(graph)))
-    if all(x > 0 for x in a):
-        return SingularityKind.KLT, a
-    if all(x >= 0 for x in a):
-        return SingularityKind.LC_NOT_KLT, a
-    return SingularityKind.NOT_LC, a
-
-
 def reference_graphs(rng):
     """Du Val, random tree, cusp and cone graphs, each also relabelled."""
     graphs = [du_val_graph(f"A{n}") for n in range(1, 13)]
@@ -396,8 +333,5 @@ class TestSelfChecks:
             "except InternalError:\n"
             "    print('graph checked')\n"
         )
-        env = dict(os.environ, PYTHONPATH=SRC)
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
-        )
+        proc = run_python(script, "-O")
         assert proc.stdout.splitlines() == ["checked", "graph checked"], proc.stderr

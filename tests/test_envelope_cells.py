@@ -11,7 +11,6 @@ independent references.
 
 import random
 from fractions import Fraction as F
-from math import lcm
 
 import pytest
 
@@ -20,9 +19,9 @@ import singvol.toric as toric
 from singvol import ToricCone, ToricDivisor, envelope_certificate, is_numerically_cartier, lp_max
 from singvol.oracle import lp_vertex_enumerate
 
-from conftest import CONES_3D, apply, random_unimodular
+from conftest import CONES_3D, OCTAHEDRON, apply, random_unimodular
+from reference import enumerated_envelope, idot, reference_numerically_cartier
 
-OCTAHEDRON = [(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 1), (0, 0, 1, 1), (0, 0, -1, 1)]
 CYCLIC = [(2, 1), (3, 1), (3, 2), (5, 2), (7, 3), (11, 4)]
 TRIPLES_PER_CONE = 108
 
@@ -55,7 +54,7 @@ def valuation(rng, cone, kind):
         return (0,) * cone.dim
     if kind == 1:
         normal = rng.choice(cone.facet_normals)
-        face = [r for r in cone.rays if sum(a * b for a, b in zip(normal, r)) == 0]
+        face = [r for r in cone.rays if idot(normal, r) == 0]
         return combination([rng.randint(0, 4) for _ in face], face)
     v = combination([rng.randint(0, 4) for _ in cone.rays], cone.rays)
     return v if cone.interior_contains(v) else combination([1] * len(cone.rays), cone.rays)
@@ -84,8 +83,8 @@ def test_cells_agree_with_simplex_and_vertices(label, rays):
         outcome = lp_max(problem)
         assert value == outcome.value == max(val for _, val in lp_vertex_enumerate(problem))
         assert type(value) is F and all(type(x) is F for x in m)
-        assert all(sum(a * x for a, x in zip(m, ray)) <= d for ray, d in zip(cone.rays, divisor.coeffs))
-        assert sum(a * x for a, x in zip(m, v)) == value
+        assert all(idot(m, ray) <= d for ray, d in zip(cone.rays, divisor.coeffs))
+        assert idot(m, v) == value
         _, _, cell, lam = toric._envelope(cone, divisor.coeffs, v)
         if min(lam) > 0:
             # m is then tight on every ray of a strictly positive
@@ -94,7 +93,6 @@ def test_cells_agree_with_simplex_and_vertices(label, rays):
             assert m == outcome.point, (divisor.coeffs, v, cell.rays)
     # The uniqueness comparison is not vacuous on any cone.
     assert unique >= 10
-
 
 
 def permuted_cone_cases():
@@ -120,42 +118,12 @@ PERMUTED_CASES = permuted_cone_cases()
 DIVISORS_PER_CONE = 60
 
 
-def pairing(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
-def enumerated_envelope(cone, coeffs, v):
-    """The optimal value and the optimal vertices of the envelope LP, by
-    vertex enumeration."""
-    vertices = lp_vertex_enumerate(toric.envelope_problem(cone, ToricDivisor(cone, coeffs), v))
-    best = max(value for _, value in vertices)
-    return best, {point for point, value in vertices if value == best}
-
-
-def reference_numerically_cartier(cone, coeffs):
-    """(flag, certificate, witness, gap) through solve_general: the solution of
-    <m, ray_i> = d_i, or else a left-null vector lam of the rays with
-    <lam, d> < 0, whose positive part combines the rays to the witness; the
-    gap is the envelope sum there, by vertex enumeration."""
-    solution, lam = xm.solve_general(cone.rays, coeffs)
-    if solution is not None:
-        return True, solution, None, None
-    if pairing(lam, coeffs) > 0:
-        lam = [-x for x in lam]
-    scale = lcm(*[x.denominator for x in lam])
-    w = [sum(max(l * scale, 0) * ray[j] for l, ray in zip(lam, cone.rays)) for j in range(cone.dim)]
-    witness = xm.primitive_vector(w)
-    plus, _ = enumerated_envelope(cone, coeffs, witness)
-    minus, _ = enumerated_envelope(cone, [-d for d in coeffs], witness)
-    return False, None, witness, plus + minus
-
-
 def divisor_coefficients(rng, cone, t):
     """Integer or rational coefficients; every third divisor is Cartier,
     from an integer or a rational form."""
     if t % 3 == 0:
         m = [F(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])) for _ in range(cone.dim)]
-        return [pairing(m, ray) for ray in cone.rays]
+        return [idot(m, ray) for ray in cone.rays]
     if t % 3 == 1:
         return [F(rng.randint(-6, 6)) for _ in cone.rays]
     return [F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in cone.rays]

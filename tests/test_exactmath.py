@@ -1,7 +1,4 @@
 import itertools
-import os
-import subprocess
-import sys
 from fractions import Fraction as F
 
 import pytest
@@ -30,15 +27,7 @@ from singvol.exactmath import (
 )
 from singvol.oracle import lp_vertex_enumerate
 
-QUADRIC_CONSTRAINTS = (
-    ((F(1), F(0), F(0)), F(2)),
-    ((F(0), F(1), F(0)), F(1)),
-    ((F(0), F(0), F(1)), F(2)),
-    ((F(1), F(1), F(-1)), F(1)),
-)
-
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+from conftest import QUADRIC_CONSTRAINTS, run_python
 
 
 class TestRationals:
@@ -155,6 +144,12 @@ class TestNegativeDefinite:
     def test_failing_minor_reported(self):
         size, minor = failing_principal_minor([[-2, 2], [2, -2]])
         assert size == 2 and minor == 0
+
+    @pytest.mark.parametrize("rows", [[[1], [2]], [[-1], [2]], [[-1, 0], [0, -1], [0, 0]],
+                                      [[1, 2]], [[-1, 2]], [[-1, 0, 0], [0, -1, 0]]])
+    def test_failing_minor_rejects_non_square(self, rows):
+        with pytest.raises(InputError, match="^determinant requires a square matrix$"):
+            failing_principal_minor(rows)
 
 
 class TestLpMax:
@@ -447,8 +442,5 @@ class TestLpSelfChecks:
             "except InternalError:\n"
             "    print('checked')\n"
         )
-        env = dict(os.environ, PYTHONPATH=SRC)
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
-        )
+        proc = run_python(script, "-O")
         assert proc.stdout.strip() == "checked", proc.stderr

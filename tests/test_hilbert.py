@@ -2,12 +2,12 @@
 the dual cone, against the lattice-box search they replaced.
 
 The reference is the set of minimal nonzero lattice points of the section
-slab at c = 0: the half-open zonotope of the dual rays, found by
-enumerating the LP-bounded box around it.
+slab at c = 0 (``reference.slab_minima``): the half-open zonotope of the
+dual rays, found by enumerating the LP-bounded box around it.
 """
 
 import random
-from math import atan2, gcd
+from math import gcd
 
 import pytest
 
@@ -16,42 +16,15 @@ from singvol import toric
 from singvol.errors import InternalError
 from singvol.toric import hilbert_basis
 
-from conftest import CONES_3D, apply, random_unimodular
-
-# The edge directions of P_r: the first r/2 of these and their negatives.
-P_EDGES = [
-    (1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1),
-    (3, 1), (3, 2), (2, 3), (1, 3), (-1, 3), (-2, 3), (-3, 2), (-3, 1),
-]
-
-
-def polygon_cone(r):
-    """P_r: the cone over the centrally symmetric lattice r-gon at height 1
-    whose edges are the first r/2 directions above and their negatives,
-    sorted by angle."""
-    edges = P_EDGES[: r // 2]
-    edges = sorted(edges + [(-a, -b) for a, b in edges], key=lambda e: atan2(e[1], e[0]))
-    x = y = 0
-    rays = []
-    for a, b in edges:
-        rays.append((x, y, 1))
-        x, y = x + a, y + b
-    return rays
-
-
-def slab_reference(cone):
-    """The minimal nonzero points of the section slab at c = 0."""
-    points = toric._section_slab(cone, [0] * len(cone.rays))
-    return toric.minimal_elements(cone, [u for u in points if any(u)])
-
+from conftest import CONES_3D, OCTAHEDRON, apply, polygon_cone, random_unimodular
+from reference import slab_minima
 
 CONES = {
     **{f"cyclic-{p}-{q}": [(0, 1), (p, -q)]
        for p in range(2, 10) for q in range(1, p) if gcd(p, q) == 1},
     **CONES_3D,
     **{f"P{r}": polygon_cone(r) for r in (4, 6, 8)},
-    "octahedron-4d": [(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 1),
-                      (0, 0, 1, 1), (0, 0, -1, 1)],
+    "octahedron-4d": OCTAHEDRON,
     "orthant-4d": [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
 }
 
@@ -73,7 +46,7 @@ class TestAgainstSlab:
     def test_identical_tuples(self, name):
         for rays in images(name):
             cone = ToricCone(rays)
-            assert hilbert_basis(cone) == slab_reference(cone), rays
+            assert hilbert_basis(cone) == slab_minima(cone, [0] * len(rays), nonzero=True), rays
 
     @pytest.mark.parametrize("r, size", [(8, 11), (16, 17), (32, 33)])
     def test_polygon_cones(self, r, size):

@@ -1,19 +1,16 @@
 """The shared integer hull and the multiplicities built on it.
 
-The triple-enumeration hull and Newton-region covolume, the
+The engines must agree exactly with the references in ``reference.py``:
+the triple-enumeration hull and Newton-region covolume, the
 combinations-with-replacement ideal power, the all-pairs minimal elements,
 the 2^n - 1 subset polarization of mixed multiplicities, and the 2-D hull
-and 3x3 determinant over Fractions are kept here as references: the
-engines must agree with them exactly.
+and 3x3 determinant over Fractions.
 """
 
 import functools
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction as F
 
 import pytest
@@ -35,153 +32,21 @@ from singvol import (
     polytope_volume,
     samuel_multiplicity,
 )
-from singvol.exactmath import (
-    convex_hull_2d,
-    cross3,
-    det3,
-    hull_facets_3d,
-    order_coplanar_polygon,
-)
+from singvol.exactmath import convex_hull_2d, cross3, det3, hull_facets_3d
 from singvol.toric import minimal_elements
 
-from conftest import CONES_3D, apply, random_m_primary_ideal, random_unimodular, transpose
+from conftest import CONES_3D, apply, random_m_primary_ideal, random_unimodular, run_python, transpose
+from reference import (
+    brute_force_facets, brute_force_minimal, brute_force_power, brute_force_samuel, fraction_det3,
+    fraction_hull_2d, subset_mixed_multiplicity,
+)
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 CONES_2D = {
     "plane": [(1, 0), (0, 1)],
     "a2": [(1, 0), (-1, 3)],
     "quotient": [(0, 1), (5, -2)],
 }
-
-
-# -- brute-force references ----------------------------------------------------
-
-
-def brute_force_facets(points):
-    """Every triple of points whose plane has all points on one side."""
-    pts = sorted(set(tuple(int(c) for c in p) for p in points))
-    facets = {}
-    for p1, p2, p3 in itertools.combinations(pts, 3):
-        normal = cross3(sub(p2, p1), sub(p3, p1))
-        if normal == (0, 0, 0):
-            continue
-        sides = [idot(sub(q, p1), normal) for q in pts]
-        if all(s <= 0 for s in sides):
-            outward = normal
-        elif all(s >= 0 for s in sides):
-            outward = tuple(-x for x in normal)
-        else:
-            continue
-        key_normal = xm.primitive_vector(outward)
-        offset = idot(p1, key_normal)
-        on_plane = frozenset(q for q in pts if idot(q, key_normal) == offset)
-        facets[(key_normal, offset)] = on_plane
-    return [
-        (normal, offset, order_coplanar_polygon(plane_pts, normal))
-        for (normal, offset), plane_pts in sorted(facets.items())
-    ]
-
-
-def sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def idot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
-def brute_force_samuel(cone, ideal):
-    """n! covolume from every pair (2-D) or triple (3-D) of generators that
-    spans a face of the Newton polyhedron with inward normal interior to sigma."""
-    gens = ideal.gens
-    faces = {}
-    for subset in itertools.combinations(gens, cone.dim):
-        diffs = [sub(g, subset[0]) for g in subset[1:]]
-        if cone.dim == 2:
-            normal = (-diffs[0][1], diffs[0][0])
-        else:
-            normal = cross3(*diffs)
-        if not any(normal):
-            continue
-        normal = xm.primitive_vector(normal)
-        for u in (normal, tuple(-x for x in normal)):
-            c = idot(u, subset[0])
-            if cone.interior_contains(u) and all(idot(u, g) >= c for g in gens):
-                faces[u] = [g for g in gens if idot(u, g) == c]
-    total = 0
-    for u, pts in faces.items():
-        if cone.dim == 2:
-            p, q = min(pts), max(pts)
-            total += abs(p[0] * q[1] - q[0] * p[1])
-        else:
-            cycle = order_coplanar_polygon(pts, u)
-            for t in range(1, len(cycle) - 1):
-                total += abs(det3(cycle[0], cycle[t], cycle[t + 1]))
-    return F(total)
-
-
-def brute_force_minimal(cone, points):
-    """Points u with no other point u' of the set such that u - u' lies in
-    the dual cone."""
-    pts = set(points)
-    return {
-        u for u in pts if not any(w != u and cone.dual_contains(sub(u, w)) for w in pts)
-    }
-
-
-def fraction_cross2(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def fraction_hull_2d(points):
-    """Andrew's monotone chain with every coordinate made a Fraction, as
-    exactmath.convex_hull_2d computed it before it kept integers."""
-    pts = sorted(set(tuple(F(c) for c in p) for p in points))
-    if len(pts) <= 2:
-        return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and fraction_cross2(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and fraction_cross2(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def fraction_det3(a, b, c):
-    """The determinant as the Fraction dot product of a with b x c, as
-    exactmath.det3 computed it before it kept integers."""
-    return xm.dot(a, cross3(b, c))
-
-
-def brute_force_power(a, k):
-    """The ideal generated by all sums of k generators."""
-    if k == 0:
-        return MonomialIdeal(a.cone, [(0,) * a.cone.dim])
-    sums = {
-        tuple(sum(col) for col in zip(*combo))
-        for combo in itertools.combinations_with_replacement(a.gens, k)
-    }
-    return MonomialIdeal(a.cone, sums)
-
-
-def subset_mixed_multiplicity(cone, ideals):
-    """(1/n!) sum over the nonempty subsets S of the arguments of
-    (-1)^(n-|S|) e(prod_S), one product and one multiplicity per subset."""
-    n = cone.dim
-    total = F(0)
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            product = ideals[subset[0]]
-            for i in subset[1:]:
-                product = ideal_product(product, ideals[i])
-            total += (-1) ** (n - size) * samuel_multiplicity(cone, product)
-    return total / math.factorial(n)
 
 
 # -- random inputs -------------------------------------------------------------
@@ -680,10 +545,7 @@ class TestMixedIntegralityCheck:
             "except InternalError:\n"
             "    print('checked')\n"
         )
-        env = dict(os.environ, PYTHONPATH=SRC)
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
-        )
+        proc = run_python(script, "-O")
         assert proc.stdout.strip() == "checked", proc.stderr
 
 
@@ -752,8 +614,5 @@ class TestCompactFaceVerifier:
             "except InternalError:\n"
             "    print('checked')\n"
         )
-        env = dict(os.environ, PYTHONPATH=SRC)
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
-        )
+        proc = run_python(script, "-O")
         assert proc.stdout.strip() == "checked", proc.stderr

@@ -15,21 +15,8 @@ from singvol import (
 )
 from singvol.exactmath import LPProblem, lp_max
 
-
-def brute_colength_on_plane(gens, k: int, box: int = 60) -> int:
-    """Independent rectangle count of monomials outside the k-th power,
-    using only componentwise domination by explicit k-fold generator sums."""
-    import itertools
-
-    power = set()
-    for combo in itertools.combinations_with_replacement(gens, k):
-        power.add(tuple(sum(col) for col in zip(*combo)))
-    count = 0
-    for x in range(box):
-        for y in range(box):
-            if not any(x >= g[0] and y >= g[1] for g in power):
-                count += 1
-    return count
+from conftest import QUADRIC_CONSTRAINTS
+from reference import brute_colength_on_plane
 
 
 class TestColength:
@@ -120,41 +107,18 @@ class TestMultiplicityEstimate:
 
 class TestVertexEnumeration:
     def test_quadric_envelope_lp(self):
-        problem = LPProblem(
-            (F(1), F(1), F(0)),
-            (
-                ((F(1), F(0), F(0)), F(2)),
-                ((F(0), F(1), F(0)), F(1)),
-                ((F(0), F(0), F(1)), F(2)),
-                ((F(1), F(1), F(-1)), F(1)),
-            ),
-        )
+        problem = LPProblem((F(1), F(1), F(0)), QUADRIC_CONSTRAINTS)
         vertices = lp_vertex_enumerate(problem)
         assert max(v for _, v in vertices) == 3 == lp_max(problem).value
 
     def test_zero_bounds(self):
-        problem = LPProblem(
-            (F(1), F(1), F(0)),
-            (
-                ((F(1), F(0), F(0)), F(0)),
-                ((F(0), F(1), F(0)), F(0)),
-                ((F(0), F(0), F(1)), F(0)),
-                ((F(1), F(1), F(-1)), F(0)),
-            ),
-        )
+        problem = LPProblem((F(1), F(1), F(0)), tuple((normal, F(0)) for normal, _ in QUADRIC_CONSTRAINTS))
         vertices = lp_vertex_enumerate(problem)
         assert max(v for _, v in vertices) == 0
 
     def test_unit_bound_lp(self):
-        problem = LPProblem(
-            (F(1), F(1), F(0)),
-            (
-                ((F(1), F(0), F(0)), F(1)),
-                ((F(0), F(1), F(0)), F(1)),
-                ((F(0), F(0), F(1)), F(1)),
-                ((F(1), F(1), F(-1)), F(0)),
-            ),
-        )
+        bounds = zip(QUADRIC_CONSTRAINTS, (1, 1, 1, 0))
+        problem = LPProblem((F(1), F(1), F(0)), tuple((normal, F(b)) for (normal, _), b in bounds))
         assert max(v for _, v in lp_vertex_enumerate(problem)) == 1
 
     def test_limits(self):

@@ -1,9 +1,9 @@
 """The simplex against a dense reference pivot.
 
 ``_Tableau.pivot`` updates the other rows and the objective row only at the
-pivot row's nonzero columns.  The dense pivot it replaced is kept here as
-the reference: every LPOutcome, and every toric answer built on lp_max,
-must be identical under both, values and Fraction types alike.
+pivot row's nonzero columns.  The dense pivot it replaced is the reference
+(``reference.dense_pivot``): every LPOutcome, and every toric answer built
+on lp_max, must be identical under both, values and Fraction types alike.
 """
 
 import random
@@ -17,37 +17,7 @@ from singvol.exactmath import INFEASIBLE, OPTIMAL, UNBOUNDED, LPProblem, lp_max
 from singvol.toric import defect_ideal, envelope_certificate, is_numerically_cartier, module_generators
 
 from conftest import CONES_3D
-
-
-def dense_pivot(self, k, j):
-    """The reference: each other row minus a multiple of the pivot row, in
-    every column."""
-    row = self.rows[k]
-    inv = F(1) / row[j]
-    if inv != 1:
-        self.rows[k] = row = [x * inv for x in row]
-        self.rhs[k] *= inv
-    for r in range(len(self.rows)):
-        if r != k and self.rows[r][j]:
-            factor = self.rows[r][j]
-            other = self.rows[r]
-            self.rows[r] = [x - factor * y for x, y in zip(other, row)]
-            self.rhs[r] -= factor * self.rhs[k]
-    if self.obj[j]:
-        factor = self.obj[j]
-        self.obj = [x - factor * y for x, y in zip(self.obj, row)]
-        self.obj_val += factor * self.rhs[k]
-    self.basis[k] = j
-
-
-def with_dense_pivot(fn, *args):
-    """fn(*args) with the reference pivot patched into the tableau."""
-    sparse = xm._Tableau.pivot
-    xm._Tableau.pivot = dense_pivot
-    try:
-        return fn(*args)
-    finally:
-        xm._Tableau.pivot = sparse
+from reference import dense_pivot, with_dense_pivot
 
 
 def typed(value):

@@ -28,6 +28,7 @@ import singvol.surface as surface
 from singvol.surface import intersect
 
 from conftest import random_graph
+from reference import fraction_zariski_decompose
 
 
 class TestGraphConstruction:
@@ -51,6 +52,18 @@ class TestGraphConstruction:
             ResolutionGraph([(-2, 0)], [(0, 1, 1)])
         with pytest.raises(InputError):
             ResolutionGraph([(-2, 0), (-2, 0)], [(0, 1, 0)])
+        with pytest.raises(InputError, match=r"^edge \(0, 5, 1\) references a missing vertex$"):
+            ResolutionGraph([(-2, 0), (-2, 0)], [iter([0, 5, 1])])
+
+    @pytest.mark.parametrize("vertex", [(-2,), (-2, 0, 0), ()])
+    def test_rejects_vertex_that_is_not_a_pair(self, vertex):
+        with pytest.raises(InputError, match=r"must be a \(self-intersection, genus\) pair"):
+            ResolutionGraph([vertex], [])
+
+    @pytest.mark.parametrize("edge", [(0, 1), (0, 1, 1, 1), ()])
+    def test_rejects_edge_that_is_not_a_triple(self, edge):
+        with pytest.raises(InputError, match=r"must be an \(i, j, multiplicity\) triple"):
+            ResolutionGraph([(-2, 0), (-2, 0)], [edge])
 
     @pytest.mark.parametrize(
         "vertices, edges",
@@ -201,9 +214,9 @@ class TestZariski:
         for _ in range(10):
             graph = random_graph(rng, max_vertices=4)
             d = [rng.randint(-3, 3) for _ in range(len(graph))]
-            default = zariski_decompose(graph, d)
+            answer = zariski_decompose(graph, d)
             for order in itertools.permutations(range(len(graph))):
-                assert zariski_decompose(graph, d, order=list(order)) == default
+                assert fraction_zariski_decompose(graph, d, order) == answer
 
     def test_vertex_relabelling_invariance(self, two_vertex_graph):
         base = zariski_decompose(two_vertex_graph, (-1, 0))
@@ -281,6 +294,11 @@ class TestStandardGraphs:
         for name in ["B2", "E9", "D3", "A0", "X1"]:
             with pytest.raises(InputError):
                 du_val_graph(name)
+
+    @pytest.mark.parametrize("name", [5, None, b"A2", ["A2"]])
+    def test_du_val_name_that_is_not_a_string(self, name):
+        with pytest.raises(InputError, match="Du Val name is a string"):
+            du_val_graph(name)
 
     def test_cusp_cycle(self):
         graph = cusp_cycle_graph([-3, -2, -2])

@@ -1,13 +1,9 @@
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction as F
-from math import ceil, lcm
+from math import ceil
 
 import pytest
 
-import singvol.exactmath as xm
 import singvol.toric as toric
 
 from singvol import (
@@ -39,9 +35,11 @@ from singvol import (
 )
 from singvol.oracle import colength, multiplicity_estimate
 
-from conftest import CONES_3D, apply, random_m_primary_ideal, random_unimodular, transpose
+from conftest import (
+    CONES_3D, OCTAHEDRON, apply, random_m_primary_ideal, random_unimodular, run_python, transpose,
+)
+from reference import slab_minima
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 D_SUM = (2, 1, 2, 1)
 D_ONE = (1, 1, 1, 0)
@@ -106,8 +104,6 @@ A1_TIMES_C2 = [(1, 0, 0, 0), (1, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
 QUADRIC_FACET = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, -1, 0), (0, 0, 0, 1)]
 # The cone over a cube: its facets are cones over squares.
 CUBE = [(x, y, z, 1) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
-# The cone over an octahedron: every facet is a smooth cone over a triangle.
-OCTAHEDRON = [(1, 0, 0, 1), (-1, 0, 0, 1), (0, 1, 0, 1), (0, -1, 0, 1), (0, 0, 1, 1), (0, 0, -1, 1)]
 
 
 def orthant(n):
@@ -484,24 +480,6 @@ class TestMixedMultiplicity:
             mixed_multiplicity(plane, [a])
 
 
-def slab_at_bounds(cone, lower, stretch=1):
-    """The lattice points of a slab over the rational bounds as given, not
-    rounded: lower_i <= <u, ray_i> <= lower_i + stretch * margin_i, the
-    margin being the largest vertex excess, clipped at 0, plus the zonotope
-    shift."""
-    scale = lcm(*[c.denominator for c in lower])
-    vertices = [
-        [F(x, det * scale) for x in m]
-        for m, det in toric._region_vertices(cone, [int(c * scale) for c in lower])
-    ]
-    margins = [
-        stretch * (max([F(0)] + [xm.dot(v, ray) - lo for v in vertices])
-                   + sum(toric._idot(w, ray) for w in cone.dual_rays))
-        for ray, lo in zip(cone.rays, lower)
-    ]
-    return toric._lattice_points_between(cone, lower, margins)
-
-
 class TestDefectIdeal:
     def test_zero_divisor_gives_unit(self, quadric):
         assert defect_ideal(quadric, ToricDivisor(quadric, (0, 0, 0, 0)), 1).is_unit
@@ -525,8 +503,7 @@ class TestDefectIdeal:
             (plane, [0, 0]),
         ]
         for cone, bounds in cases:
-            wide = slab_at_bounds(cone, [F(c) for c in bounds], stretch=2)
-            assert module_generators(cone, bounds) == toric.minimal_elements(cone, wide)
+            assert module_generators(cone, bounds) == slab_minima(cone, bounds, stretch=2)
 
     @pytest.mark.parametrize("rays", [
         CONES_3D["quadric"], CONES_3D["hexagon"], CONES_3D["c3z3"],
@@ -541,7 +518,7 @@ class TestDefectIdeal:
             lower = [F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in rays]
             gens = module_generators(cone, lower)
             assert gens == module_generators(cone, [ceil(c) for c in lower]), lower
-            assert gens == toric.minimal_elements(cone, slab_at_bounds(cone, lower)), lower
+            assert gens == slab_minima(cone, lower), lower
 
     def test_section_module_of_trivial_divisor(self, quadric):
         assert module_generators(quadric, [0, 0, 0, 0]) == ((0, 0, 0),)
@@ -870,10 +847,7 @@ class TestSelfChecks:
             "except InternalError:\n"
             "    print('checked')\n"
         )
-        env = dict(os.environ, PYTHONPATH=SRC)
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
-        )
+        proc = run_python(script, "-O")
         assert proc.stdout.strip() == "checked", proc.stderr
 
     def test_cell_checks_survive_optimize_flag(self):
@@ -888,8 +862,5 @@ class TestSelfChecks:
             "    except InternalError:\n"
             "        print('checked')\n"
         ) % (self.WRONG_CARTIER, self.ZERO_RELATION, self.BROKEN_RELATION, D_ONE)
-        env = dict(os.environ, PYTHONPATH=SRC)
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
-        )
+        proc = run_python(script, "-O")
         assert proc.stdout.split() == ["checked"] * 3, proc.stderr
