@@ -86,18 +86,42 @@ def integer(x) -> int:
 def integer_vector(v) -> tuple[int, ...]:
     """The entries of v as ints.  Raises InputError unless every entry is an
     int or an integer-valued Fraction, such as 2 or Fraction(4, 2); text
-    such as "2", the bools True and False and floats such as 2.0 are not."""
+    such as "2", the bools True and False and floats such as 2.0 are not,
+    and neither is a v that cannot be iterated, such as 5."""
     ints = []
-    for x in v:
-        if type(x) is not int:
-            y = _as_int(x)
-            if y is None:
-                # An iterator is read once: name the entries read and the rest.
-                named = ints + [x] + list(v) if iter(v) is v else v
-                raise InputError(f"not an integer vector: {named}")
-            x = y
-        ints.append(x)
+    # The try costs nothing on the path that succeeds; only a v that
+    # cannot be iterated turns its TypeError into an InputError.
+    try:
+        for x in v:
+            if type(x) is not int:
+                y = _as_int(x)
+                if y is None:
+                    # An iterator is read once: name the entries read and the rest.
+                    named = ints + [x] + list(v) if iter(v) is v else v
+                    raise InputError(f"not an integer vector: {named}")
+                x = y
+            ints.append(x)
+    except TypeError:
+        if not _iterable(v):
+            raise InputError(f"not an integer vector: {v!r}") from None
+        raise
     return tuple(ints)
+
+
+def _iterable(v) -> bool:
+    try:
+        iter(v)
+    except TypeError:
+        return False
+    return True
+
+
+def as_list(v, what: str) -> list:
+    """The items of a collection v as a list; InputError names what v should
+    be when it cannot be iterated, such as 5."""
+    if not _iterable(v):
+        raise InputError(f"{what} must be a list, not {v!r}")
+    return list(v)
 
 
 def primitive_vector(v) -> tuple[int, ...]:

@@ -45,7 +45,7 @@ class ResolutionGraph:
 
     def __init__(self, vertices, edges):
         verts = []
-        for v in vertices:
+        for v in xm.as_list(vertices, "the vertices of a resolution graph"):
             if isinstance(v, Vertex):
                 verts.append(v)
             else:
@@ -58,7 +58,7 @@ class ResolutionGraph:
         self.vertices = tuple(verts)
         k = len(verts)
         cleaned = []
-        for e in edges:
+        for e in xm.as_list(edges, "the edges of a resolution graph"):
             data = xm.integer_vector(e)
             if len(data) != 3:
                 raise InputError(f"edge {data} must be an (i, j, multiplicity) triple")
@@ -296,6 +296,7 @@ def classify(graph: ResolutionGraph) -> SingularityClass:
 def cone_graph(genus: int, degree: int) -> ResolutionGraph:
     """Cone over a smooth curve of the given genus and polarization degree:
     one exceptional curve of that genus with self-intersection -degree."""
+    genus, degree = xm.integer(genus), xm.integer(degree)
     if degree < 1:
         raise InputError("cone degree must be positive")
     if genus < 0:

@@ -42,7 +42,7 @@ import itertools
 from collections import Counter, namedtuple
 from fractions import Fraction
 from math import ceil, comb, factorial, floor, gcd, prod
-from operator import mul
+from operator import le, mul
 
 from .errors import DomainError, InputError, InternalError, UnsupportedDimensionError, check
 from . import exactmath as xm
@@ -104,11 +104,11 @@ class ToricCone:
     """
 
     def __init__(self, rays, dim=None):
-        rays = list(rays)
+        rays = xm.as_list(rays, "the rays of a cone")
         if not rays:
             raise InputError("a cone needs at least one ray")
         if dim is None:
-            dim = len(rays[0])
+            dim = len(xm.integer_vector(rays[0]))
         self.dim = xm.integer(dim)
         if self.dim < 1:
             raise InputError("cone dimension must be at least 1")
@@ -247,19 +247,29 @@ def minimal_elements(cone: ToricCone, points):
     """Minimal elements of a set of M-lattice points under dual-cone order.
 
     u is dominated when u - u' lies in the dual cone for another point u' of
-    the set.  Points are processed by increasing total pairing against the
-    rays, which is a strictly positive grading on the dual cone.
+    the set, that is, by linearity, when the pairing vector
+    (<u, ray_i>)_i is at least that of u' in every entry.  Each distinct
+    point's pairing vector is computed once.  Points are processed by
+    increasing total pairing against the rays, which is a strictly positive
+    grading on the dual cone, so only a point kept earlier can dominate.
+    Pairings may be negative: the points need not lie in the dual cone.
     """
-    def grade(u):
-        return sum(_idot(u, ray) for ray in cone.rays)
-
-    kept = []
-    for u in sorted(set(points), key=lambda u: (grade(u), u)):
-        diff_ok = any(
-            cone.dual_contains(tuple(a - b for a, b in zip(u, g))) for g in kept
-        )
-        if not diff_ok:
+    dim, rays = cone.dim, cone.rays
+    paired = []
+    for u in set(points):
+        if len(u) != dim:
+            raise InputError(f"vector {u} does not have dimension {dim}")
+        p = [_idot(u, ray) for ray in rays]
+        paired.append((sum(p), u, p))
+    paired.sort()
+    kept, kept_pairings = [], []
+    for _, u, p in paired:
+        for q in kept_pairings:
+            if all(map(le, q, p)):
+                break
+        else:
             kept.append(u)
+            kept_pairings.append(p)
     return tuple(kept)
 
 
@@ -274,6 +284,7 @@ class MonomialIdeal:
 
     def __init__(self, cone: ToricCone, gens):
         self.cone = cone
+        gens = xm.as_list(gens, "the generators of an ideal")
         raw = [_as_lattice_vector(g, cone.dim) for g in gens]
         if not raw:
             raise InputError("a monomial ideal needs at least one generator")

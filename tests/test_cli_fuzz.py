@@ -1,12 +1,14 @@
 """The CLI exit-code contract under generated JSON: `toric env`, `toric
-numcartier`, `toric defect` and `validate` exit 0, 2, 3 or 4, and `surface
-volume`, `classify` and `zariski` exit 0, 2 or 3; none raises.
+numcartier`, `toric defect`, `toric mult`, `toric mixed` and `validate`
+exit 0, 2, 3 or 4, and `surface volume`, `classify` and `zariski` exit 0, 2
+or 3; none raises.
 
-Inputs mix valid isolated cones and divisors with wrong types, bools,
-floats, wrong lengths, non-primitive and zero rays, and valuations outside
-the cone.  Graphs mix negative-definite trees and cycles with graphs that
-are not negative definite, disconnected, or carry loops, bools, floats or
-missing vertices.  Entries stay small, so every computation is cheap.
+Inputs mix valid isolated cones, divisors and ideals with wrong types,
+bools, floats, wrong lengths, non-primitive and zero rays, valuations and
+exponents outside the cone, and ideals that are not m-primary.  Graphs mix
+negative-definite trees and cycles with graphs that are not negative
+definite, disconnected, or carry loops, bools, floats or missing vertices.
+Entries stay small, so every computation is cheap.
 """
 
 import io
@@ -16,6 +18,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from singvol import ToricCone, hilbert_basis
 from singvol.cli import main
 
 CONES = [
@@ -140,6 +143,65 @@ def invocations(draw):
     return ["validate", "--kind", kind], cone, target
 
 
+def semigroup(rays):
+    cone = ToricCone(rays)
+    return cone.dual_rays, hilbert_basis(cone)
+
+
+# (dual rays, Hilbert basis) of each listed cone, by its rays as JSON.
+SEMIGROUPS = {json.dumps(rays): semigroup(rays) for rays in CONES}
+
+
+@st.composite
+def ideals(draw, cone, kind):
+    """By kind: 0, on a listed cone, a multiple of each dual ray plus sums
+    of Hilbert basis elements (m-primary); 1 and 2, the same with a dual
+    ray left out (not m-primary), an exponent outside the dual cone, a
+    wrong length or a junk entry; 3, or on any other cone, short integer
+    vectors; 4, any JSON."""
+    if kind == 4:
+        return draw(json_values)
+    rays = cone.get("rays") if isinstance(cone, dict) else None
+    semigroup = SEMIGROUPS.get(json.dumps(rays))
+    if semigroup is None or kind == 3:
+        return {"gens": draw(st.lists(vectors, min_size=1, max_size=4))}
+    dual_rays, basis = semigroup
+    multiples = draw(st.lists(st.integers(1, 3), min_size=len(dual_rays), max_size=len(dual_rays)))
+    gens = [[k * x for x in w] for w, k in zip(dual_rays, multiples)]
+    for _ in range(draw(st.integers(0, 3))):
+        picks = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=3))
+        gens.append([sum(col) for col in zip(*picks)])
+    if kind in (1, 2):
+        change = draw(st.sampled_from(["drop", "outside", "lengthen", "junk"]))
+        i = draw(st.integers(0, len(dual_rays) - 1))
+        if change == "drop":
+            del gens[i]
+        elif change == "outside":
+            gens.append([-x for x in gens[i]])
+        elif change == "lengthen":
+            gens[i].append(1)
+        else:
+            gens[i][0] = draw(junk)
+    return {"gens": gens}
+
+
+@st.composite
+def ideal_invocations(draw, command):
+    """(argv without the file paths, the cone object, the ideal objects):
+    half the time a listed cone, and half the time only unspoilt ideals, so
+    that the computations run too.  `toric mixed` reads as many ideals as
+    the cone has dimensions, or one to four."""
+    listed = st.sampled_from(CONES).map(lambda rays: {"dim": len(rays[0]), "rays": rays})
+    cone = draw(st.one_of(listed, cones()))
+    dim = (shape(cone) or (0, 2))[1]
+    count = draw(st.one_of(st.just(dim), st.integers(1, 4))) if command == "mixed" else 1
+    kinds = st.just(0) if draw(st.booleans()) else st.integers(0, 4)
+    objects = [draw(ideals(cone, draw(kinds))) for _ in range(count)]
+    if command == "validate":
+        return ["validate", "--kind", "ideal"], cone, objects
+    return ["toric", command], cone, objects
+
+
 @st.composite
 def graphs(draw):
     """A random tree plus extra edges, each self-intersection at most minus
@@ -234,6 +296,33 @@ def test_exit_codes_under_generated_json(workdir, invocation):
         json.loads(out)
     else:
         assert err.startswith(("error: ", "usage: ")), err
+
+
+@pytest.mark.parametrize("command", ["mult", "mixed", "validate"])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_ideal_exit_codes_under_generated_json(workdir, command, data):
+    argv, cone, objects = data.draw(ideal_invocations(command))
+    cone_path = workdir / "cone.json"
+    cone_path.write_text(json.dumps(cone))
+    paths = []
+    for i, obj in enumerate(objects):
+        paths.append(workdir / f"ideal{i}.json")
+        paths[-1].write_text(json.dumps(obj))
+    argv = argv + ["--cone", str(cone_path)]
+    if command == "validate":
+        argv.append(str(paths[0]))
+    elif command == "mult":
+        argv += ["--ideal", str(paths[0])]
+    else:
+        argv += ["--ideals", *map(str, paths)]
+    code, out, err = run_main(argv)
+    assert code in (0, 2, 3, 4), (argv, cone, objects, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+    else:
+        assert err.startswith("error: "), err
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

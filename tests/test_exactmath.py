@@ -398,6 +398,20 @@ class TestIntegerVectors:
             xm.integer_vector(v)
         assert str(error.value) == f"not an integer vector: {named}"
 
+    @pytest.mark.parametrize("v, named", [(5, "5"), (None, "None"), (F(1, 2), "Fraction(1, 2)")])
+    def test_non_iterable_is_an_input_error(self, v, named):
+        with pytest.raises(InputError) as error:
+            xm.integer_vector(v)
+        assert str(error.value) == f"not an integer vector: {named}"
+
+    def test_type_error_inside_an_iterable_is_not_rewritten(self):
+        def entries():
+            yield 1
+            raise TypeError("from inside the generator")
+
+        with pytest.raises(TypeError, match="from inside the generator"):
+            xm.integer_vector(entries())
+
 
 class TestLpSelfChecks:
     """Every LP certificate is checked before it is returned; a wrong one

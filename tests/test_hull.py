@@ -38,7 +38,7 @@ from singvol.toric import minimal_elements
 from conftest import CONES_3D, apply, random_m_primary_ideal, random_unimodular, run_python, transpose
 from reference import (
     brute_force_facets, brute_force_minimal, brute_force_power, brute_force_samuel, fraction_det3,
-    fraction_hull_2d, subset_mixed_multiplicity,
+    fraction_hull_2d, idot, subset_mixed_multiplicity,
 )
 
 
@@ -407,6 +407,13 @@ class TestMixedPolarization:
         assert calls == {"samuel_multiplicity": 4, "ideal_product": 3}
 
 
+def graded_minimal(cone, points):
+    """brute_force_minimal's set in the order minimal_elements returns it:
+    by the total pairing against the rays, then by the point."""
+    return tuple(sorted(brute_force_minimal(cone, points),
+                        key=lambda u: (sum(idot(u, ray) for ray in cone.rays), u)))
+
+
 class TestMinimalElementsAgainstBruteForce:
     def test_random_sets_with_repeats(self):
         rng = random.Random(1975)
@@ -414,9 +421,7 @@ class TestMinimalElementsAgainstBruteForce:
             cone = random_cone(rng)
             pool = [tuple(rng.randint(-4, 6) for _ in range(cone.dim)) for _ in range(rng.randint(1, 12))]
             points = [rng.choice(pool) for _ in range(rng.randint(1, 25))]
-            kept = minimal_elements(cone, points)
-            assert len(kept) == len(set(kept))
-            assert set(kept) == brute_force_minimal(cone, points), points
+            assert minimal_elements(cone, points) == graded_minimal(cone, points), points
 
     def test_unimodular_images(self):
         rng = random.Random(1976)
@@ -430,6 +435,56 @@ class TestMinimalElementsAgainstBruteForce:
             kept = set(minimal_elements(image, moved))
             assert kept == brute_force_minimal(image, moved)
             assert kept == {apply(inv_t, u) for u in minimal_elements(cone, points)}
+
+
+class TestMinimalElementsOrder:
+    """The exact tuple, not only the set: ideal generators and CLI JSON list
+    the minimal elements in this order."""
+
+    def test_shuffled_and_duplicated_input(self):
+        rng = random.Random(1978)
+        for _ in range(60):
+            cone = random_cone(rng)
+            points = [tuple(rng.randint(-3, 5) for _ in range(cone.dim)) for _ in range(rng.randint(1, 15))]
+            expected = minimal_elements(cone, points)
+            for _ in range(3):
+                again = points + [rng.choice(points) for _ in range(rng.randint(1, 10))]
+                rng.shuffle(again)
+                assert minimal_elements(cone, again) == expected
+                assert minimal_elements(cone, iter(again)) == expected
+
+    def test_sums_of_generators(self):
+        # ideal_product's input: every sum, most of them dominated.
+        rng = random.Random(1979)
+        for _ in range(30):
+            cone = random_cone(rng)
+            a, b = random_ideal(rng, cone), random_ideal(rng, cone)
+            sums = [tuple(map(sum, zip(g, h))) for g in a.gens for h in b.gens]
+            assert minimal_elements(cone, sums) == graded_minimal(cone, sums)
+
+    def test_section_points_with_negative_pairings(self):
+        # module_generators searches a slab whose points pair negatively
+        # with some rays when a bound is negative; they lie outside the dual
+        # cone, and the order is still the dual-cone order.
+        rng = random.Random(1980)
+        negative = 0
+        for _ in range(25):
+            cone = random_cone(rng)
+            bounds = [rng.randint(-3, 1) for _ in cone.rays]
+            slab = toric._section_slab(cone, bounds)
+            negative += sum(any(idot(u, ray) < 0 for ray in cone.rays) for u in slab)
+            expected = graded_minimal(cone, slab)
+            assert minimal_elements(cone, slab) == expected
+            assert toric.module_generators(cone, bounds) == expected
+        assert negative > 100
+
+    @pytest.mark.parametrize("where", [0, 1, 4])
+    def test_wrong_length_point_raises_wherever_it_is(self, where):
+        quadric = ToricCone(CONES_3D["quadric"])
+        points = [(1, 0, 0), (0, 1, 0), (2, 2, 2), (0, 0, 1)]
+        for bad in [(1, 0), (1, 0, 0, 0), ()]:
+            with pytest.raises(InputError, match="does not have dimension 3"):
+                minimal_elements(quadric, points[:where] + [bad] + points[where:])
 
 
 class TestIdealPower:

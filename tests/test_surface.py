@@ -80,6 +80,18 @@ class TestGraphConstruction:
         with pytest.raises(InputError, match="not an integer vector"):
             ResolutionGraph(vertices, edges)
 
+    def test_edge_that_is_not_iterable(self):
+        with pytest.raises(InputError, match=r"^not an integer vector: 5$"):
+            ResolutionGraph([(-2, 0)], [5])
+
+    def test_vertices_that_are_not_a_list(self):
+        with pytest.raises(InputError, match=r"^the vertices of a resolution graph must be a list, not 5$"):
+            ResolutionGraph(5, [])
+
+    def test_edges_that_are_not_a_list(self):
+        with pytest.raises(InputError, match=r"^the edges of a resolution graph must be a list, not 5$"):
+            ResolutionGraph([(-2, 0)], 5)
+
     def test_permuted_graph(self, two_vertex_graph):
         swapped = two_vertex_graph.permuted([1, 0])
         assert swapped.vertices[0].self_int == -2
@@ -279,6 +291,14 @@ class TestStandardGraphs:
         assert graph.vertices[0].genus == 2
         assert not graph.edges
 
+    @pytest.mark.parametrize("genus, degree, shown", [("2", 1, "'2'"), (2, "1", "'1'"), (2, 1.0, "1.0")])
+    def test_cone_arguments_are_read_as_integers(self, genus, degree, shown):
+        with pytest.raises(InputError, match=rf"^not an integer: {shown}$"):
+            cone_graph(genus, degree)
+
+    def test_cone_reads_integer_valued_fractions(self):
+        assert cone_graph(F(4, 2), F(3)).vertices == cone_graph(2, 3).vertices
+
     def test_du_val_a2(self):
         graph = du_val_graph("A2")
         assert len(graph) == 2 and graph.edges == ((0, 1, 1),)
@@ -311,6 +331,10 @@ class TestStandardGraphs:
         assert graph.edges == ((0, 1, 2),)
         assert classify(graph).kind is SingularityKind.LC_NOT_KLT
         assert volume(graph) == 0
+
+    def test_cusp_cycle_of_a_non_iterable(self):
+        with pytest.raises(InputError, match=r"^not an integer vector: 5$"):
+            cusp_cycle_graph(5)
 
     def test_cusp_cycle_rejects_degenerate_data(self):
         with pytest.raises(DomainError):

@@ -69,6 +69,14 @@ class TestConeConstruction:
         with pytest.raises(InputError, match="not an integer vector"):
             ToricCone([bad, (0, 1)])
 
+    def test_first_ray_that_is_not_iterable(self):
+        with pytest.raises(InputError, match=r"^not an integer vector: 5$"):
+            ToricCone([5])
+
+    def test_rays_that_are_not_a_list(self):
+        with pytest.raises(InputError, match=r"^the rays of a cone must be a list, not 5$"):
+            ToricCone(5)
+
     def test_rejects_duplicates(self):
         with pytest.raises(InputError, match="duplicate"):
             ToricCone([(1, 0), (1, 0), (0, 1)])
@@ -335,6 +343,14 @@ class TestMonomialIdeals:
     def test_rejects_text_exponents(self, quadric, first):
         with pytest.raises(InputError, match="not an integer vector"):
             MonomialIdeal(quadric, [first, (0, 1, 0), (0, 0, 1)])
+
+    def test_generator_that_is_not_iterable(self, quadric):
+        with pytest.raises(InputError, match=r"^not an integer vector: 5$"):
+            MonomialIdeal(quadric, [5])
+
+    def test_generators_that_are_not_a_list(self, quadric):
+        with pytest.raises(InputError, match=r"^the generators of an ideal must be a list, not 5$"):
+            MonomialIdeal(quadric, 5)
 
     def test_rejects_exponent_outside_dual_cone(self, quadric):
         with pytest.raises(DomainError, match="dual cone"):
