@@ -32,6 +32,7 @@ class ToricEndo:
 
     def __init__(self, cone: ToricCone, matrix):
         self.cone = cone
+        matrix = xm.as_list(matrix, "an endomorphism matrix")
         rows = [toric._as_lattice_vector(r, cone.dim) for r in matrix]
         if len(rows) != cone.dim:
             raise InputError(
@@ -201,6 +202,7 @@ class SurfaceCoverReport(namedtuple(
 
 
 def surface_cover_report(genus: int, polarization: int, cover_degree: int) -> SurfaceCoverReport:
+    genus, polarization, cover_degree = map(xm.integer, (genus, polarization, cover_degree))
     if cover_degree < 1:
         raise InputError("cover degree must be positive")
     base = surface.volume(surface.cone_graph(genus, polarization))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from .errors import DomainError, InputError, InternalError, UnsupportedDimensionError, check
 
@@ -124,6 +124,18 @@ def as_list(v, what: str) -> list:
     return list(v)
 
 
+def rational_vector(v, what: str) -> tuple:
+    """The entries of v read by parse_rational; InputError names what v
+    should be when it cannot be iterated, such as 5."""
+    # Built from a list: see the note above mat_vec.  As in integer_vector,
+    # the try costs nothing on the path that succeeds.
+    try:
+        return tuple([parse_rational(x) for x in v])
+    except TypeError:
+        as_list(v, what)
+        raise
+
+
 def primitive_vector(v) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (orientation kept)."""
     ints = integer_vector(v)
@@ -140,11 +152,17 @@ def primitive_vector(v) -> tuple[int, ...]:
 
 def _entries(rows) -> list:
     """Rows as lists of int or Fraction entries, checked to share one length.
-    Other entries are read by parse_rational, so bools and floats raise."""
-    out = [
-        [x if type(x) is int or type(x) is Fraction else parse_rational(x) for x in row]
-        for row in rows
-    ]
+    Other entries are read by parse_rational, so bools and floats raise, and
+    a matrix or a row that cannot be iterated raises InputError."""
+    try:
+        out = [
+            [x if type(x) is int or type(x) is Fraction else parse_rational(x) for x in row]
+            for row in rows
+        ]
+    except TypeError:
+        for row in as_list(rows, "a matrix"):
+            as_list(row, "a matrix row")
+        raise
     if out and any(len(row) != len(out[0]) for row in out):
         raise InputError("matrix rows have inconsistent lengths")
     return out
@@ -301,7 +319,7 @@ def adjugate(m):
     matrix M, so that M adj(M) = det(M) I.  One elimination of the rows
     beside an identity block gives column j as the integer solution of
     M x = det(M) e_j, and the product is checked on every call."""
-    rows = [list(integer_vector(row)) for row in m]
+    rows = [list(integer_vector(row)) for row in as_list(m, "a matrix")]
     k = len(rows)
     if k == 0 or any(len(row) != k for row in rows):
         raise InputError("adjugate requires a square matrix")
@@ -411,9 +429,14 @@ class LPProblem(namedtuple("LPProblem", "objective constraints")):
     __slots__ = ()
 
     def __new__(cls, objective, constraints):
-        obj = tuple([parse_rational(e) for e in objective])
-        cons = tuple([(tuple([parse_rational(e) for e in n]), parse_rational(b))
-                      for n, b in constraints])
+        obj = rational_vector(objective, "an LP objective")
+        try:
+            cons = tuple([(rational_vector(n, "a constraint normal"), parse_rational(b))
+                          for n, b in constraints])
+        except TypeError:
+            for constraint in as_list(constraints, "the LP constraints"):
+                as_list(constraint, "an LP constraint")
+            raise
         if not obj:
             raise InputError("LP objective must have positive dimension")
         for normal, _ in cons:
@@ -723,18 +746,48 @@ def _hull_planes(pts) -> dict:
     return planes
 
 
-def hull_facets_3d(points, keep=None):
-    """Sorted (outward primitive normal, offset, corner cycle) facets of the
-    convex hull of integer ``points`` in Z^3.  ``keep``, a predicate on the
-    normal, drops facets before their cycles are ordered.  Points that do
-    not span space give no facets.
-    """
-    planes = sorted(_hull_planes(sorted(set(map(tuple, points)))).items())
+def hull_facets(points, keep=None):
+    """Sorted (outward primitive normal, offset, corners) facets of the
+    convex hull of integer ``points`` in Z^1, Z^2 or Z^3, the corners in
+    boundary order: the end point in 1-D, the two ends of an edge
+    counter-clockwise in 2-D, the corner cycle in 3-D.  ``keep``, a
+    predicate on the normal, drops facets before their corners are
+    ordered.  Points that do not span space give no facets."""
+    pts = sorted(set(map(tuple, points)))
+    n = len(pts[0]) if pts else 0
+    if n > 3:
+        raise UnsupportedDimensionError(f"hulls are computed in dimension <= 3, got {n}")
+    planes = {}
+    if n == 1 and len(pts) > 1:
+        planes = {((-1,), -pts[0][0]): [pts[0]], ((1,), pts[-1][0]): [pts[-1]]}
+    elif n == 2:
+        hull = convex_hull_2d(pts)
+        if len(hull) > 2:
+            for p, q in zip(hull, hull[1:] + hull[:1]):
+                normal = primitive_vector((q[1] - p[1], p[0] - q[0]))
+                planes[normal, normal[0] * p[0] + normal[1] * p[1]] = [p, q]
+    elif n == 3:
+        planes = _hull_planes(pts)
     return [
-        (normal, offset, order_coplanar_polygon(verts, normal))
-        for (normal, offset), verts in planes
+        (normal, offset, corners if n < 3 else order_coplanar_polygon(corners, normal))
+        for (normal, offset), corners in sorted(planes.items())
         if keep is None or keep(normal)
     ]
+
+
+def fan_volume(facets) -> int:
+    """n! times the volume of the cones from the origin over hull facets in
+    Z^n, n <= 3: each facet is fanned from its first corner c_0 into the
+    simplices on c_0, c_t, ..., c_{t+n-2}, of n! volume |det|, taken by det3
+    on the rows padded with zeros and the unit rows e_{n+1}, ..., e_3."""
+    total = 0
+    for _, _, corners in facets:
+        n = len(corners[0])
+        pad, units = (0,) * (3 - n), [(0, 1, 0), (0, 0, 1)][n - 1:]
+        for t in range(1, len(corners) - n + 2):
+            rows = [c + pad for c in (corners[0], *corners[t:t + n - 1])] + units
+            total += abs(det3(*rows))
+    return total
 
 
 def order_coplanar_polygon(points, normal) -> list:
@@ -752,9 +805,10 @@ def polytope_volume(vertices, dim: int) -> Fraction:
     """Exact Euclidean volume of the convex hull of rational ``vertices``.
 
     Supported in ambient dimension 1, 2 and 3; degenerate hulls have
-    volume 0.  In 3D the points are scaled to integers and the facets of
-    the shared hull are fanned from a vertex.
+    volume 0.  The points are scaled to integers, a vertex is moved to the
+    origin, and the facets of the shared hull are fanned from it.
     """
+    dim = integer(dim)
     if dim > 3:
         raise UnsupportedDimensionError(
             f"polytope volumes are only computed for dimension <= 3, got {dim}"
@@ -768,19 +822,6 @@ def polytope_volume(vertices, dim: int) -> Fraction:
         raise InputError("vertex does not match the stated dimension")
     scale = lcm(*[c.denominator for p in rational for c in p])
     pts = sorted({tuple([int(c * scale) for c in p]) for p in rational})
-
-    if dim == 1:
-        return Fraction(pts[-1][0] - pts[0][0], scale)
-
-    if dim == 2:
-        hull = convex_hull_2d(pts)
-        area2 = sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(hull, hull[1:] + hull[:1]))
-        return Fraction(abs(area2), 2 * scale**2)
-
     # With a vertex moved to the origin, the cones over the facets tile it.
     moved = [tuple([a - b for a, b in zip(p, pts[0])]) for p in pts]
-    total = 0
-    for _, _, cycle in hull_facets_3d(moved):
-        for t in range(1, len(cycle) - 1):
-            total += abs(det3(cycle[0], cycle[t], cycle[t + 1]))
-    return Fraction(total, 6 * scale**3)
+    return Fraction(fan_volume(hull_facets(moved)), factorial(dim) * scale**dim)

@@ -32,7 +32,7 @@ def colength(cone: ToricCone, a: MonomialIdeal, k: int, cap: int = DEFAULT_POWER
     0 for the unit ideal, finite for an m-primary one."""
     if a.cone != cone:
         raise InputError("ideal does not live on the given cone")
-    k = xm.integer(k)
+    k, cap = xm.integer(k), xm.integer(cap)
     if k < 0:
         raise InputError("power must be nonnegative")
     if k > cap:

@@ -137,7 +137,7 @@ class ResolutionGraph:
     def permuted(self, order):
         """The same graph with vertices relabelled by the permutation
         new_index = order.index(old_index)."""
-        order = list(order)
+        order = xm.as_list(order, "a vertex order")
         if sorted(order) != list(range(len(self))):
             raise InputError("not a permutation of the vertex indices")
         position = {old: new for new, old in enumerate(order)}
@@ -147,8 +147,7 @@ class ResolutionGraph:
 
 
 def _as_coeffs(graph, d):
-    # Built from a list, not a generator: see the note above exactmath.mat_vec.
-    coeffs = tuple([xm.parse_rational(c) for c in d])
+    coeffs = xm.rational_vector(d, "the coefficients of a divisor")
     if len(coeffs) != len(graph):
         raise InputError(
             f"divisor has {len(coeffs)} coefficients but the graph has {len(graph)} vertices"

@@ -214,7 +214,7 @@ class ToricDivisor(namedtuple("ToricDivisor", "cone coeffs")):
     __slots__ = ()
 
     def __new__(cls, cone, coeffs):
-        coeffs = tuple([xm.parse_rational(c) for c in coeffs])
+        coeffs = xm.rational_vector(coeffs, "the coefficients of a divisor")
         if len(coeffs) != len(cone.rays):
             raise InputError(
                 f"divisor has {len(coeffs)} coefficients but the cone has "
@@ -477,7 +477,7 @@ def module_generators(cone: ToricCone, lower_bounds):
     coefficient reaches 1 the element is dominated.  Minimal generators
     therefore lie in the section slab, and are its minimal elements.
     """
-    c = [ceil(xm.parse_rational(x)) for x in lower_bounds]
+    c = [ceil(x) for x in xm.rational_vector(lower_bounds, "the lower bounds")]
     if len(c) != len(cone.rays):
         raise InputError("one lower bound per ray is required")
     return minimal_elements(cone, _section_slab(cone, c))
@@ -681,41 +681,23 @@ def samuel_multiplicity(cone: ToricCone, a: MonomialIdeal) -> Fraction:
     if not a.is_m_primary:
         raise DomainError("Samuel multiplicity needs an m-primary ideal")
     gens = a.gens
-    n = cone.dim
-
-    if n == 1:
-        return Fraction(min(_idot(g, cone.dual_rays[0]) for g in gens))
-
     # The generator on each dual ray, doubled, lies in the Newton polyhedron
     # strictly above every compact face; with it the points span the space
     # and their hull has the same compact faces as the polyhedron.
     points = list(gens) + [tuple([2 * x for x in g]) for g in a.ray_generators.values()]
-
-    if n == 2:
-        hull = xm.convex_hull_2d(points)
-        edges = [((p[1] - q[1], q[0] - p[0]), (p, q)) for p, q in zip(hull, hull[1:] + hull[:1])]
-        faces = [(inward, edge) for inward, edge in edges if cone.interior_contains(inward)]
-    else:
-        facets = xm.hull_facets_3d(
-            points, keep=lambda normal: cone.interior_contains([-x for x in normal])
-        )
-        faces = [(tuple([-x for x in normal]), cycle) for normal, _, cycle in facets]
-    total, rim = 0, set()
-    for inward, cycle in faces:
-        offset = _idot(inward, cycle[0])
-        compact = cone.interior_contains(inward) and all(_idot(inward, g) >= offset for g in gens)
+    faces = xm.hull_facets(points, keep=lambda normal: cone.interior_contains([-x for x in normal]))
+    rim = set()
+    for normal, offset, corners in faces:
+        compact = cone.interior_contains([-x for x in normal]) and all(
+            _idot(normal, g) <= offset for g in gens)
         check(compact, "a kept hull face is not a compact face of the Newton polyhedron")
-        if n == 2:
-            total += abs(cycle[0][0] * cycle[1][1] - cycle[1][0] * cycle[0][1])
-        else:
-            for t in range(1, len(cycle) - 1):
-                total += abs(xm.det3(cycle[0], cycle[t], cycle[t + 1]))
-        rim ^= set(map(frozenset, zip(cycle) if n == 2 else zip(cycle, cycle[1:] + cycle[:1])))
+        # The ridges of the face: none in 1-D, its ends in 2-D, its edges in 3-D.
+        rim ^= set(map(frozenset, zip(*[corners[i:] + corners[:i] for i in range(cone.dim - 1)])))
     # Counted mod 2, the boundary of the kept faces lies on the boundary of
     # the dual cone only when they are all the compact faces.
     on_rim = all(any(all(_idot(x, r) == 0 for x in cell) for r in cone.rays) for cell in rim)
     check(faces and on_rim, "the kept hull faces do not cover the Newton region")
-    return Fraction(total)
+    return Fraction(xm.fan_volume(faces))
 
 
 def mixed_multiplicity(cone: ToricCone, ideals) -> Fraction:
@@ -736,7 +718,7 @@ def mixed_multiplicity(cone: ToricCone, ideals) -> Fraction:
     multiple of n!.  Minus this value is the intersection number over the
     fixed point of the nef divisors cut out by the ideals.
     """
-    ideals = list(ideals)
+    ideals = xm.as_list(ideals, "the ideals")
     n = cone.dim
     if len(ideals) != n:
         raise InputError(f"mixed multiplicity needs exactly {n} ideals, got {len(ideals)}")

@@ -168,14 +168,18 @@ def fraction_dot(u, v):
 
 
 def brute_force_facets(points):
-    """Every triple of points whose plane has all points on one side."""
+    """Every n points of Z^n, n = 1, 2 or 3, whose hyperplane has all points
+    on one side: single points on a line, pairs in the plane, triples in
+    space.  The corners are the point in 1-D, the ends in counter-clockwise
+    order in 2-D and the polygon cycle in 3-D."""
     pts = sorted(set(tuple(int(c) for c in p) for p in points))
+    n = len(pts[0]) if pts else 3
     facets = {}
-    for p1, p2, p3 in itertools.combinations(pts, 3):
-        normal = cross3(sub(p2, p1), sub(p3, p1))
-        if normal == (0, 0, 0):
+    for subset in itertools.combinations(pts, n):
+        normal = normal_to([sub(p, subset[0]) for p in subset[1:]])
+        if not any(normal):
             continue
-        sides = [idot(sub(q, p1), normal) for q in pts]
+        sides = [idot(sub(q, subset[0]), normal) for q in pts]
         if all(s <= 0 for s in sides):
             outward = normal
         elif all(s >= 0 for s in sides):
@@ -183,13 +187,35 @@ def brute_force_facets(points):
         else:
             continue
         key_normal = xm.primitive_vector(outward)
-        offset = idot(p1, key_normal)
+        offset = idot(subset[0], key_normal)
         on_plane = frozenset(q for q in pts if idot(q, key_normal) == offset)
         facets[(key_normal, offset)] = on_plane
     return [
-        (normal, offset, order_coplanar_polygon(plane_pts, normal))
+        (normal, offset, facet_corners(plane_pts, normal))
         for (normal, offset), plane_pts in sorted(facets.items())
     ]
+
+
+def normal_to(diffs):
+    """A normal to n - 1 vectors of Z^n: (1,) in 1-D, the first vector
+    turned a quarter left in 2-D, the cross product in 3-D."""
+    if not diffs:
+        return (1,)
+    if len(diffs) == 1:
+        return (-diffs[0][1], diffs[0][0])
+    return cross3(*diffs)
+
+
+def facet_corners(plane_pts, normal):
+    """The corners of a facet in boundary order: its one point in 1-D, its
+    two ends counter-clockwise (along the normal turned a quarter left) in
+    2-D, its polygon in 3-D."""
+    if len(normal) == 1:
+        return sorted(plane_pts)
+    if len(normal) == 2:
+        along = sorted(plane_pts, key=lambda q: idot(q, (-normal[1], normal[0])))
+        return [along[0], along[-1]]
+    return order_coplanar_polygon(plane_pts, normal)
 
 
 def fraction_cross2(o, a, b):
@@ -231,16 +257,13 @@ def brute_force_minimal(cone, points):
 
 
 def brute_force_samuel(cone, ideal):
-    """n! covolume from every pair (2-D) or triple (3-D) of generators that
-    spans a face of the Newton polyhedron with inward normal interior to sigma."""
+    """n! covolume from every single generator (1-D), pair (2-D) or triple
+    (3-D) of generators that spans a face of the Newton polyhedron with
+    inward normal interior to sigma."""
     gens = ideal.gens
     faces = {}
     for subset in itertools.combinations(gens, cone.dim):
-        diffs = [sub(g, subset[0]) for g in subset[1:]]
-        if cone.dim == 2:
-            normal = (-diffs[0][1], diffs[0][0])
-        else:
-            normal = cross3(*diffs)
+        normal = normal_to([sub(g, subset[0]) for g in subset[1:]])
         if not any(normal):
             continue
         normal = xm.primitive_vector(normal)
@@ -250,7 +273,9 @@ def brute_force_samuel(cone, ideal):
                 faces[u] = [g for g in gens if idot(u, g) == c]
     total = 0
     for u, pts in faces.items():
-        if cone.dim == 2:
+        if cone.dim == 1:
+            total += abs(pts[0][0])
+        elif cone.dim == 2:
             p, q = min(pts), max(pts)
             total += abs(p[0] * q[1] - q[0] * p[1])
         else:

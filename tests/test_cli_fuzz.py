@@ -1,7 +1,8 @@
 """The CLI exit-code contract under generated JSON: `toric env`, `toric
-numcartier`, `toric defect`, `toric mult`, `toric mixed` and `validate`
-exit 0, 2, 3 or 4, and `surface volume`, `classify` and `zariski` exit 0, 2
-or 3; none raises.
+numcartier`, `toric defect`, `toric mult`, `toric mixed`, `toric izumi`,
+`endo check`, `endo monotonic` and `validate` exit 0, 2, 3 or 4, and
+`surface volume`, `classify`, `zariski`, `pullback` and `standard` exit 0,
+2 or 3; none raises.
 
 Inputs mix valid isolated cones, divisors and ideals with wrong types,
 bools, floats, wrong lengths, non-primitive and zero rays, valuations and
@@ -22,6 +23,8 @@ from singvol import ToricCone, hilbert_basis
 from singvol.cli import main
 
 CONES = [
+    [[1]],
+    [[-1]],
     [[1, 0], [0, 1]],
     [[1, 0], [-2, 3]],
     [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]],
@@ -78,6 +81,8 @@ def cones(draw):
     return {"dim": len(rays[0]) if rays else 0, "rays": rays}
 
 
+listed_cones = st.sampled_from(CONES).map(lambda rays: {"dim": len(rays[0]), "rays": rays})
+
 coefficient = st.one_of(
     st.integers(-3, 3),
     st.sampled_from(["2", "-1", "1/2", "-3/2", "0"]),
@@ -106,13 +111,14 @@ def divisors(draw, cone):
 
 
 @st.composite
-def at_texts(draw, cone):
-    """A sum of rays (inside the cone), its negative (outside it), any short
-    vector, or malformed text."""
+def at_texts(draw, cone, least=0):
+    """A sum of rays, each taken at least ``least`` times (inside the cone,
+    and interior to it when ``least`` is positive), its negative (outside
+    it), any short vector, or malformed text."""
     kind = draw(st.integers(0, 3))
     rays = cone["rays"] if shape(cone) else []
     if kind < 2 and rays and all(type(x) is int for ray in rays for x in ray):
-        weights = draw(st.lists(st.integers(0, 2), min_size=len(rays), max_size=len(rays)))
+        weights = draw(st.lists(st.integers(least, 2), min_size=len(rays), max_size=len(rays)))
         v = [sum(w * ray[j] for w, ray in zip(weights, rays) if j < len(ray))
              for j in range(len(rays[0]))]
         v = v if kind == 0 else [-x for x in v]
@@ -191,8 +197,7 @@ def ideal_invocations(draw, command):
     half the time a listed cone, and half the time only unspoilt ideals, so
     that the computations run too.  `toric mixed` reads as many ideals as
     the cone has dimensions, or one to four."""
-    listed = st.sampled_from(CONES).map(lambda rays: {"dim": len(rays[0]), "rays": rays})
-    cone = draw(st.one_of(listed, cones()))
+    cone = draw(st.one_of(listed_cones, cones()))
     dim = (shape(cone) or (0, 2))[1]
     count = draw(st.one_of(st.just(dim), st.integers(1, 4))) if command == "mixed" else 1
     kinds = st.just(0) if draw(st.booleans()) else st.integers(0, 4)
@@ -247,12 +252,12 @@ def graphs(draw):
 
 
 @st.composite
-def surface_invocations(draw):
+def surface_invocations(draw, commands=("volume", "classify", "zariski")):
     """(argv without the file paths, the graph object, a divisor or None)."""
-    command = draw(st.sampled_from(["volume", "classify", "zariski"]))
+    command = draw(st.sampled_from(commands))
     graph = draw(graphs())
     divisor = None
-    if command == "zariski" and draw(st.booleans()):
+    if command in ("zariski", "pullback") and draw(st.booleans()):
         vertices = graph.get("vertices") if isinstance(graph, dict) else None
         count = len(vertices) if isinstance(vertices, list) else 3
         size = count if draw(st.booleans()) else draw(st.integers(1, 7))
@@ -261,6 +266,91 @@ def surface_invocations(draw):
             json_values,
         ))
     return ["surface", command], graph, divisor
+
+
+# Text that argparse reads as no integer.
+bad_ints = st.sampled_from(["", "x", "1.5", "2/1", " 3"])
+
+# Each family's options with values it accepts; Du Val names from A1 up.
+STANDARD_OPTIONS = {
+    "cone": {"--g": st.integers(0, 4).map(str), "--d": st.integers(1, 4).map(str)},
+    "cusp_cycle": {"--self-ints=": st.lists(st.integers(-5, -2), min_size=1, max_size=6).map(
+        lambda ints: ",".join(map(str, ints)))},
+    "duval": {"--name": st.sampled_from(["A1", "A4", "D4", "D7", "E6", "E7", "E8"])},
+}
+
+
+@st.composite
+def standard_invocations(draw):
+    """`surface standard` argv: a family with its options, one of them
+    dropped, out of range or malformed a third of the time, or given the
+    options of another family."""
+    family = draw(st.sampled_from(sorted(STANDARD_OPTIONS)))
+    options = {flag: draw(values) for flag, values in STANDARD_OPTIONS[family].items()}
+    if draw(st.integers(0, 2)) == 0:
+        flag = draw(st.sampled_from(sorted(options)))
+        change = draw(st.sampled_from(["drop", "range", "malformed", "other"]))
+        if change == "drop":
+            del options[flag]
+        elif change == "range":
+            options[flag] = draw(st.sampled_from(["-1", "0", "1", "-3,1", "A0", "D3", "E9", "X2"]))
+        elif change == "malformed":
+            options[flag] = draw(st.one_of(bad_ints, st.sampled_from(["a", "-2,,-3", "-2.0"])))
+        else:
+            family = draw(st.sampled_from(sorted(STANDARD_OPTIONS)))
+    argv = ["surface", "standard", "--family", family]
+    for flag, value in options.items():
+        argv += [flag + value] if flag.endswith("=") else [flag, value]
+    return argv
+
+
+@st.composite
+def matrices(draw, cone):
+    """A matrix object: a positive multiple of the identity or of a swap of
+    the first two coordinates, any short integer rows, or any JSON."""
+    kind = draw(st.integers(0, 3))
+    n = (shape(cone) or (3, 3))[1]
+    if kind == 3:
+        return draw(json_values)
+    if kind == 2:
+        return {"matrix": draw(st.lists(vectors, min_size=1, max_size=4))}
+    k = draw(st.integers(1, 2))
+    rows = [[k * (i == j) for j in range(n)] for i in range(n)]
+    if kind == 1 and n > 1:
+        rows[0], rows[1] = rows[1], rows[0]
+    return {"matrix": rows}
+
+
+@st.composite
+def endo_invocations(draw, command):
+    """(argv without the file paths, {option: object written to a file}):
+    `endo check` with an optional divisor and ideal, `endo monotonic` on a
+    cone or on a surface cover given by integer option text."""
+    cone = draw(st.one_of(listed_cones, cones()))
+    files = {"--cone": cone, "--matrix": draw(matrices(cone))}
+    if command == "check":
+        if draw(st.booleans()):
+            files["--divisor"] = draw(divisors(cone))
+        if draw(st.booleans()):
+            files["--ideal"] = draw(ideals(cone, draw(st.integers(0, 4))))
+        return ["endo", "check"], files
+    if draw(st.booleans()):
+        return ["endo", "monotonic", "--case", "toric"], files
+    argv = ["endo", "monotonic", "--case", "surface_cover"]
+    for flag in ("--g", "--d", "--e"):
+        kind = draw(st.integers(0, 7))
+        if kind:
+            argv += [flag, draw(bad_ints if kind == 1 else st.integers(-1, 3).map(str))]
+    return argv, {}
+
+
+@st.composite
+def izumi_invocations(draw):
+    """(argv, {"--cone": cone}): half the time a listed cone, and two
+    valuations, each interior, outside or malformed."""
+    cone = draw(st.one_of(listed_cones, cones()))
+    v, w = draw(at_texts(cone, least=1)), draw(at_texts(cone, least=1))
+    return ["toric", "izumi", "--v=" + v, "--w=" + w], {"--cone": cone}
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +413,61 @@ def test_ideal_exit_codes_under_generated_json(workdir, command, data):
         json.loads(out)
     else:
         assert err.startswith("error: "), err
+
+
+def assert_exit_contract(argv, code, out, err, codes=(0, 2, 3, 4)):
+    assert code in codes, (argv, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+    else:
+        assert err.startswith(("error: ", "usage: ")), err
+
+
+def with_files(workdir, argv, files):
+    """argv followed by each option and the path of a file holding its object."""
+    argv = list(argv)
+    for option, obj in files.items():
+        path = workdir / (option.strip("-") + ".json")
+        path.write_text(json.dumps(obj))
+        argv += [option, str(path)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(standard_invocations())
+def test_surface_standard_exit_codes(argv):
+    code, out, err = run_main(argv)
+    assert_exit_contract(argv, code, out, err, codes=(0, 2, 3))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(surface_invocations(commands=("pullback",)))
+def test_surface_pullback_exit_codes_under_generated_json(workdir, invocation):
+    argv, graph, divisor = invocation
+    files = {"--graph": graph} if divisor is None else {"--graph": graph, "--divisor": divisor}
+    argv = with_files(workdir, argv, files)
+    code, out, err = run_main(argv)
+    assert_exit_contract(argv, code, out, err, codes=(0, 2, 3))
+
+
+@pytest.mark.parametrize("command", ["check", "monotonic"])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_endo_exit_codes_under_generated_json(workdir, command, data):
+    argv, files = data.draw(endo_invocations(command))
+    argv = with_files(workdir, argv, files)
+    code, out, err = run_main(argv)
+    assert_exit_contract(argv, code, out, err)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(izumi_invocations())
+def test_izumi_exit_codes_under_generated_json(workdir, invocation):
+    argv, files = invocation
+    argv = with_files(workdir, argv, files)
+    code, out, err = run_main(argv)
+    assert_exit_contract(argv, code, out, err)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

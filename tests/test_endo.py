@@ -1,9 +1,11 @@
 import itertools
+from fractions import Fraction as F
 
 import pytest
 
 from singvol import (
     DomainError,
+    InputError,
     MonomialIdeal,
     ToricDivisor,
     ToricEndo,
@@ -159,6 +161,16 @@ class TestVolumeReports:
         report = surface_cover_report(2, 1, 1)
         assert report.covering_volume == report.base_volume == 4
         assert report.passed
+
+    @pytest.mark.parametrize("args", [(2, 1, "2"), (2, 1, True), ("2", 1, 2), (2, 1.0, 2)])
+    def test_surface_cover_arguments_are_integers(self, args):
+        with pytest.raises(InputError, match="not an integer"):
+            surface_cover_report(*args)
+
+    def test_surface_cover_reads_integer_valued_fractions(self):
+        report = surface_cover_report(F(4, 2), 1, F(2))
+        assert (report.genus, report.cover_degree) == (2, 2)
+        assert type(report.genus) is int and report.covering_volume == 8
 
     def test_toric_case(self, quadric):
         report = toric_volume_report(quadric, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])

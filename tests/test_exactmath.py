@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import singvol as sv
 import singvol.exactmath as xm
 from singvol import InputError, InternalError, DomainError, UnsupportedDimensionError
 from singvol.exactmath import (
@@ -265,6 +266,12 @@ class TestPolytopeVolume:
         assert polytope_volume([(0, 0), (1, 1), (2, 2)], 2) == 0
         assert polytope_volume([(0, 0, 0), (1, 0, 0), (0, 1, 0)], 3) == 0
 
+    @pytest.mark.parametrize("dim", [True, "2", 2.0, F(1, 2)])
+    def test_dimension_is_read_as_an_integer(self, dim):
+        with pytest.raises(InputError, match="not an integer"):
+            polytope_volume([(0, 0), (1, 0), (0, 1)], dim)
+        assert polytope_volume([(0, 0), (1, 0), (0, 1)], F(4, 2)) == F(1, 2)
+
     def test_dimension_cap(self):
         with pytest.raises(UnsupportedDimensionError):
             polytope_volume([(0, 0, 0, 0)], 4)
@@ -411,6 +418,44 @@ class TestIntegerVectors:
 
         with pytest.raises(TypeError, match="from inside the generator"):
             xm.integer_vector(entries())
+
+
+# Calls given a collection that cannot be iterated, each taking the plane
+# cone and the cone over a genus-2 curve of degree 1.
+NON_ITERABLE_CALLS = {
+    "entries": lambda plane, graph: xm._entries(5),
+    "entries-row": lambda plane, graph: xm._entries([[1], 5]),
+    "determinant": lambda plane, graph: determinant(5),
+    "determinant-row": lambda plane, graph: determinant([5]),
+    "matrix_rank": lambda plane, graph: xm.matrix_rank([[1], 5]),
+    "solve_linear": lambda plane, graph: solve_linear([[1]], 5),
+    "solve_general": lambda plane, graph: solve_general(5, [1]),
+    "failing_principal_minor": lambda plane, graph: failing_principal_minor(5),
+    "is_negative_definite": lambda plane, graph: is_negative_definite([5]),
+    "adjugate": lambda plane, graph: xm.adjugate(5),
+    "lp-objective": lambda plane, graph: LPProblem(5, []),
+    "lp-constraints": lambda plane, graph: LPProblem([1], 5),
+    "lp-constraint": lambda plane, graph: LPProblem([1], [5]),
+    "lp-normal": lambda plane, graph: LPProblem([1], [(5, 1)]),
+    "ToricDivisor": lambda plane, graph: sv.ToricDivisor(plane, 5),
+    "module_generators": lambda plane, graph: sv.module_generators(plane, 5),
+    "mixed_multiplicity": lambda plane, graph: sv.mixed_multiplicity(plane, 5),
+    "_as_coeffs": lambda plane, graph: sv.surface._as_coeffs(graph, 5),
+    "numerical_pullback": lambda plane, graph: sv.numerical_pullback(graph, 5),
+    "intersect": lambda plane, graph: sv.surface.intersect(graph, [1], 5),
+    "zariski_decompose": lambda plane, graph: sv.zariski_decompose(graph, 5),
+    "local_volume": lambda plane, graph: sv.local_volume(graph, 5),
+    "permuted": lambda plane, graph: graph.permuted(5),
+    "ToricEndo": lambda plane, graph: sv.ToricEndo(plane, 5),
+}
+
+
+class TestCollectionArguments:
+    @pytest.mark.parametrize("name", sorted(NON_ITERABLE_CALLS))
+    def test_non_iterable_is_an_input_error(self, name):
+        plane, graph = sv.ToricCone([(1, 0), (0, 1)]), sv.cone_graph(2, 1)
+        with pytest.raises(InputError, match="must be a list, not 5"):
+            NON_ITERABLE_CALLS[name](plane, graph)
 
 
 class TestLpSelfChecks:

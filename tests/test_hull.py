@@ -32,7 +32,8 @@ from singvol import (
     polytope_volume,
     samuel_multiplicity,
 )
-from singvol.exactmath import convex_hull_2d, cross3, det3, hull_facets_3d
+from singvol.exactmath import convex_hull_2d, cross3, det3, hull_facets
+from singvol.oracle import colength
 from singvol.toric import minimal_elements
 
 from conftest import CONES_3D, apply, random_m_primary_ideal, random_unimodular, run_python, transpose
@@ -125,7 +126,7 @@ def random_cone(rng):
 
 
 def assert_matches_brute_force(pts):
-    facets, reference = hull_facets_3d(pts), brute_force_facets(pts)
+    facets, reference = hull_facets(pts), brute_force_facets(pts)
     if facets:
         assert facets == reference, pts
     else:
@@ -145,22 +146,50 @@ class TestHullAgainstBruteForce:
     def test_hypothesis_point_sets(self, pts):
         assert_matches_brute_force(pts)
 
+    def test_line_and_plane_point_sets(self):
+        rng = random.Random(2025)
+        for _ in range(250):
+            assert_matches_brute_force(random_plane_points(rng))
+            r = rng.randint(1, 6)
+            assert_matches_brute_force([(rng.randint(-r, r),) for _ in range(rng.randint(0, 6))])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.lists(st.tuples(st.integers(-5, 5)), max_size=8),
+                     st.lists(st.tuples(*[st.integers(-3, 3)] * 2), max_size=16)))
+    def test_hypothesis_line_and_plane_point_sets(self, pts):
+        assert_matches_brute_force(pts)
+
+    def test_corners_of_a_segment_and_a_triangle(self):
+        assert hull_facets([(4,), (-2,), (1,)]) == [((-1,), 2, [(-2,)]), ((1,), 4, [(4,)])]
+        assert hull_facets([(0, 0), (2, 0), (0, 4), (1, 0)]) == [
+            ((-1, 0), 0, [(0, 4), (0, 0)]),
+            ((0, -1), 0, [(0, 0), (2, 0)]),
+            ((2, 1), 4, [(2, 0), (0, 4)]),
+        ]
+
+    def test_four_dimensional_points_raise(self):
+        with pytest.raises(xm.UnsupportedDimensionError):
+            hull_facets([(0, 0, 0, 0), (1, 0, 0, 0)])
+
     def test_cube_lattice_points(self):
         pts = list(itertools.product(range(4), repeat=3))
-        facets = hull_facets_3d(pts)
+        facets = hull_facets(pts)
         assert len(facets) == 6
         assert all(len(cycle) == 4 for _, _, cycle in facets)
         assert polytope_volume(pts, 3) == 27
 
     def test_degenerate_sets(self):
-        assert hull_facets_3d([]) == []
-        assert hull_facets_3d([(1, 2, 3), (1, 2, 3)]) == []
-        assert hull_facets_3d([(0, 0, 0), (1, 1, 1), (3, 3, 3)]) == []
-        assert hull_facets_3d([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 0)]) == []
+        assert hull_facets([]) == []
+        assert hull_facets([(3,), (3,)]) == []
+        assert hull_facets([(1, 2), (1, 2)]) == []
+        assert hull_facets([(0, 0), (1, 1), (3, 3)]) == []
+        assert hull_facets([(1, 2, 3), (1, 2, 3)]) == []
+        assert hull_facets([(0, 0, 0), (1, 1, 1), (3, 3, 3)]) == []
+        assert hull_facets([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 0)]) == []
 
     def test_keep_filters_before_ordering(self):
         pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        kept = hull_facets_3d(pts, keep=lambda n: sum(n) > 0)
+        kept = hull_facets(pts, keep=lambda n: sum(n) > 0)
         assert [(n, c) for n, c, _ in kept] == [((1, 1, 1), 1)]
 
     def test_rational_polytope_volume(self):
@@ -264,6 +293,23 @@ class TestSamuelAgainstBruteForce:
 
 
 TEISSIER_CONES = {**CONES_3D, "a2": CONES_2D["a2"], "quotient": CONES_2D["quotient"]}
+
+
+class TestOneDimensional:
+    """On a line the Newton region is the segment from 0 to the generator
+    nearest 0, so e(a) is its length and the colength of a."""
+
+    @pytest.mark.parametrize("ray", [1, -1])
+    def test_random_ideals(self, ray):
+        rng = random.Random(78 + ray)
+        line = ToricCone([(ray,)])
+        for _ in range(40):
+            gens = [(ray * rng.randint(1, 9),) for _ in range(rng.randint(1, 4))]
+            a = MonomialIdeal(line, gens)
+            e = min(abs(g[0]) for g in gens)
+            assert samuel_multiplicity(line, a) == e == brute_force_samuel(line, a)
+            assert mixed_multiplicity(line, [a]) == e == colength(line, a, 1)
+            assert samuel_multiplicity(line, ideal_power(a, 3)) == 3 * e
 
 
 class TestTeissierInequalities:
@@ -606,11 +652,35 @@ class TestMixedIntegralityCheck:
 
 class TestCompactFaceVerifier:
     def test_non_compact_face_raises(self, monkeypatch):
-        hull = xm.hull_facets_3d
-        monkeypatch.setattr(xm, "hull_facets_3d", lambda pts, keep=None: hull(pts))
+        hull = xm.hull_facets
+        monkeypatch.setattr(xm, "hull_facets", lambda pts, keep=None: hull(pts))
         quadric = ToricCone(CONES_3D["quadric"])
         with pytest.raises(InternalError, match="not a compact face"):
             samuel_multiplicity(quadric, maximal_ideal(quadric))
+
+    @pytest.mark.parametrize("ray", [1, -1])
+    def test_non_compact_point_raises_in_1d(self, monkeypatch, ray):
+        hull = xm.hull_facets
+        monkeypatch.setattr(xm, "hull_facets", lambda pts, keep=None: hull(pts))
+        line = ToricCone([(ray,)])
+        with pytest.raises(InternalError, match="not a compact face"):
+            samuel_multiplicity(line, MonomialIdeal(line, [(2 * ray,)]))
+
+    @pytest.mark.parametrize("ray", [1, -1])
+    def test_missing_point_raises_in_1d(self, monkeypatch, ray):
+        line = ToricCone([(ray,)])
+        ideal = MonomialIdeal(line, [(2 * ray,)])
+        assert samuel_multiplicity(line, ideal) == 2
+        hull = xm.hull_facets
+
+        def without_point(pts, keep=None):
+            facets = hull(pts, keep)
+            assert len(facets) == 1
+            return []
+
+        monkeypatch.setattr(xm, "hull_facets", without_point)
+        with pytest.raises(InternalError, match="do not cover"):
+            samuel_multiplicity(line, ideal)
 
     def test_generator_below_face_raises(self, monkeypatch):
         hull = xm.convex_hull_2d
@@ -632,14 +702,14 @@ class TestCompactFaceVerifier:
         gens = [tuple(3 * x for x in w) for w in quadric.dual_rays] + [(1, 1, 1)]
         ideal = MonomialIdeal(quadric, gens)
         assert samuel_multiplicity(quadric, ideal) == 36
-        hull = xm.hull_facets_3d
+        hull = xm.hull_facets
 
         def without_face(pts, keep=None):
             facets = hull(pts, keep)
             assert len(facets) == 4
             return facets[:dropped] + facets[dropped + 1:]
 
-        monkeypatch.setattr(xm, "hull_facets_3d", without_face)
+        monkeypatch.setattr(xm, "hull_facets", without_face)
         with pytest.raises(InternalError, match="do not cover"):
             samuel_multiplicity(quadric, ideal)
 
@@ -661,8 +731,8 @@ class TestCompactFaceVerifier:
         script = (
             "import singvol.exactmath as xm\n"
             "from singvol import InternalError, ToricCone, maximal_ideal, samuel_multiplicity\n"
-            "hull = xm.hull_facets_3d\n"
-            "xm.hull_facets_3d = lambda pts, keep=None: hull(pts)\n"
+            "hull = xm.hull_facets\n"
+            "xm.hull_facets = lambda pts, keep=None: hull(pts)\n"
             "cone = ToricCone([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])\n"
             "try:\n"
             "    samuel_multiplicity(cone, maximal_ideal(cone))\n"

@@ -69,6 +69,12 @@ class TestColength:
         with pytest.raises(DomainError):
             colength(plane, maximal_ideal(plane), 100)
 
+    @pytest.mark.parametrize("cap", ["x", "3", True, 2.0])
+    def test_cap_is_read_as_an_integer(self, plane, cap):
+        with pytest.raises(InputError, match="not an integer"):
+            colength(plane, maximal_ideal(plane), 1, cap=cap)
+        assert colength(plane, maximal_ideal(plane), 2, cap=F(4, 2)) == 3
+
 
 class TestMultiplicityEstimate:
     def test_smooth_plane_fit(self, plane):
