@@ -433,9 +433,12 @@ class LPProblem(namedtuple("LPProblem", "objective constraints")):
         try:
             cons = tuple([(rational_vector(n, "a constraint normal"), parse_rational(b))
                           for n, b in constraints])
-        except TypeError:
+        except (TypeError, ValueError):
             for constraint in as_list(constraints, "the LP constraints"):
-                as_list(constraint, "an LP constraint")
+                if len(as_list(constraint, "an LP constraint")) != 2:
+                    raise InputError(
+                        f"an LP constraint must be a (normal, bound) pair, not {constraint!r}"
+                    ) from None
             raise
         if not obj:
             raise InputError("LP objective must have positive dimension")

@@ -220,6 +220,10 @@ def zariski_decompose(graph: ResolutionGraph, d) -> ZariskiDecomposition:
     d = _as_coeffs(graph, d)
     k = len(graph)
     matrix = graph.intersection_matrix
+    # d never changes in the loop, so M.d is formed once, in ints, as
+    # M.D / scale with D = scale * d integral.
+    (ints,), (scale,) = xm._integer_rows([d])
+    md = _products(graph, ints)
     support: set[int] = set()
     neg = (Fraction(0),) * k
     for _ in range(k + 1):
@@ -235,14 +239,13 @@ def zariski_decompose(graph: ResolutionGraph, d) -> ZariskiDecomposition:
             return ZariskiDecomposition(nef_part=nef, neg_part=neg)
         support.update(violating)
         # Solve for N supported on the current set: (d - N) . E_j = 0 there,
-        # i.e. the restriction of N solves M_SS n = (M d)_S.
+        # i.e. the restriction of N solves M_SS (scale * n) = (M D)_S.
         rows = sorted(support)
         sub = [[matrix[i][j] for j in rows] for i in rows]
-        rhs = [xm.dot(matrix[i], d) for i in rows]
-        sol = xm.solve_linear(sub, rhs)
+        sol = xm.solve_linear(sub, [md[i] for i in rows])
         neg_list = [Fraction(0)] * k
         for idx, j in enumerate(rows):
-            neg_list[j] = sol[idx]
+            neg_list[j] = sol[idx] / scale
         neg = tuple(neg_list)
     raise InternalError("Zariski decomposition failed to stabilize")
 

@@ -361,6 +361,12 @@ def hilbert_basis(cone: ToricCone):
     semigroup, and the basis is the set of their minimal nonzero elements
     (Bruns and Koch, J. Symbolic Comput. 2001).
     """
+    return minimal_elements(cone, _semigroup_generators(cone))
+
+
+def _semigroup_generators(cone: ToricCone) -> set:
+    """The nonzero dual rays and parallelepiped points that generate the
+    dual-cone semigroup, before minimalising."""
     n = cone.dim
     points = set(cone.dual_rays)
     for piece in _dual_triangulation(cone):
@@ -369,7 +375,7 @@ def hilbert_basis(cone: ToricCone):
         check(len(cells) == 1, f"the dual cone's piece {rays} is not simplicial")
         points.update(_parallelepiped_points(cells[0], rays))
     points.discard((0,) * n)
-    return minimal_elements(cone, points)
+    return points
 
 
 def _dual_triangulation(cone: ToricCone):
@@ -438,8 +444,10 @@ def _reduce_to_parallelepiped(cell: _Cell, rays, u):
 
 
 def maximal_ideal(cone: ToricCone) -> MonomialIdeal:
-    """The ideal of the torus-fixed point, generated by the Hilbert basis."""
-    return MonomialIdeal(cone, hilbert_basis(cone))
+    """The ideal of the torus-fixed point, generated by the Hilbert basis.
+    The constructor minimalises the semigroup generators to that basis, so
+    they are minimalised once."""
+    return MonomialIdeal(cone, _semigroup_generators(cone))
 
 
 def _lattice_points_between(cone: ToricCone, lower, widths):

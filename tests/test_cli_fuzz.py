@@ -196,10 +196,11 @@ def ideal_invocations(draw, command):
     """(argv without the file paths, the cone object, the ideal objects):
     half the time a listed cone, and half the time only unspoilt ideals, so
     that the computations run too.  `toric mixed` reads as many ideals as
-    the cone has dimensions, or one to four."""
+    the cone has dimensions (at least one, as `--ideals` needs), or one to
+    four."""
     cone = draw(st.one_of(listed_cones, cones()))
     dim = (shape(cone) or (0, 2))[1]
-    count = draw(st.one_of(st.just(dim), st.integers(1, 4))) if command == "mixed" else 1
+    count = draw(st.one_of(st.just(max(dim, 1)), st.integers(1, 4))) if command == "mixed" else 1
     kinds = st.just(0) if draw(st.booleans()) else st.integers(0, 4)
     objects = [draw(ideals(cone, draw(kinds))) for _ in range(count)]
     if command == "validate":

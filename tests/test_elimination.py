@@ -27,6 +27,7 @@ from singvol.surface import (
     du_val_graph,
     intersect,
     local_volume,
+    log_discrepancy_divisor,
     volume,
     zariski_decompose,
 )
@@ -230,7 +231,7 @@ class TestAgainstFractionReference:
         rng = random.Random(810)
         for graph in reference_graphs(rng):
             for _ in range(3):
-                d = [rng.choice([rng.randint(-4, 4), F(rng.randint(-6, 6), rng.randint(1, 4))])
+                d = [rng.choice([rng.randint(-4, 4), F(rng.randint(-6, 6), rng.randint(1, 7))])
                      for _ in range(len(graph))]
                 nef, neg = fraction_zariski_decompose(graph, d)
                 found = zariski_decompose(graph, d)
@@ -239,6 +240,35 @@ class TestAgainstFractionReference:
                 value = local_volume(graph, d)
                 assert value == fraction_local_volume(graph, d), (graph, d)
                 assert type(value) is F, (graph, d)
+
+
+class TestZariskiRightHandSide:
+    """M.d is formed once per decomposition, on d cleared of denominators,
+    so the only Fraction dot products left are mat_vec's k a pass."""
+
+    def test_dots_only_from_mat_vec(self, monkeypatch):
+        dot, mat_vec = xm.dot, xm.mat_vec
+        calls = {"dot": 0, "mat_vec": 0}
+
+        def counting_dot(u, v):
+            calls["dot"] += 1
+            return dot(u, v)
+
+        def counting_mat_vec(m, v):
+            calls["mat_vec"] += 1
+            return mat_vec(m, v)
+
+        monkeypatch.setattr(xm, "dot", counting_dot)
+        monkeypatch.setattr(xm, "mat_vec", counting_mat_vec)
+        rng = random.Random(813)
+        solved = 0
+        for graph in reference_graphs(rng):
+            for d in (log_discrepancy_divisor(graph), rational_divisor(rng, len(graph))):
+                calls.update(dot=0, mat_vec=0)
+                zariski_decompose(graph, d)
+                assert calls["dot"] == len(graph) * calls["mat_vec"], (graph, d)
+                solved += calls["mat_vec"] > 1
+        assert solved > 50
 
 
 def rational_divisor(rng, k):

@@ -206,6 +206,11 @@ class TestLpMax:
         with pytest.raises(InputError):
             LPProblem((F(1), F(1)), (((F(1),), F(0)),))
 
+    @pytest.mark.parametrize("constraint", [(1, 2, 3), [1], ()], ids=["three", "one", "none"])
+    def test_constraint_not_a_pair(self, constraint):
+        with pytest.raises(InputError, match=r"an LP constraint must be a \(normal, bound\) pair"):
+            LPProblem([1], [((1,), 0), constraint])
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(2, 3).flatmap(

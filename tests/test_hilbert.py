@@ -164,3 +164,25 @@ class TestCorruptedPieces:
         monkeypatch.setattr(toric, "_dual_triangulation", lambda cone: [(0, 0, 1)])
         with pytest.raises(InternalError, match="not simplicial"):
             hilbert_basis(cone)
+
+
+class TestMaximalIdeal:
+    @pytest.mark.parametrize("name", sorted(CONES))
+    def test_one_minimalisation_each(self, monkeypatch, name):
+        # maximal_ideal and hilbert_basis minimalise the same semigroup
+        # generators once each, and give the same tuple.
+        cone = ToricCone(CONES[name])
+        minimal = toric.minimal_elements
+        sizes = []
+
+        def counting(cone, points):
+            points = list(points)
+            kept = minimal(cone, points)
+            sizes.append((len(points), len(kept)))
+            return kept
+
+        monkeypatch.setattr(toric, "minimal_elements", counting)
+        assert toric.maximal_ideal(cone).gens == hilbert_basis(cone)
+        assert len(sizes) == 2 and sizes[0] == sizes[1]
+        if name == "c3z3":
+            assert sizes == [(11, 10), (11, 10)]
