@@ -193,8 +193,6 @@ def _cmd_toric_mult(args):
 
 
 def _cmd_toric_mixed(args):
-    if not 2 <= len(args.ideals) <= 3:
-        raise InputError("toric mixed expects two or three ideal files")
     value = toric_mod.mixed_multiplicity(args.cone, args.ideals)
     return {"mixed_multiplicity": format_rational(value)}
 

@@ -88,52 +88,37 @@ def integer_vector(v) -> tuple[int, ...]:
     int or an integer-valued Fraction, such as 2 or Fraction(4, 2); text
     such as "2", the bools True and False and floats such as 2.0 are not,
     and neither is a v that cannot be iterated, such as 5."""
-    ints = []
-    # The try costs nothing on the path that succeeds; only a v that
-    # cannot be iterated turns its TypeError into an InputError.
     try:
-        for x in v:
-            if type(x) is not int:
-                y = _as_int(x)
-                if y is None:
-                    # An iterator is read once: name the entries read and the rest.
-                    named = ints + [x] + list(v) if iter(v) is v else v
-                    raise InputError(f"not an integer vector: {named}")
-                x = y
-            ints.append(x)
-    except TypeError:
-        if not _iterable(v):
-            raise InputError(f"not an integer vector: {v!r}") from None
-        raise
+        ints = as_list(v, "an integer vector")
+    except InputError:
+        raise InputError(f"not an integer vector: {v!r}") from None
+    for i, x in enumerate(ints):
+        if type(x) is not int:
+            y = _as_int(x)
+            if y is None:
+                # An iterator cannot be shown again, so it is named by the
+                # entries read, those before x already made ints.
+                raise InputError(f"not an integer vector: {ints if iter(v) is v else v}")
+            ints[i] = y
     return tuple(ints)
 
 
-def _iterable(v) -> bool:
-    try:
-        iter(v)
-    except TypeError:
-        return False
-    return True
-
-
 def as_list(v, what: str) -> list:
-    """The items of a collection v as a list; InputError names what v should
-    be when it cannot be iterated, such as 5."""
-    if not _iterable(v):
-        raise InputError(f"{what} must be a list, not {v!r}")
-    return list(v)
+    """The items of a collection v, read once, as a list.  InputError names
+    what v should be when it cannot be iterated, such as 5; a TypeError
+    raised while v is read is not rewritten."""
+    try:
+        items = iter(v)
+    except TypeError:
+        raise InputError(f"{what} must be a list, not {v!r}") from None
+    return list(items)
 
 
 def rational_vector(v, what: str) -> tuple:
     """The entries of v read by parse_rational; InputError names what v
     should be when it cannot be iterated, such as 5."""
-    # Built from a list: see the note above mat_vec.  As in integer_vector,
-    # the try costs nothing on the path that succeeds.
-    try:
-        return tuple([parse_rational(x) for x in v])
-    except TypeError:
-        as_list(v, what)
-        raise
+    # Built from a list: see the note above mat_vec.
+    return tuple([parse_rational(x) for x in as_list(v, what)])
 
 
 def primitive_vector(v) -> tuple[int, ...]:
@@ -154,15 +139,11 @@ def _entries(rows) -> list:
     """Rows as lists of int or Fraction entries, checked to share one length.
     Other entries are read by parse_rational, so bools and floats raise, and
     a matrix or a row that cannot be iterated raises InputError."""
-    try:
-        out = [
-            [x if type(x) is int or type(x) is Fraction else parse_rational(x) for x in row]
-            for row in rows
-        ]
-    except TypeError:
-        for row in as_list(rows, "a matrix"):
-            as_list(row, "a matrix row")
-        raise
+    out = [
+        [x if type(x) is int or type(x) is Fraction else parse_rational(x)
+         for x in as_list(row, "a matrix row")]
+        for row in as_list(rows, "a matrix")
+    ]
     if out and any(len(row) != len(out[0]) for row in out):
         raise InputError("matrix rows have inconsistent lengths")
     return out
@@ -430,16 +411,12 @@ class LPProblem(namedtuple("LPProblem", "objective constraints")):
 
     def __new__(cls, objective, constraints):
         obj = rational_vector(objective, "an LP objective")
-        try:
-            cons = tuple([(rational_vector(n, "a constraint normal"), parse_rational(b))
-                          for n, b in constraints])
-        except (TypeError, ValueError):
-            for constraint in as_list(constraints, "the LP constraints"):
-                if len(as_list(constraint, "an LP constraint")) != 2:
-                    raise InputError(
-                        f"an LP constraint must be a (normal, bound) pair, not {constraint!r}"
-                    ) from None
-            raise
+        cons = []
+        for constraint in as_list(constraints, "the LP constraints"):
+            pair = as_list(constraint, "an LP constraint")
+            if len(pair) != 2:
+                raise InputError(f"an LP constraint must be a (normal, bound) pair, not {constraint!r}")
+            cons.append((rational_vector(pair[0], "a constraint normal"), parse_rational(pair[1])))
         if not obj:
             raise InputError("LP objective must have positive dimension")
         for normal, _ in cons:
@@ -448,7 +425,7 @@ class LPProblem(namedtuple("LPProblem", "objective constraints")):
                     f"constraint dimension {len(normal)} does not match "
                     f"objective dimension {len(obj)}"
                 )
-        return super().__new__(cls, obj, cons)
+        return super().__new__(cls, obj, tuple(cons))
 
 
 class LPOutcome(namedtuple("LPOutcome", "status value point ray farkas", defaults=(None,) * 4)):
@@ -756,21 +733,24 @@ def hull_facets(points, keep=None):
     counter-clockwise in 2-D, the corner cycle in 3-D.  ``keep``, a
     predicate on the normal, drops facets before their corners are
     ordered.  Points that do not span space give no facets."""
-    pts = sorted(set(map(tuple, points)))
-    n = len(pts[0]) if pts else 0
+    pts = set(map(tuple, points))
+    n = len(next(iter(pts), ()))
     if n > 3:
         raise UnsupportedDimensionError(f"hulls are computed in dimension <= 3, got {n}")
     planes = {}
     if n == 1 and len(pts) > 1:
-        planes = {((-1,), -pts[0][0]): [pts[0]], ((1,), pts[-1][0]): [pts[-1]]}
+        low, high = min(pts), max(pts)
+        planes = {((-1,), -low[0]): [low], ((1,), high[0]): [high]}
     elif n == 2:
+        # convex_hull_2d sorts the points itself.
         hull = convex_hull_2d(pts)
         if len(hull) > 2:
             for p, q in zip(hull, hull[1:] + hull[:1]):
-                normal = primitive_vector((q[1] - p[1], p[0] - q[0]))
-                planes[normal, normal[0] * p[0] + normal[1] * p[1]] = [p, q]
+                a, b = q[1] - p[1], p[0] - q[0]
+                g = gcd(a, b)
+                planes[(a // g, b // g), (a * p[0] + b * p[1]) // g] = [p, q]
     elif n == 3:
-        planes = _hull_planes(pts)
+        planes = _hull_planes(sorted(pts))
     return [
         (normal, offset, corners if n < 3 else order_coplanar_polygon(corners, normal))
         for (normal, offset), corners in sorted(planes.items())
@@ -818,7 +798,7 @@ def polytope_volume(vertices, dim: int) -> Fraction:
         )
     if dim < 1:
         raise InputError("dimension must be at least 1")
-    rational = [tuple([parse_rational(c) for c in p]) for p in vertices]
+    rational = [rational_vector(p, "a vertex") for p in as_list(vertices, "the vertices")]
     if not rational:
         raise InputError("empty vertex list")
     if any(len(p) != dim for p in rational):

@@ -137,7 +137,7 @@ class ResolutionGraph:
     def permuted(self, order):
         """The same graph with vertices relabelled by the permutation
         new_index = order.index(old_index)."""
-        order = xm.as_list(order, "a vertex order")
+        order = xm.integer_vector(xm.as_list(order, "a vertex order"))
         if sorted(order) != list(range(len(self))):
             raise InputError("not a permutation of the vertex indices")
         position = {old: new for new, old in enumerate(order)}

@@ -123,6 +123,14 @@ class TestToricCommands:
         assert (code, err) == (0, "")
         assert json.loads(out) == {"mixed_multiplicity": "4"}
 
+    def test_mixed_on_a_line(self, capsys, tmp_path):
+        # On a line e(a) is the colength of a: 3 for the ideal (x^3, x^5).
+        cone = write(tmp_path, "line.json", {"dim": 1, "rays": [[-1]]})
+        ideal = write(tmp_path, "a.json", {"gens": [[-3], [-5]]})
+        code, out, err = run(capsys, ["toric", "mixed", "--cone", cone, "--ideals", ideal])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"mixed_multiplicity": "3"}
+
     def test_defect(self, capsys, tmp_path, quadric_file):
         divisor = write(tmp_path, "d.json", {"coeffs": ["1", "1", "1", "0"]})
         code, out, _ = run(
@@ -356,6 +364,9 @@ class TestValidateAndErrors:
         )
         code, _, err = run(capsys, ["toric", "mult", "--cone", cone, "--ideal", ideal])
         assert code == 4
+        code, _, err = run(capsys, ["toric", "mixed", "--cone", cone, "--ideals", *[ideal] * 4])
+        assert code == 4
+        assert err == "error: exact mixed multiplicity is implemented for dimension <= 3\n"
 
     def test_byte_determinism(self, capsys, tmp_path, quadric_file):
         divisor = write(tmp_path, "d.json", {"coeffs": ["2", "1", "2", "1"]})

@@ -455,12 +455,81 @@ NON_ITERABLE_CALLS = {
 }
 
 
+# Each collection argument of the exact readers: the call that passes it,
+# its items with one bad or non-iterable item, the message of that item, and
+# the message when the argument itself is 5.
+READER_CASES = {
+    "determinant": (determinant, [[1, 0], 5],
+                    "a matrix row must be a list, not 5", "a matrix must be a list, not 5"),
+    "determinant-row": (lambda row: determinant([[1, 0], row]), [0, 1.5],
+                        "not a rational in p/q form: 1.5", "a matrix row must be a list, not 5"),
+    "matrix_rank": (xm.matrix_rank, [[1], 5],
+                    "a matrix row must be a list, not 5", "a matrix must be a list, not 5"),
+    "solve_linear": (lambda m: solve_linear(m, [1, 1]), [[1, 0], 5],
+                     "a matrix row must be a list, not 5", "a matrix must be a list, not 5"),
+    "solve_linear-rhs": (lambda b: solve_linear([[1, 0], [0, 1]], b), [1, "x"],
+                         "not a rational in p/q form: 'x'", "a matrix row must be a list, not 5"),
+    "solve_general": (lambda a: solve_general(a, [1]), [None],
+                      "a matrix row must be a list, not None", "a matrix must be a list, not 5"),
+    "solve_general-rhs": (lambda b: solve_general([[1]], b), [None],
+                          "not a rational in p/q form: None", "a matrix row must be a list, not 5"),
+    "failing_principal_minor": (failing_principal_minor, [[-2, 1], 5],
+                                "a matrix row must be a list, not 5", "a matrix must be a list, not 5"),
+    "is_negative_definite": (is_negative_definite, [[-2, 1], None],
+                             "a matrix row must be a list, not None", "a matrix must be a list, not 5"),
+    "adjugate": (xm.adjugate, [[1, 0], 5], "not an integer vector: 5", "a matrix must be a list, not 5"),
+    "lp-objective": (lambda c: LPProblem(c, []), [1, True],
+                     "not a rational in p/q form: True", "an LP objective must be a list, not 5"),
+    "lp-constraints": (lambda cons: LPProblem([1], cons), [((1,), 0), (1, 2, 3)],
+                       "an LP constraint must be a (normal, bound) pair, not (1, 2, 3)",
+                       "the LP constraints must be a list, not 5"),
+    "lp-constraints-item": (lambda cons: LPProblem([1], cons), [((1,), 0), 5],
+                            "an LP constraint must be a list, not 5",
+                            "the LP constraints must be a list, not 5"),
+    "lp-constraint": (lambda pair: LPProblem([1], [pair]), [(1,), "b"],
+                      "not a rational in p/q form: 'b'", "an LP constraint must be a list, not 5"),
+    "lp-normal": (lambda n: LPProblem([1, 1], [(n, 0)]), [1, 1.5],
+                  "not a rational in p/q form: 1.5", "a constraint normal must be a list, not 5"),
+    "polytope_volume": (lambda vs: polytope_volume(vs, 2), [(1, 2), 5],
+                        "a vertex must be a list, not 5", "the vertices must be a list, not 5"),
+    "polytope_volume-vertex": (lambda v: polytope_volume([(0, 0), v, (0, 1)], 2), [1, 0.5],
+                               "not a rational in p/q form: 0.5", "a vertex must be a list, not 5"),
+    "integer_vector": (xm.integer_vector, [1, 1.5],
+                       "not an integer vector: [1, 1.5]", "not an integer vector: 5"),
+    "rational_vector": (lambda v: xm.rational_vector(v, "a vector"), [1, "1.5"],
+                        "not a rational in p/q form: '1.5'", "a vector must be a list, not 5"),
+}
+
+COLLECTION_FORMS = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda items: (x for x in items),
+    "iterator": iter,
+    "non-iterable": lambda items: 5,
+}
+
+
 class TestCollectionArguments:
     @pytest.mark.parametrize("name", sorted(NON_ITERABLE_CALLS))
     def test_non_iterable_is_an_input_error(self, name):
         plane, graph = sv.ToricCone([(1, 0), (0, 1)]), sv.cone_graph(2, 1)
         with pytest.raises(InputError, match="must be a list, not 5"):
             NON_ITERABLE_CALLS[name](plane, graph)
+
+    @pytest.mark.parametrize("form", list(COLLECTION_FORMS))
+    @pytest.mark.parametrize("name", sorted(READER_CASES))
+    def test_every_form_of_a_bad_argument_is_an_input_error(self, name, form):
+        # A one-shot iterator is read once, so its message must be the one
+        # a list of the same items gives.
+        call, items, message, non_iterable = READER_CASES[name]
+        with pytest.raises(InputError) as error:
+            call(COLLECTION_FORMS[form](items))
+        if form == "non-iterable":
+            message = non_iterable
+        elif (name, form) == ("integer_vector", "tuple"):
+            # integer_vector names a list or a tuple as given.
+            message = "not an integer vector: (1, 1.5)"
+        assert str(error.value) == message
 
 
 class TestLpSelfChecks:

@@ -258,7 +258,11 @@ class TestHull2dAgainstFractions:
             return values
 
         integer = evaluate()
-        monkeypatch.setattr(xm, "convex_hull_2d", fraction_hull_2d)
+        # hull_facets reduces each edge normal by an integer gcd, so the
+        # corners of the Fraction hull, all integral here, come back as ints.
+        monkeypatch.setattr(
+            xm, "convex_hull_2d", lambda pts: [xm.integer_vector(p) for p in fraction_hull_2d(pts)]
+        )
         monkeypatch.setattr(xm, "det3", fraction_det3)
         assert integer == evaluate()
         assert all(type(v) is F for v in integer)

@@ -97,6 +97,13 @@ class TestGraphConstruction:
         assert swapped.vertices[0].self_int == -2
         assert swapped.intersection_matrix == ((-2, 1), (1, -3))
 
+    @pytest.mark.parametrize("order", [["a", 0, 1], [0.0, 1, 2], [True, 0, 2]])
+    def test_permuted_order_must_be_integers(self, order):
+        # [True, 0, 2] sorts like [0, 1, 2], but bools are not integers here.
+        with pytest.raises(InputError) as error:
+            du_val_graph("A3").permuted(order)
+        assert str(error.value) == f"not an integer vector: {order}"
+
     def test_intersection_matrix_entries_are_ints(self):
         rng = random.Random(19)
         graphs = [cone_graph(2, 3), du_val_graph("E8"), cusp_cycle_graph([-3, -2]),
