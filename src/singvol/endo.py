@@ -49,7 +49,8 @@ class ToricEndo:
         scales = []
         for ray in cone.rays:
             image = self.apply(ray)
-            prim = xm.primitive_vector(image)
+            g = gcd(*image)  # not 0: the matrix is not singular
+            prim = tuple([x // g for x in image])
             if prim not in ray_index:
                 raise DomainError(
                     f"the matrix does not preserve the cone: ray {ray} maps to "
@@ -58,7 +59,7 @@ class ToricEndo:
             # image = gcd * prim, and prim keeps its orientation: the negative
             # of a ray is never a ray of a strongly convex cone.
             targets.append(ray_index[prim])
-            scales.append(gcd(*image))
+            scales.append(g)
         if set(targets) != set(range(len(cone.rays))):
             raise DomainError(
                 "the matrix does not map the extreme-ray set onto itself"
@@ -240,7 +241,7 @@ class ToricVolumeReport(namedtuple("ToricVolumeReport", "degree samples values")
 def toric_volume_report(cone: ToricCone, matrix) -> ToricVolumeReport:
     endo = ToricEndo(cone, matrix)
     samples = tuple(
-        v for v in sample_valuations(cone) if cone.interior_contains(v)
+        v for v in sample_valuations(cone) if cone._min_pairing(v) > 0
     )
     values = tuple(toric.log_discrepancy_value(cone, v) for v in samples)
     return ToricVolumeReport(degree=endo.degree, samples=samples, values=values)

@@ -18,6 +18,7 @@ import itertools
 from collections import deque, namedtuple
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 from .errors import DomainError, InputError
 from . import exactmath as xm
@@ -43,11 +44,11 @@ def colength(cone: ToricCone, a: MonomialIdeal, k: int, cap: int = DEFAULT_POWER
         raise DomainError("colengths are finite only for m-primary ideals")
 
     steps = hilbert_basis(cone)
-    gens = a.gens
+    gens, rays = a.gens, cone.rays
     memo: dict[tuple, bool] = {}
 
     def in_power(u, j) -> bool:
-        if not cone.dual_contains(u):
+        if any(sum(map(mul, u, ray)) < 0 for ray in rays):
             return False
         if j == 0:
             return True

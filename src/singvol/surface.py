@@ -30,7 +30,8 @@ class Vertex(namedtuple("Vertex", "self_int genus")):
     __slots__ = ()
 
     def __new__(cls, self_int, genus):
-        if any(not isinstance(x, int) or isinstance(x, bool) for x in (self_int, genus)):
+        self_int, genus = xm._as_int(self_int), xm._as_int(genus)
+        if self_int is None or genus is None:
             raise InputError("vertex data must be integers")
         if genus < 0:
             raise InputError(f"genus must be nonnegative, got {genus}")

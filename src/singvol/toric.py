@@ -176,18 +176,19 @@ class ToricCone:
 
     # -- membership ---------------------------------------------------------
 
+    def _min_pairing(self, v) -> int:
+        """min <f, v> over the facet normals f, for a v already read as a lattice vector."""
+        return min([_idot(f, v) for f in self.facet_normals])
+
     def contains(self, v) -> bool:
-        v = _as_lattice_vector(v, self.dim)
-        return all(_idot(f, v) >= 0 for f in self.facet_normals)
+        return self._min_pairing(_as_lattice_vector(v, self.dim)) >= 0
 
     def interior_contains(self, v) -> bool:
-        v = _as_lattice_vector(v, self.dim)
-        return all(_idot(f, v) > 0 for f in self.facet_normals)
+        return self._min_pairing(_as_lattice_vector(v, self.dim)) > 0
 
     def dual_contains(self, u) -> bool:
         """Membership of an M-lattice vector in the dual cone."""
-        if len(u) != self.dim:
-            raise InputError(f"vector {u} does not have dimension {self.dim}")
+        u = _as_lattice_vector(u, self.dim)
         return all(_idot(u, ray) >= 0 for ray in self.rays)
 
     @property
@@ -288,24 +289,17 @@ class MonomialIdeal:
         raw = [_as_lattice_vector(g, cone.dim) for g in gens]
         if not raw:
             raise InputError("a monomial ideal needs at least one generator")
-        for g in raw:
-            if not cone.dual_contains(g):
-                raise DomainError(f"exponent {g} lies outside the dual cone")
         self.gens = minimal_elements(cone, raw)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.gens == ((0,) * self.cone.dim,)
-
-    @property
-    def ray_generators(self) -> dict:
-        """{w: the generator on w} over the dual rays w that carry one."""
-        prims = {g: xm.primitive_vector(g) for g in self.gens if any(g)}
-        return {w: g for g, w in prims.items() if w in self.cone.dual_rays}
-
-    @property
-    def is_m_primary(self) -> bool:
-        return len(self.ray_generators) == len(self.cone.dual_rays)
+        # Every exponent u dominates a kept q, <u, ray> >= <q, ray>, so all
+        # lie in the dual cone when the kept ones do.
+        if any(_idot(q, ray) < 0 for q in self.gens for ray in cone.rays):
+            u = next(u for u in raw if any(_idot(u, ray) < 0 for ray in cone.rays))
+            raise DomainError(f"exponent {u} lies outside the dual cone")
+        self.is_unit = self.gens == ((0,) * cone.dim,)
+        # {w: the generator on w} over the dual rays w that carry one.
+        on_rays = ((tuple([x // d for x in g]), g) for g in self.gens if (d := gcd(*g)))
+        self.ray_generators = {w: g for w, g in on_rays if w in cone.dual_rays}
+        self.is_m_primary = len(self.ray_generators) == len(cone.dual_rays)
 
     def __eq__(self, other):
         return (
@@ -574,7 +568,7 @@ def envelope_certificate(cone: ToricCone, divisor: ToricDivisor, v):
     """
     _check_indexed(cone, divisor)
     v = _as_lattice_vector(v, cone.dim)
-    if not all(_idot(f, v) >= 0 for f in cone.facet_normals):
+    if cone._min_pairing(v) < 0:
         raise DomainError(f"valuation vector {v} lies outside the cone")
     return _envelope(cone, divisor.coeffs, v)[:2]
 
@@ -647,7 +641,7 @@ def is_numerically_cartier(cone: ToricCone, divisor: ToricDivisor) -> Numericall
     )
     check(any(w), "the inconsistency certificate gives the zero valuation")
     witness = xm.primitive_vector(w)
-    check(cone.interior_contains(witness), "witness is not interior to the cone")
+    check(cone._min_pairing(witness) > 0, "witness is not interior to the cone")
     gap = envelope_value(cone, divisor, witness) + envelope_value(cone, -divisor, witness)
     check(gap < 0, "envelope sum at the witness is not negative")
     return NumericallyCartierResult(False, witness=witness, gap=gap)
@@ -661,7 +655,7 @@ def is_numerically_cartier(cone: ToricCone, divisor: ToricDivisor) -> Numericall
 def ord_value(a: MonomialIdeal, v) -> Fraction:
     """Order of the ideal along the monomial valuation v: min <u, v>."""
     v = _as_lattice_vector(v, a.cone.dim)
-    if not a.cone.contains(v):
+    if a.cone._min_pairing(v) < 0:
         raise DomainError(f"valuation vector {v} lies outside the cone")
     return Fraction(min(_idot(g, v) for g in a.gens))
 
@@ -693,11 +687,14 @@ def samuel_multiplicity(cone: ToricCone, a: MonomialIdeal) -> Fraction:
     # strictly above every compact face; with it the points span the space
     # and their hull has the same compact faces as the polyhedron.
     points = list(gens) + [tuple([2 * x for x in g]) for g in a.ray_generators.values()]
-    faces = xm.hull_facets(points, keep=lambda normal: cone.interior_contains([-x for x in normal]))
+
+    def inward(normal):
+        return cone._min_pairing([-x for x in normal]) > 0
+
+    faces = xm.hull_facets(points, keep=inward)
     rim = set()
     for normal, offset, corners in faces:
-        compact = cone.interior_contains([-x for x in normal]) and all(
-            _idot(normal, g) <= offset for g in gens)
+        compact = inward(normal) and all(_idot(normal, g) <= offset for g in gens)
         check(compact, "a kept hull face is not a compact face of the Newton polyhedron")
         # The ridges of the face: none in 1-D, its ends in 2-D, its edges in 3-D.
         rim ^= set(map(frozenset, zip(*[corners[i:] + corners[:i] for i in range(cone.dim - 1)])))
@@ -784,7 +781,7 @@ def izumi_constant(cone: ToricCone, v, w) -> Fraction:
     """
     v = _as_lattice_vector(v, cone.dim)
     w = _as_lattice_vector(w, cone.dim)
-    if not cone.interior_contains(v) or not cone.interior_contains(w):
+    if min(cone._min_pairing(v), cone._min_pairing(w)) <= 0:
         raise DomainError("Izumi constants compare interior valuations only")
     return max(
         Fraction(_idot(f, w), _idot(f, v)) for f in cone.facet_normals
@@ -800,9 +797,9 @@ def log_discrepancy_value(cone: ToricCone, v) -> Fraction:
     volume vanishes.
     """
     v = _as_lattice_vector(v, cone.dim)
-    if not cone.interior_contains(v):
+    if cone._min_pairing(v) <= 0:
         raise DomainError(f"log discrepancies are evaluated at interior valuations, got {v}")
-    if xm.primitive_vector(v) != v:
+    if gcd(*v) != 1:
         raise DomainError(f"valuation vector {v} must be primitive")
     ones = ToricDivisor(cone, (Fraction(1),) * len(cone.rays))
     value = envelope_value(cone, ones, v)

@@ -721,13 +721,13 @@ class TestCompactFaceVerifier:
         plane = ToricCone(CONES_2D["plane"])
         ideal = MonomialIdeal(plane, [(4, 0), (2, 1), (0, 3)])
         assert samuel_multiplicity(plane, ideal) == 10
-        interior = ToricCone.interior_contains
+        pairing = ToricCone._min_pairing
 
         def without_diagonal(cone, v):
             # Rejects the normal of the edge from (2, 1) to (0, 3).
-            return interior(cone, v) and v[0] != v[1]
+            return pairing(cone, v) if v[0] != v[1] else 0
 
-        monkeypatch.setattr(ToricCone, "interior_contains", without_diagonal)
+        monkeypatch.setattr(ToricCone, "_min_pairing", without_diagonal)
         with pytest.raises(InternalError, match="do not cover"):
             samuel_multiplicity(plane, ideal)
 

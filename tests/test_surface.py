@@ -55,6 +55,22 @@ class TestGraphConstruction:
         with pytest.raises(InputError, match=r"^edge \(0, 5, 1\) references a missing vertex$"):
             ResolutionGraph([(-2, 0), (-2, 0)], [iter([0, 5, 1])])
 
+    def test_vertex_reads_integer_fractions_as_the_graph_does(self):
+        vertex = surface.Vertex(F(-2), F(0))
+        assert vertex == (-2, 0) and type(vertex.self_int) is type(vertex.genus) is int
+        assert ResolutionGraph([(F(-2), 0)], []).vertices == (surface.Vertex(F(-2), 0),)
+
+    @pytest.mark.parametrize("self_int, genus", [
+        (True, 0), (-2.0, 0), ("-2", 0), (F(-3, 2), 0), (-2, False), (-2, 0.0), (-2, "0"),
+    ])
+    def test_vertex_refuses_non_integers(self, self_int, genus):
+        with pytest.raises(InputError, match="^vertex data must be integers$"):
+            surface.Vertex(self_int, genus)
+
+    def test_vertex_genus_check_reads_fractions(self):
+        with pytest.raises(InputError, match="^genus must be nonnegative, got -1$"):
+            surface.Vertex(-2, F(-1))
+
     @pytest.mark.parametrize("vertex", [(-2,), (-2, 0, 0), ()])
     def test_rejects_vertex_that_is_not_a_pair(self, vertex):
         with pytest.raises(InputError, match=r"must be a \(self-intersection, genus\) pair"):

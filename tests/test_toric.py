@@ -1,9 +1,13 @@
 import random
+import re
+from collections import Counter
 from fractions import Fraction as F
 from math import ceil
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import singvol.exactmath as xm
 import singvol.toric as toric
 
 from singvol import (
@@ -44,6 +48,9 @@ from reference import slab_minima
 D_SUM = (2, 1, 2, 1)
 D_ONE = (1, 1, 1, 0)
 D_TWO = (1, 0, 1, 1)
+QUADRIC = ToricCone(CONES_3D["quadric"])
+# A 2-D cyclic quotient singularity.
+CYCLIC_5_2 = ToricCone([(0, 1), (5, -2)])
 
 
 class TestConeConstruction:
@@ -104,6 +111,13 @@ class TestConeConstruction:
         assert quadric.contains((1, 0, 0))
         assert not quadric.interior_contains((1, 0, 0))
         assert not quadric.contains((0, 0, -1))
+        assert quadric.dual_contains((1, 0, 0))
+        assert not quadric.dual_contains((0, 0, 1))
+
+    @pytest.mark.parametrize("u", [5, (1, "a", 0), (1, 0.5, 0), [1, True, 0], (1, 0)])
+    def test_dual_contains_reads_a_lattice_vector(self, quadric, u):
+        with pytest.raises(InputError):
+            quadric.dual_contains(u)
 
 
 # An A1 surface singularity times C^2: one facet is a singular cone.
@@ -355,6 +369,36 @@ class TestMonomialIdeals:
     def test_rejects_exponent_outside_dual_cone(self, quadric):
         with pytest.raises(DomainError, match="dual cone"):
             MonomialIdeal(quadric, [(0, 0, 1)])
+
+    def test_names_an_outside_exponent_that_another_dominates(self, quadric):
+        # (0, 0, -1) dominates (1, 0, -1) and (1, 0, 0); only it is kept.
+        with pytest.raises(DomainError, match=r"^exponent \(1, 0, -1\) lies outside the dual cone$"):
+            MonomialIdeal(quadric, [(1, 0, 0), (1, 0, -1), (0, 0, -1)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=6),
+           st.lists(st.tuples(st.integers(0, 5), st.sampled_from(QUADRIC.dual_rays)), max_size=4))
+    @example([(0, 0, -1)], [(0, (1, 0, 0))])
+    def test_names_the_first_outside_exponent(self, points, shifts):
+        # Each shift puts p + h, which p dominates, before p.
+        gens = list(points)
+        for i, h in shifts:
+            p = points[i % len(points)]
+            gens.insert(0, tuple([a + b for a, b in zip(p, h)]))
+        outside = [u for u in gens if not QUADRIC.dual_contains(u)]
+        if not outside:
+            assert set(MonomialIdeal(QUADRIC, gens).gens) <= set(gens)
+            return
+        message = f"exponent {outside[0]} lies outside the dual cone"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            MonomialIdeal(QUADRIC, gens)
+
+    def test_derived_facts_are_attributes(self, quadric):
+        ideal = maximal_ideal(quadric)
+        assert vars(ideal).keys() >= {"is_unit", "is_m_primary", "ray_generators"}
+        assert ideal.ray_generators == {w: w for w in quadric.dual_rays}
+        cubes = MonomialIdeal(quadric, [tuple([3 * x for x in w]) for w in quadric.dual_rays])
+        assert cubes.ray_generators == {w: tuple([3 * x for x in w]) for w in quadric.dual_rays}
 
     def test_power_example(self, plane):
         ideal = MonomialIdeal(plane, [(1, 0), (0, 2)])
@@ -837,7 +881,7 @@ class TestSelfChecks:
             is_numerically_cartier(quadric, ToricDivisor(quadric, D_ONE))
 
     def test_boundary_witness(self, monkeypatch, quadric):
-        monkeypatch.setattr(toric.ToricCone, "interior_contains", lambda self, v: False)
+        monkeypatch.setattr(toric.ToricCone, "_min_pairing", lambda self, v: 0)
         with pytest.raises(InternalError, match="not interior"):
             is_numerically_cartier(quadric, ToricDivisor(quadric, D_ONE))
 
@@ -880,3 +924,49 @@ class TestSelfChecks:
         ) % (self.WRONG_CARTIER, self.ZERO_RELATION, self.BROKEN_RELATION, D_ONE)
         proc = run_python(script, "-O")
         assert proc.stdout.split() == ["checked"] * 3, proc.stderr
+
+
+def seeded_m_primary_gens(rng, cone, extras=3):
+    """Each dual ray times 1 to 3, then sums of up to 3 Hilbert basis elements."""
+    basis = sorted(hilbert_basis(cone))
+    gens = [tuple([k * x for x in w]) for w in cone.dual_rays for k in [rng.randint(1, 3)]]
+    for _ in range(extras):
+        gens.append(tuple(map(sum, zip(*rng.choices(basis, k=rng.randint(1, 3))))))
+    return gens
+
+
+class TestEachFactOnce:
+    """The multiplicity engines read each generator handed to an ideal once
+    and test their own vectors without reading them again."""
+
+    def test_engines_read_no_vector_twice(self, monkeypatch):
+        rng = random.Random(22)
+        m = maximal_ideal(QUADRIC)
+        seeded = [(cone, seeded_m_primary_gens(rng, cone)) for cone in (QUADRIC, CYCLIC_5_2) * 3]
+        calls, handed = Counter(), []
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(xm, "primitive_vector")
+        counted(xm, "integer_vector")
+        counted(ToricCone, "interior_contains")
+        init = MonomialIdeal.__init__
+
+        def counted_init(self, cone, gens):
+            gens = list(gens)
+            handed.append(len(gens))
+            init(self, cone, gens)
+
+        monkeypatch.setattr(MonomialIdeal, "__init__", counted_init)
+        assert mixed_multiplicity(QUADRIC, [m, m, ideal_power(m, 2)]) == 4
+        for cone, gens in seeded:
+            assert samuel_multiplicity(cone, MonomialIdeal(cone, gens)) > 0
+        assert calls["primitive_vector"] == calls["interior_contains"] == 0
+        assert calls["integer_vector"] == sum(handed) > 0
