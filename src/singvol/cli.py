@@ -186,7 +186,7 @@ def _cmd_toric_mult(args):
     value = toric_mod.samuel_multiplicity(args.cone, args.ideal)
     payload = {"multiplicity": format_rational(value)}
     if args.oracle:
-        report = oracle_mod.multiplicity_estimate(args.cone, args.ideal, 8, ks=(4, 8))
+        report = oracle_mod.multiplicity_estimate(args.cone, args.ideal, (4, 8))
         fitted = zip(report.ks, report.fitted)
         payload["oracle_fitted"] = {str(k): format_rational(f) for k, f in fitted}
     return payload

@@ -784,25 +784,26 @@ def order_coplanar_polygon(points, normal) -> list:
     return [projected[q] for q in hull]
 
 
-def polytope_volume(vertices, dim: int) -> Fraction:
+def polytope_volume(vertices) -> Fraction:
     """Exact Euclidean volume of the convex hull of rational ``vertices``.
 
-    Supported in ambient dimension 1, 2 and 3; degenerate hulls have
-    volume 0.  The points are scaled to integers, a vertex is moved to the
-    origin, and the facets of the shared hull are fanned from it.
+    Supported in ambient dimension 1, 2 and 3, the length of the first
+    vertex; degenerate hulls have volume 0.  The points are scaled to
+    integers, a vertex is moved to the origin, and the facets of the shared
+    hull are fanned from it.
     """
-    dim = integer(dim)
+    rational = [rational_vector(p, "a vertex") for p in as_list(vertices, "the vertices")]
+    if not rational:
+        raise InputError("empty vertex list")
+    dim = len(rational[0])
     if dim > 3:
         raise UnsupportedDimensionError(
             f"polytope volumes are only computed for dimension <= 3, got {dim}"
         )
     if dim < 1:
         raise InputError("dimension must be at least 1")
-    rational = [rational_vector(p, "a vertex") for p in as_list(vertices, "the vertices")]
-    if not rational:
-        raise InputError("empty vertex list")
     if any(len(p) != dim for p in rational):
-        raise InputError("vertex does not match the stated dimension")
+        raise InputError(f"every vertex must have the length {dim} of the first")
     scale = lcm(*[c.denominator for p in rational for c in p])
     pts = sorted({tuple([int(c * scale) for c in p]) for p in rational})
     # With a vertex moved to the origin, the cones over the facets tile it.

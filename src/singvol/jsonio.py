@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 
 from .errors import InputError
-from .exactmath import parse_rational
+from .exactmath import _as_int, parse_rational
 from .surface import ResolutionGraph
 from .toric import MonomialIdeal, ToricCone, ToricDivisor
 
@@ -30,11 +30,6 @@ def load_json(path):
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _is_int(x) -> bool:
-    """JSON integers only: true and false load as bools, which are ints."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _require(obj, key, path):
     if not isinstance(obj, dict) or key not in obj:
         raise InputError(f"{path}: missing required key {key!r}")
@@ -46,7 +41,7 @@ def _integer_arrays(obj, key, path, arrays_of, each):
     if not isinstance(arrays, list) or not all(isinstance(a, list) for a in arrays):
         raise InputError(f"{path}: {key} must be an array of integer {arrays_of}")
     for a in arrays:
-        if not all(_is_int(x) for x in a):
+        if any(_as_int(x) is None for x in a):
             raise InputError(f"{path}: {each} {a} must contain integers")
     return arrays
 
@@ -60,12 +55,12 @@ def graph_from_obj(obj, path="<graph>") -> ResolutionGraph:
     for v in raw_vertices:
         if not isinstance(v, dict) or "self" not in v:
             raise InputError(f"{path}: each vertex needs a 'self' intersection number")
-        if not _is_int(v["self"]) or not _is_int(v.get("genus", 0)):
+        if _as_int(v["self"]) is None or _as_int(v.get("genus", 0)) is None:
             raise InputError(f"{path}: vertex data must be integers")
         vertices.append((v["self"], v.get("genus", 0)))
     edges = []
     for e in raw_edges:
-        if not (isinstance(e, list) and len(e) in (2, 3) and all(_is_int(x) for x in e)):
+        if not (isinstance(e, list) and len(e) in (2, 3) and all(_as_int(x) is not None for x in e)):
             raise InputError(f"{path}: each edge must be [i, j] or [i, j, mult]")
         edges.append((e[0], e[1], e[2] if len(e) == 3 else 1))
     return ResolutionGraph(vertices, edges)
@@ -81,9 +76,9 @@ def graph_to_obj(graph: ResolutionGraph) -> dict:
 def cone_from_obj(obj, path="<cone>") -> ToricCone:
     rays = _integer_arrays(obj, "rays", path, "arrays", "ray")
     dim = obj.get("dim")
-    if dim is not None and (not _is_int(dim) or rays and len(rays[0]) != dim):
+    if dim is not None and (_as_int(dim) is None or rays and len(rays[0]) != dim):
         raise InputError(f"{path}: stated dim {dim} does not match the rays")
-    return ToricCone(rays, dim=dim)
+    return ToricCone(rays)
 
 
 def divisor_from_obj(cone: ToricCone, obj, path="<divisor>") -> ToricDivisor:

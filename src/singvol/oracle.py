@@ -90,12 +90,11 @@ class CountReport(namedtuple("CountReport", "ks colengths fitted")):
         return super().__new__(cls, ks, colengths, fitted)
 
 
-def multiplicity_estimate(cone: ToricCone, a: MonomialIdeal, kmax: int, ks=None) -> CountReport:
-    """Count colengths for k up to kmax and fit the leading coefficient."""
-    kmax = xm.integer(kmax)
-    ks = xm.integer_vector(range(1, kmax + 1) if ks is None else ks)
-    if any(k < 1 or k > kmax for k in ks):
-        raise InputError("sample powers must lie in 1..kmax")
+def multiplicity_estimate(cone: ToricCone, a: MonomialIdeal, ks) -> CountReport:
+    """Count colengths at the powers ks and fit the leading coefficient."""
+    ks = xm.integer_vector(ks)
+    if any(k < 1 for k in ks):
+        raise InputError("sample powers must be at least 1")
     counts = tuple(colength(cone, a, k) for k in ks)
     fitted = tuple(
         Fraction(factorial(cone.dim) * c, k**cone.dim) for c, k in zip(counts, ks)

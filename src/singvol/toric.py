@@ -96,20 +96,21 @@ class ToricCone:
     """A strongly convex full-dimensional rational cone with primitive rays.
 
     The constructor builds the simplicial cells, reads the inward facet
-    normals (the H-representation) off them, and checks that every listed
-    ray is extreme and that every proper face is smooth, which is exactly
-    the condition for the toric variety to have an isolated singularity.
+    normals, the primitive rays of the dual cone, off them, and checks that
+    every listed ray is extreme and that every proper face is smooth, which
+    is exactly the condition for the toric variety to have an isolated
+    singularity.
     A face of a smooth cone is smooth, so the facets are tested, in every
     dimension.
     """
 
-    def __init__(self, rays, dim=None):
+    def __init__(self, rays):
         rays = xm.as_list(rays, "the rays of a cone")
         if not rays:
             raise InputError("a cone needs at least one ray")
-        if dim is None:
-            dim = len(xm.integer_vector(rays[0]))
-        self.dim = xm.integer(dim)
+        # The first ray, read once, gives the dimension.
+        rays[0] = xm.integer_vector(rays[0])
+        self.dim = len(rays[0])
         if self.dim < 1:
             raise InputError("cone dimension must be at least 1")
         seen = set()
@@ -191,11 +192,6 @@ class ToricCone:
         u = _as_lattice_vector(u, self.dim)
         return all(_idot(u, ray) >= 0 for ray in self.rays)
 
-    @property
-    def dual_rays(self):
-        """Primitive generators of the extreme rays of the dual cone."""
-        return self.facet_normals
-
     def interior_point(self) -> tuple[int, ...]:
         return tuple(sum(col) for col in zip(*self.rays))
 
@@ -206,7 +202,7 @@ class ToricCone:
         return hash(frozenset(self.rays))
 
     def __repr__(self):
-        return f"ToricCone(dim={self.dim}, rays={list(self.rays)})"
+        return f"ToricCone(rays={list(self.rays)})"
 
 
 class ToricDivisor(namedtuple("ToricDivisor", "cone coeffs")):
@@ -298,8 +294,8 @@ class MonomialIdeal:
         self.is_unit = self.gens == ((0,) * cone.dim,)
         # {w: the generator on w} over the dual rays w that carry one.
         on_rays = ((tuple([x // d for x in g]), g) for g in self.gens if (d := gcd(*g)))
-        self.ray_generators = {w: g for w, g in on_rays if w in cone.dual_rays}
-        self.is_m_primary = len(self.ray_generators) == len(cone.dual_rays)
+        self.ray_generators = {w: g for w, g in on_rays if w in cone.facet_normals}
+        self.is_m_primary = len(self.ray_generators) == len(cone.facet_normals)
 
     def __eq__(self, other):
         return (
@@ -362,9 +358,9 @@ def _semigroup_generators(cone: ToricCone) -> set:
     """The nonzero dual rays and parallelepiped points that generate the
     dual-cone semigroup, before minimalising."""
     n = cone.dim
-    points = set(cone.dual_rays)
+    points = set(cone.facet_normals)
     for piece in _dual_triangulation(cone):
-        rays = [cone.dual_rays[i] for i in piece]
+        rays = [cone.facet_normals[i] for i in piece]
         cells = _simplicial_cells(rays, n)
         check(len(cells) == 1, f"the dual cone's piece {rays} is not simplicial")
         points.update(_parallelepiped_points(cells[0], rays))
@@ -374,7 +370,7 @@ def _semigroup_generators(cone: ToricCone) -> set:
 
 def _dual_triangulation(cone: ToricCone):
     """A pulling triangulation of the dual cone, as tuples of n indices into
-    cone.dual_rays.
+    cone.facet_normals.
 
     A face of the dual cone is the set of its dual rays, and its facets
     are the largest proper nonempty faces cut out by one ray of the cone:
@@ -383,7 +379,7 @@ def _dual_triangulation(cone: ToricCone):
     from its first ray over the pieces of its facets without that ray.
     """
     zeros = [
-        frozenset([i for i, w in enumerate(cone.dual_rays) if _idot(w, ray) == 0])
+        frozenset([i for i, w in enumerate(cone.facet_normals) if _idot(w, ray) == 0])
         for ray in cone.rays
     ]
 
@@ -398,7 +394,7 @@ def _dual_triangulation(cone: ToricCone):
             for piece in pieces(g, dim - 1)
         ]
 
-    return pieces(frozenset(range(len(cone.dual_rays))), cone.dim)
+    return pieces(frozenset(range(len(cone.facet_normals))), cone.dim)
 
 
 def _parallelepiped_points(cell: _Cell, rays):
@@ -496,7 +492,7 @@ def _section_slab(cone: ToricCone, c):
     widths = []
     for ray, lo in zip(cone.rays, c):
         excess = max([_idot(m, ray) // det for m, det in vertices]) - lo
-        shift = sum([_idot(w, ray) for w in cone.dual_rays])
+        shift = sum([_idot(w, ray) for w in cone.facet_normals])
         widths.append(max(0, excess) + shift)
     return _lattice_points_between(cone, c, widths)
 

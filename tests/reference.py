@@ -388,7 +388,7 @@ def slab_minima(cone, lower, stretch=1, nonzero=False):
     ]
     margins = [
         stretch * (max([F(0)] + [xm.dot(v, ray) - lo for v in vertices])
-                   + sum(idot(w, ray) for w in cone.dual_rays))
+                   + sum(idot(w, ray) for w in cone.facet_normals))
         for ray, lo in zip(cone.rays, lower)
     ]
     points = toric._lattice_points_between(cone, lower, margins)

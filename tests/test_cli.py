@@ -611,15 +611,11 @@ class TestRecordValidation:
             (lambda: ToricDivisor(PLANE, [1, 2]).scale(False), "not a rational in p/q form: False"),
             (lambda: LPProblem([True], [([1], 1)]), "not a rational in p/q form: True"),
             (lambda: LPProblem([1], [([1], False)]), "not a rational in p/q form: False"),
-            (lambda: ToricCone([(1, 0), (0, 1)], dim=2.9), "not an integer: 2.9"),
-            (lambda: ToricCone([(1, 0), (0, 1)], dim=2.0), "not an integer: 2.0"),
-            (lambda: ToricCone([(1, 0), (0, 1)], dim=True), "not an integer: True"),
             (lambda: cusp_cycle_graph([-3.7, -2]), "not an integer vector: [-3.7, -2]"),
             (lambda: cusp_cycle_graph([-3.0, -2]), "not an integer vector: [-3.0, -2]"),
             (lambda: cusp_cycle_graph([-3, True]), "not an integer vector: [-3, True]"),
         ],
-        ids=["divisor", "scale", "lp-objective", "lp-bound", "cone-dim-float",
-             "cone-dim-integral-float", "cone-dim-bool", "cusp-float", "cusp-integral-float",
+        ids=["divisor", "scale", "lp-objective", "lp-bound", "cusp-float", "cusp-integral-float",
              "cusp-bool"],
     )
     def test_bools_and_fractional_integers_are_rejected(self, build, message):

@@ -151,7 +151,7 @@ def invocations(draw):
 
 def semigroup(rays):
     cone = ToricCone(rays)
-    return cone.dual_rays, hilbert_basis(cone)
+    return cone.facet_normals, hilbert_basis(cone)
 
 
 # (dual rays, Hilbert basis) of each listed cone, by its rays as JSON.

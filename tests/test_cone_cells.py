@@ -62,7 +62,7 @@ def test_constructor_matches_the_subset_and_determinant_references():
     kinds = Counter()
     for n, rays in ray_sets(2010, RAY_SETS):
         expected = outcome(reference_facets, rays, n)
-        found = outcome(lambda rays, n: ToricCone(rays, dim=n).facet_normals, rays, n)
+        found = outcome(lambda rays, n: ToricCone(rays).facet_normals, rays, n)
         assert found == expected, (n, rays)
         kinds[(n, "ok") if type(expected[0]) is tuple else expected[1].split(" ")[0]] += 1
     # Every dimension has valid cones, and every kind of rejection occurs.
@@ -82,12 +82,12 @@ def test_facets_follow_gl_n_and_ray_permutations(seed):
         image = [apply(a, r) for r in rays]
         rng.shuffle(image)
         try:
-            cone = ToricCone(rays, dim=n)
+            cone = ToricCone(rays)
         except DomainError:
             with pytest.raises(DomainError):
-                ToricCone(image, dim=n)
+                ToricCone(image)
             continue
-        moved = ToricCone(image, dim=n)
+        moved = ToricCone(image)
         assert moved.facet_normals == tuple(sorted(apply(transpose(inv), f) for f in cone.facet_normals))
         assert len(moved.cells) == len(cone.cells) <= comb(len(rays), n)
         checked += 1
@@ -103,7 +103,7 @@ def test_region_vertices_match_subset_solves():
     checked = 0
     for n, rays in ray_sets(11, 400):
         try:
-            cone = ToricCone(rays, dim=n)
+            cone = ToricCone(rays)
         except DomainError:
             continue
         for _ in range(3):

@@ -255,41 +255,49 @@ class TestLpMax:
 class TestPolytopeVolume:
     def test_unit_simplex(self):
         pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        assert polytope_volume(pts, 3) == F(1, 6)
+        assert polytope_volume(pts) == F(1, 6)
 
     def test_unit_square(self):
-        assert polytope_volume([(0, 0), (1, 0), (0, 1), (1, 1)], 2) == 1
+        assert polytope_volume([(0, 0), (1, 0), (0, 1), (1, 1)]) == 1
 
     def test_hull_drops_interior_points(self):
         # (1, 1) is interior to the triangle spanned by the other three.
-        assert polytope_volume([(0, 0), (3, 0), (1, 1), (0, 3)], 2) == F(9, 2)
+        assert polytope_volume([(0, 0), (3, 0), (1, 1), (0, 3)]) == F(9, 2)
 
     def test_segment_in_dim_one(self):
-        assert polytope_volume([(F(1, 2),), (3,), (2,)], 1) == F(5, 2)
+        assert polytope_volume([(F(1, 2),), (3,), (2,)]) == F(5, 2)
 
     def test_degenerate_is_zero(self):
-        assert polytope_volume([(0, 0), (1, 1), (2, 2)], 2) == 0
-        assert polytope_volume([(0, 0, 0), (1, 0, 0), (0, 1, 0)], 3) == 0
-
-    @pytest.mark.parametrize("dim", [True, "2", 2.0, F(1, 2)])
-    def test_dimension_is_read_as_an_integer(self, dim):
-        with pytest.raises(InputError, match="not an integer"):
-            polytope_volume([(0, 0), (1, 0), (0, 1)], dim)
-        assert polytope_volume([(0, 0), (1, 0), (0, 1)], F(4, 2)) == F(1, 2)
+        assert polytope_volume([(0, 0), (1, 1), (2, 2)]) == 0
+        assert polytope_volume([(0, 0, 0), (1, 0, 0), (0, 1, 0)]) == 0
 
     def test_dimension_cap(self):
         with pytest.raises(UnsupportedDimensionError):
-            polytope_volume([(0, 0, 0, 0)], 4)
+            polytope_volume([(0, 0, 0, 0)])
+
+    @pytest.mark.parametrize(
+        "vertices, message",
+        [
+            ([(0, 0), (1, 0, 0), (0, 1)], "every vertex must have the length 2 of the first"),
+            ([(0, 0, 0), (1, 0)], "every vertex must have the length 3 of the first"),
+            ([(), (1,)], "dimension must be at least 1"),
+            ([], "empty vertex list"),
+        ],
+    )
+    def test_vertices_of_other_lengths_raise(self, vertices, message):
+        with pytest.raises(InputError) as error:
+            polytope_volume(vertices)
+        assert str(error.value) == message
 
     def test_bools_and_floats_raise(self):
         with pytest.raises(InputError, match="not a rational"):
-            polytope_volume([(0, 0), (0.5, 0), (0, 1)], 2)
+            polytope_volume([(0, 0), (0.5, 0), (0, 1)])
         with pytest.raises(InputError, match="not a rational"):
-            polytope_volume([(0, 0), (True, 0), (0, 1)], 2)
+            polytope_volume([(0, 0), (True, 0), (0, 1)])
 
     def test_cube(self):
         pts = [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)]
-        assert polytope_volume(pts, 3) == 8
+        assert polytope_volume(pts) == 8
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -309,14 +317,14 @@ class TestPolytopeVolume:
         ),
     )
     def test_permutation_and_unimodular_invariance(self, pts, perm, unimod):
-        base = polytope_volume(pts, 3)
+        base = polytope_volume(pts)
         shuffled = [pts[i] for i in perm if i < len(pts)]
         if len(shuffled) == len(pts):
-            assert polytope_volume(shuffled, 3) == base
+            assert polytope_volume(shuffled) == base
         image = [
             tuple(sum(row[j] * p[j] for j in range(3)) for row in unimod) for p in pts
         ]
-        assert polytope_volume(image, 3) == base
+        assert polytope_volume(image) == base
 
     def test_hull_2d_is_ccw(self):
         hull = convex_hull_2d([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)])
@@ -332,7 +340,7 @@ class TestPolytopeVolume:
                 (rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5))
                 for _ in range(rng.randint(4, 9))
             ]
-            exact = polytope_volume(pts, 3)
+            exact = polytope_volume(pts)
             try:
                 approx = scipy_spatial.ConvexHull(pts).volume
             except scipy_spatial.QhullError:
@@ -490,9 +498,9 @@ READER_CASES = {
                       "not a rational in p/q form: 'b'", "an LP constraint must be a list, not 5"),
     "lp-normal": (lambda n: LPProblem([1, 1], [(n, 0)]), [1, 1.5],
                   "not a rational in p/q form: 1.5", "a constraint normal must be a list, not 5"),
-    "polytope_volume": (lambda vs: polytope_volume(vs, 2), [(1, 2), 5],
+    "polytope_volume": (polytope_volume, [(1, 2), 5],
                         "a vertex must be a list, not 5", "the vertices must be a list, not 5"),
-    "polytope_volume-vertex": (lambda v: polytope_volume([(0, 0), v, (0, 1)], 2), [1, 0.5],
+    "polytope_volume-vertex": (lambda v: polytope_volume([(0, 0), v, (0, 1)]), [1, 0.5],
                                "not a rational in p/q form: 0.5", "a vertex must be a list, not 5"),
     "integer_vector": (xm.integer_vector, [1, 1.5],
                        "not an integer vector: [1, 1.5]", "not an integer vector: 5"),

@@ -58,7 +58,7 @@ class TestTriangulation:
     def test_fan_from_one_dual_ray_in_3d(self, r):
         cone = ToricCone(polygon_cone(r))
         pieces = toric._dual_triangulation(cone)
-        assert len(pieces) == len(cone.dual_rays) - 2
+        assert len(pieces) == len(cone.facet_normals) - 2
         assert all(piece[0] == 0 for piece in pieces)
 
     @pytest.mark.parametrize("name, grading, volume", [
@@ -74,17 +74,17 @@ class TestTriangulation:
         # the volume of the dual cone's section; overlapping pieces would
         # exceed it.
         cone = ToricCone(CONES[name])
-        assert {toric._idot(w, grading) for w in cone.dual_rays} == {1}
+        assert {toric._idot(w, grading) for w in cone.facet_normals} == {1}
         dets = []
         for piece in toric._dual_triangulation(cone):
-            (cell,) = toric._simplicial_cells([cone.dual_rays[i] for i in piece], cone.dim)
+            (cell,) = toric._simplicial_cells([cone.facet_normals[i] for i in piece], cone.dim)
             dets.append(cell.det)
         assert sum(dets) == volume
 
     def test_parallelepiped_holds_det_points(self):
         cone = ToricCone(CONES["c3z3"])
         (piece,) = toric._dual_triangulation(cone)
-        rays = [cone.dual_rays[i] for i in piece]
+        rays = [cone.facet_normals[i] for i in piece]
         (cell,) = toric._simplicial_cells(rays, 3)
         points = toric._parallelepiped_points(cell, rays)
         assert cell.det == 9 and len(points) == 9
@@ -101,7 +101,7 @@ class TestCorruptedPieces:
     def piece(name="c3z3"):
         cone = ToricCone(CONES[name])
         piece = toric._dual_triangulation(cone)[0]
-        rays = [cone.dual_rays[i] for i in piece]
+        rays = [cone.facet_normals[i] for i in piece]
         (cell,) = toric._simplicial_cells(rays, cone.dim)
         return cone, cell, rays
 

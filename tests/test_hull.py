@@ -109,8 +109,8 @@ def random_ideal(rng, cone, count=None):
     """An m-primary ideal: a multiple of each dual ray plus random sums of
     Hilbert basis elements."""
     basis = cached_hilbert_basis(cone.rays)
-    multiples = [rng.randint(1, 3) for _ in cone.dual_rays]
-    gens = [tuple(k * x for x in w) for w, k in zip(cone.dual_rays, multiples)]
+    multiples = [rng.randint(1, 3) for _ in cone.facet_normals]
+    gens = [tuple(k * x for x in w) for w, k in zip(cone.facet_normals, multiples)]
     for _ in range(rng.randint(0, 4) if count is None else count):
         picks = [rng.choice(basis) for _ in range(rng.randint(1, 3))]
         gens.append(tuple(sum(col) for col in zip(*picks)))
@@ -176,7 +176,7 @@ class TestHullAgainstBruteForce:
         facets = hull_facets(pts)
         assert len(facets) == 6
         assert all(len(cycle) == 4 for _, _, cycle in facets)
-        assert polytope_volume(pts, 3) == 27
+        assert polytope_volume(pts) == 27
 
     def test_degenerate_sets(self):
         assert hull_facets([]) == []
@@ -194,8 +194,8 @@ class TestHullAgainstBruteForce:
 
     def test_rational_polytope_volume(self):
         pts = [(0, 0, 0), (F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, 1)]
-        assert polytope_volume(pts, 3) == F(1, 36)
-        assert polytope_volume([(0, 0), (F(1, 2), 0), (0, F(3, 2))], 2) == F(3, 8)
+        assert polytope_volume(pts) == F(1, 36)
+        assert polytope_volume([(0, 0), (F(1, 2), 0), (0, F(3, 2))]) == F(3, 8)
 
 
 class TestHull2dAgainstFractions:
@@ -236,8 +236,8 @@ class TestHull2dAgainstFractions:
     def test_volumes_and_multiplicities_unchanged(self, monkeypatch):
         rng = random.Random(609)
         polytopes = [
-            ([(0, 0, 0), (F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, 1)], 3),
-            ([(0, 0), (F(1, 2), 0), (0, F(3, 2))], 2),
+            [(0, 0, 0), (F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, 1)],
+            [(0, 0), (F(1, 2), 0), (0, F(3, 2))],
         ]
         for _ in range(60):
             dim, den = rng.choice([2, 3]), rng.randint(1, 3)
@@ -245,14 +245,14 @@ class TestHull2dAgainstFractions:
                 tuple(F(rng.randint(-4, 4), den) for _ in range(dim))
                 for _ in range(rng.randint(1, 10))
             ]
-            polytopes.append((pts, dim))
+            polytopes.append(pts)
         ideals = []
         for _ in range(40):
             cone = random_cone(rng)
             ideals.append((cone, [random_ideal(rng, cone) for _ in range(cone.dim)]))
 
         def evaluate():
-            values = [polytope_volume(pts, dim) for pts, dim in polytopes]
+            values = [polytope_volume(pts) for pts in polytopes]
             for cone, group in ideals:
                 values += [samuel_multiplicity(cone, group[0]), mixed_multiplicity(cone, group)]
             return values
@@ -703,7 +703,7 @@ class TestCompactFaceVerifier:
         # Four compact faces meet at (1, 1, 1); losing any one leaves a rim
         # edge inside the dual cone.
         quadric = ToricCone(CONES_3D["quadric"])
-        gens = [tuple(3 * x for x in w) for w in quadric.dual_rays] + [(1, 1, 1)]
+        gens = [tuple(3 * x for x in w) for w in quadric.facet_normals] + [(1, 1, 1)]
         ideal = MonomialIdeal(quadric, gens)
         assert samuel_multiplicity(quadric, ideal) == 36
         hull = xm.hull_facets

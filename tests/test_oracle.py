@@ -78,7 +78,7 @@ class TestColength:
 
 class TestMultiplicityEstimate:
     def test_smooth_plane_fit(self, plane):
-        report = multiplicity_estimate(plane, maximal_ideal(plane), 8)
+        report = multiplicity_estimate(plane, maximal_ideal(plane), range(1, 9))
         assert report.fitted[-1] == F(9, 8)
         for k, fit in zip(report.ks, report.fitted):
             assert abs(fit - 1) == F(1, k)
@@ -89,7 +89,7 @@ class TestMultiplicityEstimate:
 
     def test_plane_example_trend(self, plane):
         ideal = MonomialIdeal(plane, [(1, 0), (0, 2)])
-        report = multiplicity_estimate(plane, ideal, 12, ks=(3, 6, 12))
+        report = multiplicity_estimate(plane, ideal, (3, 6, 12))
         target = samuel_multiplicity(plane, ideal)
         errors = [abs(fit - target) for fit in report.fitted]
         assert all(err <= F(4, k) for err, k in zip(errors, report.ks))
@@ -97,15 +97,15 @@ class TestMultiplicityEstimate:
 
     def test_sample_powers_from_a_generator(self, plane):
         ideal = MonomialIdeal(plane, [(1, 0), (0, 2)])
-        report = multiplicity_estimate(plane, ideal, 4, ks=(k for k in (2, 4)))
-        assert report == multiplicity_estimate(plane, ideal, 4, ks=(2, 4))
+        report = multiplicity_estimate(plane, ideal, (k for k in (2, 4)))
+        assert report == multiplicity_estimate(plane, ideal, (2, 4))
         with pytest.raises(InputError) as error:
-            multiplicity_estimate(plane, ideal, 4, ks=(k for k in (2, 1.5, 4)))
+            multiplicity_estimate(plane, ideal, (k for k in (2, 1.5, 4)))
         assert str(error.value) == "not an integer vector: [2, 1.5, 4]"
 
     def test_quadric_certifies_covolume_engine(self, quadric):
         mx = maximal_ideal(quadric)
-        report = multiplicity_estimate(quadric, mx, 10, ks=(5, 10))
+        report = multiplicity_estimate(quadric, mx, (5, 10))
         target = samuel_multiplicity(quadric, mx)
         for k, fit in zip(report.ks, report.fitted):
             assert abs(fit - target) <= F(4, k)
