@@ -17,6 +17,7 @@ import re
 import sys
 
 from . import endo as endo_mod
+from . import exactmath as xm
 from . import jsonio
 from . import oracle as oracle_mod
 from . import surface as surface_mod
@@ -32,7 +33,7 @@ _VECTOR = re.compile("-?[0-9]+(,-?[0-9]+)*")
 def _parse_vector(text: str):
     if not _VECTOR.fullmatch(text):
         raise InputError(f"expected a comma-separated integer vector, got {text!r}")
-    return tuple(int(part) for part in text.split(","))
+    return tuple(xm.integer(xm.parse_rational(part)) for part in text.split(","))
 
 
 def _int(text: str) -> int:

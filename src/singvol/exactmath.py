@@ -37,7 +37,11 @@ def parse_rational(text) -> Fraction:
         return text
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise InputError(f"not a rational in p/q form: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError:
+        # The one fault left: more digits than the interpreter converts.
+        raise InputError(f"a rational of {len(text)} characters has too many digits") from None
 
 
 def format_rational(x: Fraction) -> str:

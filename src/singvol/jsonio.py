@@ -26,7 +26,9 @@ def load_json(path):
             return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # Bad JSON, bad UTF-8 and an integer of more digits than the interpreter
+    # converts raise ValueErrors; deep nesting raises RecursionError.
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 

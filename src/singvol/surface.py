@@ -346,7 +346,7 @@ def du_val_graph(name: str) -> ResolutionGraph:
     match = _DU_VAL_RE.fullmatch(name.strip().upper())
     if not match:
         raise InputError(f"unknown Du Val name {name!r}; expected like A2, D4, E6")
-    letter, rank = match.group(1), int(match.group(2))
+    letter, rank = match.group(1), xm.integer(xm.parse_rational(match.group(2)))
     if letter == "A":
         if rank < 1:
             raise InputError("A_n needs n >= 1")

@@ -64,6 +64,19 @@ def quadric():
 
 
 @pytest.fixture
+def long_digits():
+    """5,000 digits: more than the interpreter converts to an int at its
+    default limit of 4,300, which holds during the test whatever
+    PYTHONINTMAXSTRDIGITS says."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter converts integer text of any length")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield "7" * 5000
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.fixture
 def two_vertex_graph():
     """A genus-2 curve of self-intersection -3 meeting a rational -2 curve."""
     return ResolutionGraph([(-3, 2), (-2, 0)], [(0, 1, 1)])

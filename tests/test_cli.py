@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -34,6 +35,46 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def hostile_file(content, digits):
+    """Raw text, since json.dump cannot write an int of more digits than
+    the interpreter converts to text."""
+    return {
+        "nested": b"[" * 200_000,
+        "non-utf-8": b"\xff",
+        "long-integer": b'{"vertices": [{"self": -%s}], "edges": []}' % digits.encode(),
+    }[content]
+
+
+def raw_file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text)
+    return str(path)
+
+
+def plane_env(tmp_path, coeff, at):
+    cone = write(tmp_path, "plane.json", {"dim": 2, "rays": [[1, 0], [0, 1]]})
+    divisor = write(tmp_path, "d.json", {"coeffs": [coeff, "0"]})
+    return ["toric", "env", "--cone", cone, "--divisor", divisor, "--at", at]
+
+
+# Inputs that made the CLI exit 1 with a traceback: undecodable graph files,
+# and numbers of more digits than the interpreter converts.
+HOSTILE_ARGV = {
+    **{
+        f"graph-{content}": lambda tmp_path, digits, content=content: [
+            "surface", "volume", "--graph",
+            raw_file(tmp_path, "graph.json", hostile_file(content, digits))]
+        for content in ("nested", "non-utf-8", "long-integer")
+    },
+    "at": lambda tmp_path, digits: plane_env(tmp_path, "1", f"{digits},1"),
+    "divisor-coefficient": lambda tmp_path, digits: plane_env(tmp_path, digits, "1,1"),
+    "self-ints": lambda tmp_path, digits: [
+        "surface", "standard", "--family", "cusp_cycle", "--self-ints", f"-{digits},-2,-2"],
+    "du-val-rank": lambda tmp_path, digits: [
+        "surface", "standard", "--family", "duval", "--name", f"A{digits}"],
+}
 
 
 class TestToricCommands:
@@ -334,6 +375,19 @@ class TestValidateAndErrors:
         code, _, err = run(capsys, ["surface", "volume", "--graph", str(path)])
         assert code == 2
         assert "invalid JSON" in err
+
+    @pytest.mark.parametrize("content", ["nested", "non-utf-8", "long-integer"])
+    def test_load_json_turns_decode_faults_into_input_errors(self, tmp_path, long_digits, content):
+        path = raw_file(tmp_path, "bad.json", hostile_file(content, long_digits))
+        with pytest.raises(InputError, match=f"^invalid JSON in {re.escape(path)}: "):
+            jsonio.load_json(path)
+
+    @pytest.mark.parametrize("case", list(HOSTILE_ARGV))
+    def test_decode_faults_and_long_numbers_exit_two(self, capsys, tmp_path, long_digits, case):
+        argv = HOSTILE_ARGV[case](tmp_path, long_digits)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
     def test_wrong_divisor_arity_is_exit_two(self, capsys, tmp_path, quadric_file):
         short = write(tmp_path, "short.json", {"coeffs": ["1", "1"]})

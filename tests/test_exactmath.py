@@ -44,6 +44,13 @@ class TestRationals:
         with pytest.raises(InputError):
             parse_rational(bad)
 
+    @pytest.mark.parametrize("form", ["{}", "-{}", "1/{}", "{}/3"])
+    def test_too_many_digits(self, long_digits, form):
+        text = form.format(long_digits)
+        with pytest.raises(InputError) as error:
+            parse_rational(text)
+        assert str(error.value) == f"a rational of {len(text)} characters has too many digits"
+
 
 class TestDot:
     @pytest.mark.parametrize(

@@ -338,6 +338,11 @@ class TestStandardGraphs:
             with pytest.raises(InputError):
                 du_val_graph(name)
 
+    @pytest.mark.parametrize("letter", "ADE")
+    def test_du_val_rank_of_too_many_digits(self, long_digits, letter):
+        with pytest.raises(InputError, match="^a rational of 5000 characters has too many digits$"):
+            du_val_graph(letter + long_digits)
+
     @pytest.mark.parametrize("name", [5, None, b"A2", ["A2"]])
     def test_du_val_name_that_is_not_a_string(self, name):
         with pytest.raises(InputError, match="Du Val name is a string"):
