@@ -103,6 +103,13 @@ class TestMultiplicityEstimate:
             multiplicity_estimate(plane, ideal, (k for k in (2, 1.5, 4)))
         assert str(error.value) == "not an integer vector: [2, 1.5, 4]"
 
+    def test_sample_powers_are_bounded(self, plane):
+        ideal = MonomialIdeal(plane, [(1, 0), (0, 2)])
+        with pytest.raises(InputError, match="^sample powers must be at least 1$"):
+            multiplicity_estimate(plane, ideal, (2, 0))
+        with pytest.raises(DomainError, match="^power 65 exceeds the configured cap 64$"):
+            multiplicity_estimate(plane, ideal, (2, 65))
+
     def test_quadric_certifies_covolume_engine(self, quadric):
         mx = maximal_ideal(quadric)
         report = multiplicity_estimate(quadric, mx, (5, 10))
