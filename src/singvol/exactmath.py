@@ -45,8 +45,13 @@ def parse_rational(text) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    """Canonical string form: lowest terms, positive denominator."""
-    return str(Fraction(x))
+    """Canonical string form: lowest terms, positive denominator.  A value
+    with more digits than the interpreter converts to text raises
+    InputError."""
+    try:
+        return str(Fraction(x))
+    except ValueError:
+        raise InputError("the answer has more digits than the interpreter converts to text") from None
 
 
 def dot(u, v) -> Fraction:
@@ -190,11 +195,22 @@ def _bareiss(rows, ncols, pivoting=True) -> _Echelon:
     of the column at or below the current row.  Without it the pivots are
     the leading principal minors, and the pass stops at the first zero one,
     which it records.
+
+    A step only multiplies a row whose pivot-column entry is 0 by
+    pivot/prev, and these factors telescope, so such a row is left as it
+    is and ``current[i]`` records the pivot row i is up to date with: its
+    entries are the up-to-date ones times current[i]/prev.  When it is next
+    eliminated the usual formula divides by current[i] instead of prev; a
+    stale pivot row, or a row left below the pivots at the end, is scaled
+    once by prev/current[i].  Each quotient is exact because the up-to-date
+    entries are minors.  A form with little fill-in, such as a chain's,
+    then costs O(k^2), not O(k^3).
     """
     nrows = len(rows)
     pivots = []
     minors = []
     order = list(range(nrows))
+    current = [1] * nrows
     sign = prev = 1
     for col in range(ncols):
         r = len(pivots)
@@ -209,23 +225,31 @@ def _bareiss(rows, ncols, pivoting=True) -> _Echelon:
                 continue
             rows[r], rows[swap] = rows[swap], rows[r]
             order[r], order[swap] = order[swap], order[r]
+            current[r], current[swap] = current[swap], current[r]
             sign = -sign
         top = rows[r]
+        lag = current[r]
+        if lag != prev:
+            top[col:] = [prev * x // lag for x in top[col:]]
         pivot = top[col]
         tail = top[col + 1:]
         for i in range(r + 1, nrows):
             row = rows[i]
             factor = row[col]
             if factor:
+                lag = current[i]
                 row[col + 1:] = [
-                    (pivot * x - factor * y) // prev for x, y in zip(row[col + 1:], tail)
+                    (pivot * x - factor * y) // lag for x, y in zip(row[col + 1:], tail)
                 ]
                 row[col] = 0
-            elif pivot != prev:
-                row[col + 1:] = [pivot * x // prev for x in row[col + 1:]]
+                current[i] = pivot
         pivots.append(col)
         minors.append(pivot)
         prev = pivot
+    for i in range(len(pivots), nrows):
+        lag = current[i]
+        if lag != prev:
+            rows[i][:] = [prev * x // lag for x in rows[i]]
     return _Echelon(pivots, minors, order, sign)
 
 

@@ -116,7 +116,10 @@ class ResolutionGraph:
         y, det = xm._back_substitute(work, echelon, k)
         if _products(self, y) != [det * c for c in canonical]:
             raise InternalError("the discrepancies failed their exact check")
-        self._log_discrepancies = tuple([Fraction(v + det, det) for v in y])
+        # Equal entries share one Fraction: a Du Val graph's are all 1 and a
+        # cusp cycle's all 0, and callers may keep many such answers.
+        values = {v: Fraction(v + det, det) for v in set(y)}
+        self._log_discrepancies = tuple([values[v] for v in y])
 
     def __len__(self):
         return len(self.vertices)
@@ -226,10 +229,12 @@ def zariski_decompose(graph: ResolutionGraph, d) -> ZariskiDecomposition:
     (ints,), (scale,) = xm._integer_rows([d])
     md = _products(graph, ints)
     support: set[int] = set()
-    neg = (Fraction(0),) * k
+    nef, neg = d, (Fraction(0),) * k
+    # N = 0 on the first pass, so its products P.E_j = (M.D)_j / scale are
+    # read off md: the signs and zeros the loop tests do not change with
+    # the positive scale.  mat_vec runs only after a solve.
+    products = md
     for _ in range(k + 1):
-        nef = tuple([a - b for a, b in zip(d, neg)])
-        products = xm.mat_vec(matrix, nef)
         violating = [j for j in range(k) if products[j] < 0 and j not in support]
         if not violating:
             check(all(c >= 0 for c in neg), "the negative part is not effective")
@@ -248,6 +253,8 @@ def zariski_decompose(graph: ResolutionGraph, d) -> ZariskiDecomposition:
         for idx, j in enumerate(rows):
             neg_list[j] = sol[idx] / scale
         neg = tuple(neg_list)
+        nef = tuple([a - b for a, b in zip(d, neg)])
+        products = xm.mat_vec(matrix, nef)
     raise InternalError("Zariski decomposition failed to stabilize")
 
 
@@ -338,6 +345,9 @@ def cusp_cycle_graph(self_ints) -> ResolutionGraph:
 
 _DU_VAL_RE = re.compile("([ADE])_?([0-9]+)")
 
+# A_n and D_n are refused above this rank before anything is built.
+DU_VAL_MAX_RANK = 1000
+
 
 def du_val_graph(name: str) -> ResolutionGraph:
     """Standard rational double point trees: A_n, D_n, E_6, E_7, E_8."""
@@ -347,6 +357,8 @@ def du_val_graph(name: str) -> ResolutionGraph:
     if not match:
         raise InputError(f"unknown Du Val name {name!r}; expected like A2, D4, E6")
     letter, rank = match.group(1), xm.integer(xm.parse_rational(match.group(2)))
+    if letter != "E" and rank > DU_VAL_MAX_RANK:
+        raise InputError(f"{letter}_n needs n <= {DU_VAL_MAX_RANK}, the cap on Du Val ranks")
     if letter == "A":
         if rank < 1:
             raise InputError("A_n needs n >= 1")

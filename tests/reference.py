@@ -63,6 +63,48 @@ def with_dense_pivot(fn, *args):
         xm._Tableau.pivot = sparse
 
 
+def eager_bareiss(rows, ncols, pivoting=True):
+    """exactmath._bareiss as it was before rows were scaled only when read:
+    every row below the pivot is brought up to date at every step, a row
+    whose pivot-column entry is 0 by multiplying it by pivot/prev."""
+    nrows = len(rows)
+    pivots = []
+    minors = []
+    order = list(range(nrows))
+    sign = prev = 1
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        if not rows[r][col]:
+            if not pivoting:
+                minors.append(0)
+                break
+            swap = next((i for i in range(r + 1, nrows) if rows[i][col]), None)
+            if swap is None:
+                continue
+            rows[r], rows[swap] = rows[swap], rows[r]
+            order[r], order[swap] = order[swap], order[r]
+            sign = -sign
+        top = rows[r]
+        pivot = top[col]
+        tail = top[col + 1:]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            factor = row[col]
+            if factor:
+                row[col + 1:] = [
+                    (pivot * x - factor * y) // prev for x, y in zip(row[col + 1:], tail)
+                ]
+                row[col] = 0
+            elif pivot != prev:
+                row[col + 1:] = [pivot * x // prev for x in row[col + 1:]]
+        pivots.append(col)
+        minors.append(pivot)
+        prev = pivot
+    return xm._Echelon(pivots, minors, order, sign)
+
+
 def _eliminate(rows, ncols):
     """Gauss-Jordan elimination by integer row operations, each row kept
     divided by the gcd of its entries: reduced rows, pivot columns."""

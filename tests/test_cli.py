@@ -59,8 +59,11 @@ def plane_env(tmp_path, coeff, at):
     return ["toric", "env", "--cone", cone, "--divisor", divisor, "--at", at]
 
 
+A3_GRAPH = {"vertices": [{"self": -2, "genus": 0}] * 3, "edges": [[0, 1, 1], [1, 2, 1]]}
+
 # Inputs that made the CLI exit 1 with a traceback: undecodable graph files,
-# and numbers of more digits than the interpreter converts.
+# numbers and answers of more digits than the interpreter converts; and a Du
+# Val rank above the cap, which no longer builds a graph for seconds.
 HOSTILE_ARGV = {
     **{
         f"graph-{content}": lambda tmp_path, digits, content=content: [
@@ -74,6 +77,12 @@ HOSTILE_ARGV = {
         "surface", "standard", "--family", "cusp_cycle", "--self-ints", f"-{digits},-2,-2"],
     "du-val-rank": lambda tmp_path, digits: [
         "surface", "standard", "--family", "duval", "--name", f"A{digits}"],
+    # -P^2 has about 6,000 digits, more than the interpreter prints.
+    "long-answer": lambda tmp_path, digits: [
+        "surface", "zariski", "--graph", write(tmp_path, "a3.json", A3_GRAPH),
+        "--divisor", write(tmp_path, "d.json", {"coeffs": [f"-{digits[:3000]}", "-1", "-2"]})],
+    "du-val-rank-above-cap": lambda tmp_path, digits: [
+        "surface", "standard", "--family", "duval", "--name", "A1001"],
 }
 
 

@@ -34,7 +34,8 @@ from singvol.surface import (
 
 from conftest import random_graph, run_python
 from reference import (
-    fraction_classify, fraction_dot, fraction_local_volume, fraction_matrix, fraction_zariski_decompose,
+    eager_bareiss, fraction_classify, fraction_dot, fraction_local_volume, fraction_matrix,
+    fraction_zariski_decompose,
 )
 
 try:
@@ -247,8 +248,8 @@ class TestZariskiRightHandSide:
     so the only Fraction dot products left are mat_vec's k a pass."""
 
     def test_dots_only_from_mat_vec(self, monkeypatch):
-        dot, mat_vec = xm.dot, xm.mat_vec
-        calls = {"dot": 0, "mat_vec": 0}
+        dot, mat_vec, solve_linear = xm.dot, xm.mat_vec, xm.solve_linear
+        calls = {"dot": 0, "mat_vec": 0, "solve_linear": 0}
 
         def counting_dot(u, v):
             calls["dot"] += 1
@@ -258,17 +259,143 @@ class TestZariskiRightHandSide:
             calls["mat_vec"] += 1
             return mat_vec(m, v)
 
+        def counting_solve_linear(m, b):
+            calls["solve_linear"] += 1
+            return solve_linear(m, b)
+
         monkeypatch.setattr(xm, "dot", counting_dot)
         monkeypatch.setattr(xm, "mat_vec", counting_mat_vec)
+        monkeypatch.setattr(xm, "solve_linear", counting_solve_linear)
         rng = random.Random(813)
         solved = 0
         for graph in reference_graphs(rng):
             for d in (log_discrepancy_divisor(graph), rational_divisor(rng, len(graph))):
-                calls.update(dot=0, mat_vec=0)
+                calls.update(dot=0, mat_vec=0, solve_linear=0)
                 zariski_decompose(graph, d)
                 assert calls["dot"] == len(graph) * calls["mat_vec"], (graph, d)
-                solved += calls["mat_vec"] > 1
+                # The first pass reads its products off the integer M.D.
+                assert calls["mat_vec"] == calls["solve_linear"], (graph, d)
+                solved += calls["mat_vec"] > 0
         assert solved > 50
+
+
+class TestFirstZariskiPass:
+    """N = 0 on the first pass, so its violations are read off the integer
+    M.D and mat_vec runs once after each solve, never before the first
+    (test_dots_only_from_mat_vec checks one mat_vec a solve)."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = {"mat_vec": 0, "solve_linear": 0}
+        for name in calls:
+            real = getattr(xm, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(xm, name, counting)
+        return calls
+
+    def test_no_product_without_a_solve(self, monkeypatch):
+        """Cusp cycles and cones over genus-1 curves are lc with log
+        discrepancies 0, so their volume solves nothing; neither does d = 0."""
+        calls = self.counted(monkeypatch)
+        rng = random.Random(815)
+        graphs = [cusp_cycle_graph([rng.randint(-5, -2) for _ in range(n - 1)] + [-3]) for n in range(2, 12)]
+        graphs += [cone_graph(1, degree) for degree in range(1, 10)]
+        for graph in graphs:
+            assert volume(graph) == 0
+            assert calls == {"mat_vec": 0, "solve_linear": 0}, graph
+        for graph in reference_graphs(rng):
+            assert zariski_decompose(graph, [0] * len(graph)) == ((F(0),) * len(graph),) * 2
+            assert calls == {"mat_vec": 0, "solve_linear": 0}, graph
+
+    def test_chain_solves_unchanged(self, monkeypatch):
+        """On A_n the support grows by the two ends a pass, so volume makes
+        ceil(n / 2) solves, as before the first pass was read off M.D."""
+        calls = self.counted(monkeypatch)
+        for n in range(1, 41):
+            calls.update(mat_vec=0, solve_linear=0)
+            assert volume(du_val_graph(f"A{n}")) == 0
+            assert calls == {"mat_vec": (n + 1) // 2, "solve_linear": (n + 1) // 2}, n
+
+
+def intersection_form(rng, k, cycle=False):
+    """The int intersection form of a random tree on k vertices, or of a
+    k-cycle; self-intersections from -4 to 0, so some forms are singular or
+    have a zero leading minor."""
+    edges = [(v, v + 1) for v in range(k - 1)] if cycle else [(rng.randrange(v), v) for v in range(1, k)]
+    if cycle and k > 2:
+        edges.append((0, k - 1))
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        rows[i][i] = rng.randint(-4, 0)
+    for i, j in edges:
+        mult = rng.randint(1, 2)
+        rows[i][j] += mult
+        rows[j][i] += mult
+    return rows
+
+
+class TestLazyRowScaling:
+    """_bareiss scales a row whose pivot-column entry is 0 only when it is
+    next read; it returns the rows and the _Echelon of the eager pass in
+    reference.py, which scaled every row below the pivot at every step."""
+
+    @staticmethod
+    def assert_same(rows, ncols, pivoting=True):
+        lazy, eager = [row[:] for row in rows], [row[:] for row in rows]
+        assert xm._bareiss(lazy, ncols, pivoting) == eager_bareiss(eager, ncols, pivoting), rows
+        assert lazy == eager, rows
+
+    @staticmethod
+    def with_extra_columns(rng, rows):
+        """Each row with two right-hand-side entries and an identity block."""
+        n = len(rows)
+        return [row + [rng.randint(-5, 5), rng.randint(-5, 5)] + [int(i == j) for j in range(n)]
+                for i, row in enumerate(rows)]
+
+    def check_all_ways(self, rng, rows):
+        ncols = len(rows[0])
+        for work in (rows, self.with_extra_columns(rng, rows)):
+            self.assert_same(work, ncols)
+            self.assert_same(work, ncols, pivoting=False)
+
+    def test_dense_banded_and_rank_deficient(self):
+        rng = random.Random(816)
+        for _ in range(300):
+            nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+            shape = rng.choice(["dense", "banded", "sparse", "deficient"])
+            if shape == "deficient":
+                base = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(rng.randint(1, nrows))]
+                rows = [[sum(c * x for c, x in zip(coeffs, col)) for col in zip(*base)]
+                        for coeffs in ([rng.randint(-2, 2) for _ in base] for _ in range(nrows))]
+            else:
+                width = {"dense": ncols, "banded": rng.randint(0, 2), "sparse": ncols}[shape]
+                density = 0.3 if shape == "sparse" else 1
+                rows = [[rng.randint(-9, 9) if abs(i - j) <= width and rng.random() < density else 0
+                         for j in range(ncols)] for i in range(nrows)]
+            self.check_all_ways(rng, rows)
+
+    def test_intersection_forms(self):
+        rng = random.Random(817)
+        stopped = 0
+        for _ in range(200):
+            rows = intersection_form(rng, rng.randint(1, 14), cycle=rng.random() < 0.4)
+            self.check_all_ways(rng, rows)
+            minors = xm._bareiss([row[:] for row in rows], len(rows), pivoting=False).minors
+            stopped += minors[-1] == 0 and len(minors) < len(rows)
+        assert stopped > 10
+
+    def test_graph_forms_with_canonical_column(self):
+        """The pass ResolutionGraph runs: no row swaps, K beside M."""
+        rng = random.Random(818)
+        for graph in reference_graphs(rng) + multigraphs(rng):
+            rows = [list(row) + [2 * v.genus - 2 - v.self_int]
+                    for row, v in zip(graph.intersection_matrix, graph.vertices)]
+            self.assert_same(rows, len(graph), pivoting=False)
+            self.assert_same(rows, len(graph))
 
 
 def rational_divisor(rng, k):

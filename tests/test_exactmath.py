@@ -51,6 +51,12 @@ class TestRationals:
             parse_rational(text)
         assert str(error.value) == f"a rational of {len(text)} characters has too many digits"
 
+    @pytest.mark.parametrize("value", [F(10 ** 4400), F(-1, 10 ** 4400), F(10 ** 4400 + 1, 3)])
+    def test_too_many_digits_to_format(self, long_digits, value):
+        with pytest.raises(InputError, match="^the answer has more digits than the interpreter converts to text$"):
+            format_rational(value)
+        assert format_rational(F(10 ** 4299, 7)) == "1" + "0" * 4299 + "/7"
+
 
 class TestDot:
     @pytest.mark.parametrize(

@@ -333,6 +333,12 @@ class TestStandardGraphs:
         assert classify(graph).kind is SingularityKind.KLT
         assert volume(graph) == 0
 
+    def test_equal_log_discrepancies_share_one_fraction(self):
+        for graph, value in ((du_val_graph("A12"), 1), (cusp_cycle_graph([-3, -2, -2, -2]), 0)):
+            coeffs = log_discrepancy_divisor(graph)
+            assert coeffs == (value,) * len(graph)
+            assert len({id(a) for a in coeffs}) == 1
+
     def test_du_val_bad_names(self):
         for name in ["B2", "E9", "D3", "A0", "X1"]:
             with pytest.raises(InputError):
@@ -342,6 +348,16 @@ class TestStandardGraphs:
     def test_du_val_rank_of_too_many_digits(self, long_digits, letter):
         with pytest.raises(InputError, match="^a rational of 5000 characters has too many digits$"):
             du_val_graph(letter + long_digits)
+
+    def test_du_val_rank_cap(self, long_digits):
+        """A_n and D_n are built up to n = 1000 and refused above, also at a
+        rank of 4,000 digits, which the interpreter still converts."""
+        assert surface.DU_VAL_MAX_RANK == 1000
+        assert len(du_val_graph("A1000")) == 1000
+        assert len(du_val_graph("D1000")) == 1000
+        for name in ("A1001", "D1001", "d_1001", "A" + long_digits[:4000]):
+            with pytest.raises(InputError, match=f"^{name.upper()[0]}_n needs n <= 1000, the cap on Du Val ranks$"):
+                du_val_graph(name)
 
     @pytest.mark.parametrize("name", [5, None, b"A2", ["A2"]])
     def test_du_val_name_that_is_not_a_string(self, name):
