@@ -240,8 +240,6 @@ class ToricVolumeReport(namedtuple("ToricVolumeReport", "degree samples values")
 
 def toric_volume_report(cone: ToricCone, matrix) -> ToricVolumeReport:
     endo = ToricEndo(cone, matrix)
-    samples = tuple(
-        v for v in sample_valuations(cone) if cone._min_pairing(v) > 0
-    )
+    samples = tuple(v for v in sample_valuations(cone) if cone.interior_contains(v))
     values = tuple(toric.log_discrepancy_value(cone, v) for v in samples)
     return ToricVolumeReport(degree=endo.degree, samples=samples, values=values)

@@ -16,6 +16,7 @@ classification.  All arithmetic is exact.
 
 from __future__ import annotations
 
+import decimal
 import enum
 import re
 from collections import namedtuple
@@ -42,7 +43,7 @@ class ResolutionGraph:
     """Weighted dual graph of a resolution with exact validity checks.
 
     Construction eliminates the intersection matrix once: the same pass
-    checks negative definiteness and solves for the log discrepancies."""
+    checks negative definiteness and gives the log discrepancies and class."""
 
     def __init__(self, vertices, edges):
         verts = []
@@ -109,9 +110,15 @@ class ResolutionGraph:
         failing = xm._failing_minor(echelon.minors, [1] * k)
         if failing is not None:
             size, minor = failing
+            try:
+                determinant = f"determinant {xm.format_rational(minor)}"
+            except InputError:  # too long to write out: named by sign and length
+                sign = "negative" if minor < 0 else "positive"
+                digits = decimal.Decimal(minor.numerator).adjusted() + 1
+                determinant = f"a {sign} determinant of {digits} digits"
             raise DomainError(
                 "intersection matrix is not negative definite: leading principal "
-                f"minor of size {size} has determinant {xm.format_rational(minor)}"
+                f"minor of size {size} has {determinant}"
             )
         y, det = xm._back_substitute(work, echelon, k)
         if _products(self, y) != [det * c for c in canonical]:
@@ -120,6 +127,10 @@ class ResolutionGraph:
         # cusp cycle's all 0, and callers may keep many such answers.
         values = {v: Fraction(v + det, det) for v in set(y)}
         self._log_discrepancies = tuple([values[v] for v in y])
+        # (y_j + det) det has the sign of the log discrepancy (y_j + det) / det.
+        lowest = min([(v + det) * det for v in values])
+        self._kind = (SingularityKind.KLT if lowest > 0 else
+                      SingularityKind.LC_NOT_KLT if lowest == 0 else SingularityKind.NOT_LC)
 
     def __len__(self):
         return len(self.vertices)
@@ -287,15 +298,9 @@ class SingularityClass(namedtuple("SingularityClass", "kind log_discrepancies"))
 
 
 def classify(graph: ResolutionGraph) -> SingularityClass:
-    """Numerical classification from the sign pattern of log discrepancies."""
-    coeffs = log_discrepancy_divisor(graph)
-    if all(a > 0 for a in coeffs):
-        kind = SingularityKind.KLT
-    elif all(a >= 0 for a in coeffs):
-        kind = SingularityKind.LC_NOT_KLT
-    else:
-        kind = SingularityKind.NOT_LC
-    return SingularityClass(kind=kind, log_discrepancies=coeffs)
+    """The numerical class, fixed by the signs of the log discrepancies when
+    the graph was built."""
+    return SingularityClass(graph._kind, graph._log_discrepancies)
 
 
 # ---------------------------------------------------------------------------

@@ -514,17 +514,14 @@ def _region_vertices(cone: ToricCone, c):
 # ---------------------------------------------------------------------------
 
 
-def _envelope(cone: ToricCone, coeffs, v):
-    """The envelope at v in sigma from the first cell whose dual weights
-    lam = A^T v / det are nonnegative and whose form m = A d_B / det
-    satisfies <m, ray_i> <= d_i.  Such a cell exists by LP duality, and the
-    equal objective values <m, v> = sum lam_k d_k certify both optima.
-
-    Works in integers, with d cleared of denominators once; a cell is left
-    at its first negative weight.  Returns the value, m, the cell and the
-    integer weights lam * det.
+def _envelope(cone: ToricCone, d, scale, v):
+    """The envelope at v of the divisor d / scale, for integers d and
+    scale > 0, from the first cell whose dual weights lam = A^T v / det are
+    nonnegative and whose form m = A d_B / det satisfies <m, ray_i> <= d_i.
+    Such a cell exists by LP duality, and the equal objective values
+    <m, v> = sum lam_k d_k certify both optima.  Returns the value, m, the
+    cell and the integer weights lam * det.
     """
-    (d,), (scale,) = xm._integer_rows([coeffs])
     rays = cone.rays
     for cell in cone.cells:
         lam = []
@@ -566,7 +563,8 @@ def envelope_certificate(cone: ToricCone, divisor: ToricDivisor, v):
     v = _as_lattice_vector(v, cone.dim)
     if cone._min_pairing(v) < 0:
         raise DomainError(f"valuation vector {v} lies outside the cone")
-    return _envelope(cone, divisor.coeffs, v)[:2]
+    (d,), (scale,) = xm._integer_rows([divisor.coeffs])
+    return _envelope(cone, d, scale, v)[:2]
 
 
 def envelope_problem(cone: ToricCone, divisor: ToricDivisor, v) -> LPProblem:
@@ -601,6 +599,7 @@ def is_numerically_cartier(cone: ToricCone, divisor: ToricDivisor) -> Numericall
     """
     _check_indexed(cone, divisor)
     (d,), (scale,) = xm._integer_rows([divisor.coeffs])
+    minus = [-x for x in d]
     rays, cell = cone.rays, cone.cells[0]
     det = cell.det
     m = _tight_form(cell, d)
@@ -609,9 +608,7 @@ def is_numerically_cartier(cone: ToricCone, divisor: ToricDivisor) -> Numericall
         check(all(_idot(m, ray) == det * di for ray, di in zip(rays, d)),
               "wrong Cartier certificate")
         sample = cone.interior_point()
-        total = envelope_value(cone, divisor, sample) + envelope_value(
-            cone, -divisor, sample
-        )
+        total = _envelope(cone, d, scale, sample)[0] + _envelope(cone, minus, scale, sample)[0]
         check(
             total == 0,
             "numerically-Cartier contradiction: a linear certificate exists "
@@ -638,7 +635,7 @@ def is_numerically_cartier(cone: ToricCone, divisor: ToricDivisor) -> Numericall
     check(any(w), "the inconsistency certificate gives the zero valuation")
     witness = xm.primitive_vector(w)
     check(cone._min_pairing(witness) > 0, "witness is not interior to the cone")
-    gap = envelope_value(cone, divisor, witness) + envelope_value(cone, -divisor, witness)
+    gap = _envelope(cone, d, scale, witness)[0] + _envelope(cone, minus, scale, witness)[0]
     check(gap < 0, "envelope sum at the witness is not negative")
     return NumericallyCartierResult(False, witness=witness, gap=gap)
 
@@ -797,7 +794,6 @@ def log_discrepancy_value(cone: ToricCone, v) -> Fraction:
         raise DomainError(f"log discrepancies are evaluated at interior valuations, got {v}")
     if gcd(*v) != 1:
         raise DomainError(f"valuation vector {v} must be primitive")
-    ones = ToricDivisor(cone, (Fraction(1),) * len(cone.rays))
-    value = envelope_value(cone, ones, v)
+    value = _envelope(cone, (1,) * len(cone.rays), 1, v)[0]
     check(value >= 0, "log discrepancy is negative")
     return value

@@ -445,6 +445,25 @@ def enumerated_envelope(cone, coeffs, v):
     return best, {point for point, value in vertices if value == best}
 
 
+def first_cell_envelope(cone, coeffs, v):
+    """(value, form) of the first n-subset of the rays, in combinations
+    order, that spans a cone holding v and whose tight form meets every
+    bound <m, ray_i> <= d_i: the choice among tied optima that
+    envelope_certificate makes, solved in Fractions; None when no subset
+    holds v."""
+    d = [F(c) for c in coeffs]
+    for subset in itertools.combinations(range(len(cone.rays)), cone.dim):
+        basis = [cone.rays[i] for i in subset]
+        if xm.determinant(basis) == 0:
+            continue
+        if min(solve_linear([list(column) for column in zip(*basis)], v)) < 0:
+            continue
+        m = solve_linear(basis, [d[i] for i in subset])
+        if all(xm.dot(m, ray) <= di for ray, di in zip(cone.rays, d)):
+            return xm.dot(m, v), m
+    return None
+
+
 def reference_numerically_cartier(cone, coeffs):
     """(flag, certificate, witness, gap) through solve_general: the solution of
     <m, ray_i> = d_i, or else a left-null vector lam of the rays with

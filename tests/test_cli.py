@@ -398,6 +398,18 @@ class TestValidateAndErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
+    def test_minor_of_too_many_digits_is_exit_three(self, capsys, tmp_path, long_digits):
+        """A graph whose failing minor is too long to write out is still
+        not negative definite; the message names the minor by sign and
+        length."""
+        graph = ('{"vertices": [{"self": -%s, "genus": 0}, {"self": -1, "genus": 0}], '
+                 '"edges": [[0, 1, %s]]}' % (long_digits[:4000], "3" * 3000))
+        path = raw_file(tmp_path, "graph.json", graph.encode())
+        code, out, err = run(capsys, ["surface", "volume", "--graph", path])
+        assert (code, out) == (3, "")
+        assert err == ("error: intersection matrix is not negative definite: leading principal "
+                       "minor of size 2 has a negative determinant of 6000 digits\n")
+
     def test_wrong_divisor_arity_is_exit_two(self, capsys, tmp_path, quadric_file):
         short = write(tmp_path, "short.json", {"coeffs": ["1", "1"]})
         code, _, err = run(

@@ -21,6 +21,7 @@ from singvol.exactmath import (
     solve_linear,
 )
 from singvol.surface import (
+    SingularityKind,
     classify,
     cone_graph,
     cusp_cycle_graph,
@@ -227,6 +228,28 @@ class TestAgainstFractionReference:
             value = volume(graph)
             assert value == fraction_local_volume(graph, expected), graph
             assert type(value) is F, graph
+
+    def test_classify_compares_no_fractions(self, monkeypatch):
+        """The class is fixed at construction by the signs of the integers
+        (y_j + det) det, so classify agrees with the Fraction rule without
+        ordering a Fraction."""
+        rng = random.Random(811)
+        graphs = reference_graphs(rng)
+        cusps = [cusp_cycle_graph([rng.randint(-5, -3)] + [rng.randint(-4, -2) for _ in range(k)])
+                 for k in range(1, 9)]
+        expected = [fraction_classify(graph) for graph in graphs + cusps]
+        assert {kind for kind, _ in expected} == set(SingularityKind)
+
+        def forbidden(*args):
+            raise AssertionError("classify ordered a Fraction")
+
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(F, name, forbidden)
+        for graph, (kind, coeffs) in zip(graphs + cusps, expected):
+            assert classify(graph) == (kind, coeffs), graph
+        # A cusp cycle is log canonical and not klt: every a_j is 0.
+        for graph in cusps:
+            assert classify(graph) == (SingularityKind.LC_NOT_KLT, (0,) * len(graph)), graph
 
     def test_zariski_and_local_volume(self):
         rng = random.Random(810)

@@ -47,6 +47,17 @@ class TestGraphConstruction:
         with pytest.raises(DomainError, match="minor of size 2"):
             ResolutionGraph([(-2, 0), (-2, 0)], [(0, 1, 2)])
 
+    def test_minor_of_too_many_digits_named_by_sign_and_length(self, long_digits):
+        # (-7...7)(-1) - (3...3)^2 with 4,000 sevens and 3,000 threes: the
+        # square has 6,000 digits and leads, and the interpreter writes out
+        # at most 4,300.
+        sevens, threes = int(long_digits[:4000]), int("3" * 3000)
+        assert 10 ** 5999 < threes ** 2 - sevens < 10 ** 6000
+        message = ("^intersection matrix is not negative definite: leading principal "
+                   "minor of size 2 has a negative determinant of 6000 digits$")
+        with pytest.raises(DomainError, match=message):
+            ResolutionGraph([(-sevens, 0), (-1, 0)], [(0, 1, threes)])
+
     def test_rejects_bad_edges(self):
         with pytest.raises(InputError):
             ResolutionGraph([(-2, 0)], [(0, 1, 1)])

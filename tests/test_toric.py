@@ -883,7 +883,7 @@ class TestSelfChecks:
             is_numerically_cartier(quadric, ToricDivisor(quadric, D_ONE))
 
     def test_nonnegative_gap(self, monkeypatch, quadric):
-        monkeypatch.setattr(toric, "envelope_value", lambda cone, divisor, v: F(0))
+        monkeypatch.setattr(toric, "_envelope", lambda cone, d, scale, v: (F(0),))
         with pytest.raises(InternalError, match="not negative"):
             is_numerically_cartier(quadric, ToricDivisor(quadric, D_ONE))
 
@@ -893,12 +893,12 @@ class TestSelfChecks:
             is_numerically_cartier(quadric, ToricDivisor(quadric, D_ONE))
 
     def test_envelope_sum_of_cartier_divisor(self, monkeypatch, quadric):
-        monkeypatch.setattr(toric, "envelope_value", lambda cone, divisor, v: F(1))
+        monkeypatch.setattr(toric, "_envelope", lambda cone, d, scale, v: (F(1),))
         with pytest.raises(InternalError, match="contradiction"):
             is_numerically_cartier(quadric, ToricDivisor(quadric, D_SUM))
 
     def test_negative_log_discrepancy(self, monkeypatch, quadric):
-        monkeypatch.setattr(toric, "envelope_value", lambda cone, divisor, v: F(-1))
+        monkeypatch.setattr(toric, "_envelope", lambda cone, d, scale, v: (F(-1),))
         with pytest.raises(InternalError, match="negative"):
             log_discrepancy_value(quadric, (1, 1, 1))
 
@@ -907,7 +907,7 @@ class TestSelfChecks:
             "from fractions import Fraction\n"
             "import singvol.toric as toric\n"
             "from singvol import InternalError\n"
-            "toric.envelope_value = lambda cone, divisor, v: Fraction(-1)\n"
+            "toric._envelope = lambda cone, d, scale, v: (Fraction(-1),)\n"
             "cone = toric.ToricCone([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])\n"
             "try:\n"
             "    toric.log_discrepancy_value(cone, (1, 1, 1))\n"
