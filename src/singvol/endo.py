@@ -207,9 +207,15 @@ def surface_cover_report(genus: int, polarization: int, cover_degree: int) -> Su
     if cover_degree < 1:
         raise InputError("cover degree must be positive")
     base = surface.volume(surface.cone_graph(genus, polarization))
-    covering = surface.volume(
-        surface.cone_graph(cover_degree * (genus - 1) + 1, cover_degree * polarization)
-    )
+    covering_genus = cover_degree * (genus - 1) + 1
+    if covering_genus < 0:
+        # Only genus 0 gets here: the base graph refused a negative genus.
+        raise InputError(
+            f"no degree-{cover_degree} cover of the cone over a rational curve is etale "
+            f"away from the vertex: the covering curve's genus e(g - 1) + 1 would be "
+            f"{covering_genus}"
+        )
+    covering = surface.volume(surface.cone_graph(covering_genus, cover_degree * polarization))
     return SurfaceCoverReport(
         genus=genus,
         polarization=polarization,

@@ -31,12 +31,14 @@ class Vertex(namedtuple("Vertex", "self_int genus")):
     __slots__ = ()
 
     def __new__(cls, self_int, genus):
-        self_int, genus = xm._as_int(self_int), xm._as_int(genus)
-        if self_int is None or genus is None:
-            raise InputError("vertex data must be integers")
+        # Exact ints, as integer_vector hands them on, are taken as they are.
+        if type(self_int) is not int or type(genus) is not int:
+            self_int, genus = xm._as_int(self_int), xm._as_int(genus)
+            if self_int is None or genus is None:
+                raise InputError("vertex data must be integers")
         if genus < 0:
             raise InputError(f"genus must be nonnegative, got {genus}")
-        return super().__new__(cls, self_int, genus)
+        return tuple.__new__(cls, (self_int, genus))
 
 
 class ResolutionGraph:
@@ -248,9 +250,11 @@ def zariski_decompose(graph: ResolutionGraph, d) -> ZariskiDecomposition:
     for _ in range(k + 1):
         violating = [j for j in range(k) if products[j] < 0 and j not in support]
         if not violating:
-            check(all(c >= 0 for c in neg), "the negative part is not effective")
+            # Signs and zeros read off numerators: ints and Fractions both
+            # have one, and a denominator is positive.
+            check(all([c.numerator >= 0 for c in neg]), "the negative part is not effective")
             check(
-                all(products[j] == 0 for j in range(k) if neg[j] != 0),
+                not any([p.numerator for p, c in zip(products, neg) if c.numerator]),
                 "the nef part is not orthogonal to the negative part",
             )
             return ZariskiDecomposition(nef_part=nef, neg_part=neg)
@@ -281,10 +285,13 @@ def local_volume(graph: ResolutionGraph, d) -> Fraction:
 
 
 def nef_volume(graph: ResolutionGraph, nef) -> Fraction:
-    """Minus the self-intersection of a nef part, checked nonnegative."""
-    value = -intersect(graph, nef, nef)
-    check(value >= 0, "the local volume is negative")
-    return value
+    """Minus the self-intersection of a nef part, checked nonnegative.  P
+    is read and cleared of denominators once, P = p / s, so the volume is
+    -(p . Mp) / s^2 with p . Mp summed on ints."""
+    (ints,), (scale,) = xm._integer_rows([_as_coeffs(graph, nef)])
+    square = sum(map(mul, ints, _products(graph, ints)))
+    check(square <= 0, "the local volume is negative")
+    return Fraction(-square, scale * scale)
 
 
 class SingularityKind(enum.Enum):

@@ -113,6 +113,43 @@ def random_graph(rng: random.Random, max_vertices: int = 5, max_extra_edges: int
     return ResolutionGraph(vertices, edges)
 
 
+def star_graph(genus, degree, branches):
+    """A centre of the given genus and self-intersection -degree, vertex 0,
+    with a chain of rational curves of self-intersections -b_1, ..., -b_s
+    for each branch (b_1, ..., b_s), b_1 next to the centre."""
+    vertices, edges = [(-degree, genus)], []
+    for branch in branches:
+        prev = 0
+        for b in branch:
+            edges.append((prev, len(vertices), 1))
+            prev = len(vertices)
+            vertices.append((-b, 0))
+    return ResolutionGraph(vertices, edges)
+
+
+def _blown_up(graph, lowered, edges):
+    """The graph with the self-intersections of the vertices in lowered one
+    less and a last vertex, a rational (-1)-curve, on the given edges."""
+    vertices = [(v.self_int - (idx in lowered), v.genus) for idx, v in enumerate(graph.vertices)]
+    return ResolutionGraph(vertices + [(-1, 0)], edges)
+
+
+def blow_up_point(graph, j):
+    """The graph after blowing up a point of E_j on no other curve."""
+    return _blown_up(graph, {j}, [*graph.edges, (j, len(graph), 1)])
+
+
+def blow_up_node(graph, index):
+    """The graph after blowing up one of the points where the curves of
+    graph.edges[index] meet: that edge loses one of its multiplicity."""
+    i, j, mult = graph.edges[index]
+    edges = list(graph.edges)
+    del edges[index]
+    if mult > 1:
+        edges.append((i, j, mult - 1))
+    return _blown_up(graph, {i, j}, edges + [(i, len(graph), 1), (j, len(graph), 1)])
+
+
 def random_unimodular(rng, n):
     """A random matrix in GL_n(Z) with its inverse, from elementary moves."""
     a = [[int(i == j) for j in range(n)] for i in range(n)]

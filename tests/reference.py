@@ -412,6 +412,27 @@ def fraction_classify(graph):
     return SingularityKind.NOT_LC, a
 
 
+def branch_ratio(branch):
+    """n/q = b_1 - 1/(b_2 - ... - 1/b_s) for a chain of rational curves of
+    self-intersections -b_1, ..., -b_s, b_1 next to the centre of a star."""
+    ratio = F(branch[-1])
+    for b in reversed(branch[:-1]):
+        ratio = b - 1 / ratio
+    return ratio
+
+
+def wahl_volume(genus, degree, branches):
+    """Wahl's chi^2 / e for the star of star_graph(genus, degree, branches),
+    or 0 when chi <= 0.  With n/q the branch ratios, chi = 2g - 2 +
+    sum (1 - 1/n) is minus the orbifold Euler characteristic of the centre
+    and e = degree - sum q/n its degree, positive exactly when the star is
+    negative definite."""
+    ratios = [branch_ratio(branch) for branch in branches]
+    chi = F(2 * genus - 2) + sum([1 - F(1, r.numerator) for r in ratios])
+    e = F(degree) - sum([1 / r for r in ratios])
+    return chi * chi / e if chi > 0 else F(0)
+
+
 # -- the toric engine ----------------------------------------------------------
 
 

@@ -816,6 +816,13 @@ class TestIntegerText:
                                       "--g", "-1", "--d", "1", "--e", "2"])
         assert (code, out, err) == (2, "", "error: genus must be nonnegative\n")
 
+    def test_rational_curve_cover_names_the_cover(self, capsys):
+        code, out, err = run(capsys, ["endo", "monotonic", "--case", "surface_cover",
+                                      "--g", "0", "--d", "1", "--e", "2"])
+        assert (code, out) == (2, "")
+        assert err == ("error: no degree-2 cover of the cone over a rational curve is etale away "
+                       "from the vertex: the covering curve's genus e(g - 1) + 1 would be -1\n")
+
 
 # Input files of the command fixtures below, by name.
 FILES = {

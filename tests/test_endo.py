@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -166,6 +167,19 @@ class TestVolumeReports:
     def test_surface_cover_arguments_are_integers(self, args):
         with pytest.raises(InputError, match="not an integer"):
             surface_cover_report(*args)
+
+    @pytest.mark.parametrize("cover_degree", [2, 5])
+    def test_rational_curves_have_no_etale_covers(self, cover_degree):
+        # The covering curve, not the base, would have a negative genus.
+        message = (f"no degree-{cover_degree} cover of the cone over a rational curve is etale "
+                   f"away from the vertex: the covering curve's genus e(g - 1) + 1 would be "
+                   f"{1 - cover_degree}")
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            surface_cover_report(0, 1, cover_degree)
+
+    def test_negative_base_genus_named_first(self):
+        with pytest.raises(InputError, match="^genus must be nonnegative$"):
+            surface_cover_report(-1, 1, 2)
 
     def test_surface_cover_reads_integer_valued_fractions(self):
         report = surface_cover_report(F(4, 2), 1, F(2))

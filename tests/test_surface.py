@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from singvol import (
     DomainError,
@@ -27,8 +29,8 @@ import singvol.exactmath as xm
 import singvol.surface as surface
 from singvol.surface import intersect
 
-from conftest import random_graph
-from reference import fraction_zariski_decompose
+from conftest import blow_up_node, blow_up_point, random_graph, star_graph
+from reference import branch_ratio, fraction_zariski_decompose, wahl_volume
 
 
 class TestGraphConstruction:
@@ -439,6 +441,94 @@ class TestSelfChecks:
             zariski_decompose(two_vertex_graph, (-1, 0))
 
     def test_negative_local_volume(self, monkeypatch, two_vertex_graph):
-        monkeypatch.setattr(surface, "intersect", lambda graph, d1, d2: F(1))
+        # With x . E_j read as x_j, the effective (1, 0) is nef and P.P = 1.
+        monkeypatch.setattr(surface, "_products", lambda graph, x: list(x))
         with pytest.raises(InternalError, match="local volume is negative"):
-            local_volume(two_vertex_graph, (-1, 0))
+            local_volume(two_vertex_graph, (1, 0))
+
+
+class TestSingleReads:
+    """Each input is read once: a graph's int tuples by integer_vector alone,
+    and the divisors of a volume once each, d by the Zariski loop and P by
+    nef_volume."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        def count(name):
+            calls = []
+            real = getattr(xm, name)
+            monkeypatch.setattr(xm, name, lambda *args: calls.append(args) or real(*args))
+            return calls
+
+        return count
+
+    def test_graph_reads_int_tuples_without_as_int(self, counted):
+        calls = counted("_as_int")
+        graph = ResolutionGraph([(-3, 2), (-2, 0), (-2, 0)], [(0, 1, 1), (1, 2, 1)])
+        assert calls == []
+        assert graph.vertices == ((-3, 2), (-2, 0), (-2, 0))
+
+    def test_volume_reads_two_divisors(self, counted, two_vertex_graph):
+        calls = counted("rational_vector")
+        assert volume(two_vertex_graph) == F(5, 2)
+        assert len(calls) == 2
+
+
+@st.composite
+def stars(draw):
+    """(genus, degree, branches) of a negative-definite star: the degree
+    exceeds the sum of the q/n of the branches."""
+    genus = draw(st.integers(0, 3))
+    branches = draw(st.lists(st.lists(st.integers(2, 6), min_size=1, max_size=4), max_size=5))
+    pull = sum([1 / branch_ratio(branch) for branch in branches])
+    return genus, math.floor(pull) + draw(st.integers(1, 3)), branches
+
+
+def relabelled(graph, rng):
+    order = list(range(len(graph)))
+    rng.shuffle(order)
+    return graph.permuted(order)
+
+
+class TestClosedForms:
+    """Answers known in closed form at any size: Wahl's chi^2 / e on stars,
+    and volumes and log discrepancies under blow-ups."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(stars(), st.randoms(use_true_random=False))
+    def test_star_volume_is_wahls(self, star, rng):
+        expected = wahl_volume(*star)
+        for graph in (star_graph(*star), relabelled(star_graph(*star), rng)):
+            assert volume(graph) == expected
+            assert (expected == 0) == (classify(graph).kind is not SingularityKind.NOT_LC)
+
+    def test_star_of_61_vertices(self):
+        branches = [[2] * 20, [3] * 20, [2, 3] * 10]
+        graph = star_graph(2, 3, branches)
+        assert len(graph) == 61
+        assert volume(graph) == wahl_volume(2, 3, branches) == F(
+            398039995078408990269803389071121, 16743383454105936846268475781720
+        )
+        assert classify(graph).kind is SingularityKind.NOT_LC
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(stars().map(lambda star: star_graph(*star)),
+                  st.randoms(use_true_random=False).map(random_graph)),
+        st.randoms(use_true_random=False),
+    )
+    def test_blow_ups_keep_volume_class_and_discrepancies(self, graph, rng):
+        graph = relabelled(graph, rng)
+        value, kind = volume(graph), classify(graph).kind
+        for _ in range(2):
+            a = log_discrepancy_divisor(graph)
+            if graph.edges and rng.random() < 0.5:
+                index = rng.randrange(len(graph.edges))
+                i, j, _ = graph.edges[index]
+                graph, new = blow_up_node(graph, index), a[i] + a[j]
+            else:
+                j = rng.randrange(len(graph))
+                graph, new = blow_up_point(graph, j), a[j] + 1
+            assert log_discrepancy_divisor(graph) == (*a, new)
+            assert volume(graph) == value
+            assert classify(graph).kind is kind
