@@ -103,6 +103,8 @@ def pullback_divisor(endo: ToricEndo, divisor: ToricDivisor) -> ToricDivisor:
 
 def pullback_ideal(endo: ToricEndo, a: MonomialIdeal) -> MonomialIdeal:
     """Pull back a monomial ideal: exponents transform by the transpose."""
+    if a.cone != endo.cone:
+        raise InputError("ideals live on different cones")
     return MonomialIdeal(endo.cone, [endo.apply_transpose(g) for g in a.gens])
 
 
@@ -148,8 +150,11 @@ def check_push_pull(endo: ToricEndo, divisor: ToricDivisor | None = None,
     For each sample valuation v the envelope of the pulled-back divisor at v
     must equal the envelope of the divisor at A(v); for ideals the Samuel
     multiplicity (and a mixed multiplicity against the maximal ideal in
-    dimension two) must scale by the degree.
+    dimension two) must scale by the degree.  With neither a divisor nor an
+    ideal there is nothing to check, and an empty report would pass.
     """
+    if divisor is None and ideal is None:
+        raise InputError("a push-pull check needs a divisor or an ideal")
     cone = endo.cone
     checks = []
     if divisor is not None:

@@ -309,6 +309,11 @@ class TestEndoCommands:
         assert payload["degree"] == 8
         assert payload["passed"] is True
 
+    def test_check_needs_a_divisor_or_an_ideal(self, capsys, tmp_path, quadric_file):
+        matrix = write(tmp_path, "m.json", {"matrix": [[2, 0, 0], [0, 2, 0], [0, 0, 2]]})
+        code, out, err = run(capsys, ["endo", "check", "--cone", quadric_file, "--matrix", matrix])
+        assert (code, out, err) == (2, "", "error: endo check needs --divisor or --ideal\n")
+
     def test_monotonic_surface_cover(self, capsys):
         code, out, _ = run(
             capsys,

@@ -8,6 +8,7 @@ from singvol import (
     DomainError,
     InputError,
     MonomialIdeal,
+    ToricCone,
     ToricDivisor,
     ToricEndo,
     check_push_pull,
@@ -95,8 +96,23 @@ class TestPullbacks:
         assert set(stretched.gens) == {(1, 0), (0, 2)}
         assert pullback_ideal(ToricEndo(plane, [[1, 0], [0, 1]]), m) == m
 
+    @pytest.mark.parametrize("gens", [
+        [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)],  # pulls back into the quadric's dual cone
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)],  # (0, 0, 2) lies outside the quadric's dual cone
+    ])
+    def test_ideal_on_another_cone(self, quadric, gens):
+        orthant = ToricCone([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        endo = ToricEndo(quadric, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+        with pytest.raises(InputError, match="^ideals live on different cones$"):
+            pullback_ideal(endo, MonomialIdeal(orthant, gens))
+
 
 class TestPushPull:
+    def test_nothing_to_check(self, quadric):
+        endo = ToricEndo(quadric, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+        with pytest.raises(InputError, match="^a push-pull check needs a divisor or an ideal$"):
+            check_push_pull(endo)
+
     def test_multiplication_on_plane(self, plane):
         endo = ToricEndo(plane, [[2, 0], [0, 2]])
         report = check_push_pull(
