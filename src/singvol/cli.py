@@ -81,21 +81,26 @@ _NEEDS_CONE = {
 
 
 def _read(kind: str, path: str, args):
-    """The object of wire kind ``kind`` in the JSON file at ``path``."""
+    """The object of wire kind ``kind`` in the JSON file at ``path``.  Every
+    fault in the file's content is raised with the path in front."""
     obj = jsonio.load_json(path)
-    if kind == "cone":
-        return jsonio.cone_from_obj(obj, path)
-    if kind == "graph":
-        return jsonio.graph_from_obj(obj, path)
-    if kind == "matrix":
-        return jsonio.matrix_from_obj(obj, path)
-    if kind == "divisor" and getattr(args, "graph", None) is not None:
-        return jsonio.exc_divisor_from_obj(args.graph, obj, path)
-    if args.cone is None:
+    graph = getattr(args, "graph", None)
+    if kind in _NEEDS_CONE and graph is None and args.cone is None:
         raise InputError(_NEEDS_CONE[kind])
-    if kind == "divisor":
-        return jsonio.divisor_from_obj(args.cone, obj, path)
-    return jsonio.ideal_from_obj(args.cone, obj, path)
+    try:
+        if kind == "cone":
+            return jsonio.cone_from_obj(obj)
+        if kind == "graph":
+            return jsonio.graph_from_obj(obj)
+        if kind == "matrix":
+            return jsonio.matrix_from_obj(obj)
+        if kind == "divisor" and graph is not None:
+            return jsonio.exc_divisor_from_obj(graph, obj)
+        if kind == "divisor":
+            return jsonio.divisor_from_obj(args.cone, obj)
+        return jsonio.ideal_from_obj(args.cone, obj)
+    except SingvolError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _read_inputs(args) -> None:

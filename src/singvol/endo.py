@@ -33,7 +33,7 @@ class ToricEndo:
     def __init__(self, cone: ToricCone, matrix):
         self.cone = cone
         matrix = xm.as_list(matrix, "an endomorphism matrix")
-        rows = [toric._as_lattice_vector(r, cone.dim) for r in matrix]
+        rows = [toric._as_lattice_vector(r, cone.dim, "matrix row") for r in matrix]
         if len(rows) != cone.dim:
             raise InputError(
                 f"endomorphism matrix must be {cone.dim}x{cone.dim}"
@@ -68,22 +68,18 @@ class ToricEndo:
         self.ray_scales = tuple(scales)
 
     def apply(self, v) -> tuple[int, ...]:
-        return tuple(sum(row[j] * v[j] for j in range(self.cone.dim)) for row in self.matrix)
+        v = toric._as_lattice_vector(v, self.cone.dim)
+        return tuple([toric._idot(row, v) for row in self.matrix])
 
     def apply_transpose(self, u) -> tuple[int, ...]:
-        return tuple(
-            sum(self.matrix[i][j] * u[i] for i in range(self.cone.dim))
-            for j in range(self.cone.dim)
-        )
+        u = toric._as_lattice_vector(u, self.cone.dim)
+        return tuple([toric._idot(col, u) for col in zip(*self.matrix)])
 
     def compose(self, other: "ToricEndo") -> "ToricEndo":
         if self.cone != other.cone:
             raise InputError("endomorphisms live on different cones")
-        n = self.cone.dim
-        product = [
-            [sum(self.matrix[i][k] * other.matrix[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+        columns = list(zip(*other.matrix))
+        product = [[toric._idot(row, col) for col in columns] for row in self.matrix]
         return ToricEndo(self.cone, product)
 
     def __repr__(self):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 
@@ -92,40 +93,52 @@ def integer(x) -> int:
     return i
 
 
-def integer_vector(v) -> tuple[int, ...]:
+def integer_vector(v, what=None) -> tuple[int, ...]:
     """The entries of v as ints.  Raises InputError unless every entry is an
     int or an integer-valued Fraction, such as 2 or Fraction(4, 2); text
     such as "2", the bools True and False and floats such as 2.0 are not,
-    and neither is a v that cannot be iterated, such as 5."""
+    and neither is a v that is not a collection, such as 5 or "12".  The
+    message names v, after ``what`` it is, such as "ray", when given."""
     try:
         ints = as_list(v, "an integer vector")
     except InputError:
-        raise InputError(f"not an integer vector: {v!r}") from None
+        raise InputError(_not_integers(repr(v), what)) from None
     for i, x in enumerate(ints):
         if type(x) is not int:
             y = _as_int(x)
             if y is None:
                 # An iterator cannot be shown again, so it is named by the
                 # entries read, those before x already made ints.
-                raise InputError(f"not an integer vector: {ints if iter(v) is v else v}")
+                raise InputError(_not_integers(ints if iter(v) is v else v, what))
             ints[i] = y
     return tuple(ints)
 
 
+def _not_integers(shown, what) -> str:
+    return f"not an integer vector: {shown}" if what is None else f"{what} {shown} is not an integer vector"
+
+
 def as_list(v, what: str) -> list:
-    """The items of a collection v, read once, as a list.  InputError names
-    what v should be when it cannot be iterated, such as 5; a TypeError
-    raised while v is read is not rewritten."""
-    try:
-        items = iter(v)
-    except TypeError:
-        raise InputError(f"{what} must be a list, not {v!r}") from None
-    return list(items)
+    """The items of a collection v, read once, as a list.  Text, bytes and
+    mappings, whose items would be characters, byte values and keys, are
+    not collections here.  InputError names what v should be when it is
+    one of those or cannot be iterated, such as 5; a TypeError raised while
+    v is read is not rewritten."""
+    if isinstance(v, (list, tuple)):
+        return list(v)
+    if not isinstance(v, (str, bytes, bytearray, Mapping)):
+        try:
+            items = iter(v)
+        except TypeError:
+            pass
+        else:
+            return list(items)
+    raise InputError(f"{what} must be a list, not {v!r}")
 
 
 def rational_vector(v, what: str) -> tuple:
     """The entries of v read by parse_rational; InputError names what v
-    should be when it cannot be iterated, such as 5."""
+    should be when it is not a collection, such as 5 or "12"."""
     # Built from a list: see the note above mat_vec.
     return tuple([parse_rational(x) for x in as_list(v, what)])
 

@@ -8,6 +8,10 @@ denominator; lattice vectors as arrays of integers.  Schemas:
 * divisor: {"coeffs": ["2", "1", "2", "1"]}
 * ideal:   {"gens": [[1, 0], [0, 2]]}
 * matrix:  {"matrix": [[2, 0], [0, 2]]}
+
+The readers unwrap these objects and supply the defaults the format
+defines, genus 0 and edge multiplicity 1; every number and every
+collection inside is read by the library object built from it.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from __future__ import annotations
 import json
 
 from .errors import InputError
-from .exactmath import _as_int, parse_rational
-from .surface import ResolutionGraph
+from .exactmath import as_list, integer_vector
+from .surface import ResolutionGraph, _as_coeffs
 from .toric import MonomialIdeal, ToricCone, ToricDivisor
 
 
@@ -32,39 +36,27 @@ def load_json(path):
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _require(obj, key, path):
+def _require(obj, key):
     if not isinstance(obj, dict) or key not in obj:
-        raise InputError(f"{path}: missing required key {key!r}")
+        raise InputError(f"missing required key {key!r}")
     return obj[key]
 
 
-def _integer_arrays(obj, key, path, arrays_of, each):
-    arrays = _require(obj, key, path)
-    if not isinstance(arrays, list) or not all(isinstance(a, list) for a in arrays):
-        raise InputError(f"{path}: {key} must be an array of integer {arrays_of}")
-    for a in arrays:
-        if any(_as_int(x) is None for x in a):
-            raise InputError(f"{path}: {each} {a} must contain integers")
-    return arrays
-
-
-def graph_from_obj(obj, path="<graph>") -> ResolutionGraph:
-    raw_vertices = _require(obj, "vertices", path)
+def graph_from_obj(obj) -> ResolutionGraph:
+    raw_vertices = _require(obj, "vertices")
     raw_edges = obj.get("edges", [])
     if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
-        raise InputError(f"{path}: vertices and edges must be arrays")
+        raise InputError("vertices and edges must be arrays")
     vertices = []
     for v in raw_vertices:
         if not isinstance(v, dict) or "self" not in v:
-            raise InputError(f"{path}: each vertex needs a 'self' intersection number")
-        if _as_int(v["self"]) is None or _as_int(v.get("genus", 0)) is None:
-            raise InputError(f"{path}: vertex data must be integers")
+            raise InputError("each vertex needs a 'self' intersection number")
         vertices.append((v["self"], v.get("genus", 0)))
     edges = []
     for e in raw_edges:
-        if not (isinstance(e, list) and len(e) in (2, 3) and all(_as_int(x) is not None for x in e)):
-            raise InputError(f"{path}: each edge must be [i, j] or [i, j, mult]")
-        edges.append((e[0], e[1], e[2] if len(e) == 3 else 1))
+        if not (isinstance(e, list) and len(e) in (2, 3)):
+            raise InputError("each edge must be [i, j] or [i, j, mult]")
+        edges.append(e if len(e) == 3 else [*e, 1])
     return ResolutionGraph(vertices, edges)
 
 
@@ -75,36 +67,26 @@ def graph_to_obj(graph: ResolutionGraph) -> dict:
     }
 
 
-def cone_from_obj(obj, path="<cone>") -> ToricCone:
-    rays = _integer_arrays(obj, "rays", path, "arrays", "ray")
+def cone_from_obj(obj) -> ToricCone:
+    cone = ToricCone(_require(obj, "rays"))
     dim = obj.get("dim")
-    if dim is not None and (_as_int(dim) is None or rays and len(rays[0]) != dim):
-        raise InputError(f"{path}: stated dim {dim} does not match the rays")
-    return ToricCone(rays)
+    # type() rather than isinstance(): JSON true and false load as bools.
+    if dim is not None and (type(dim) is not int or dim != cone.dim):
+        raise InputError(f"stated dim {dim} does not match the rays")
+    return cone
 
 
-def divisor_from_obj(cone: ToricCone, obj, path="<divisor>") -> ToricDivisor:
-    coeffs = _require(obj, "coeffs", path)
-    if not isinstance(coeffs, list):
-        raise InputError(f"{path}: coeffs must be an array")
-    return ToricDivisor(cone, coeffs)
+def divisor_from_obj(cone: ToricCone, obj) -> ToricDivisor:
+    return ToricDivisor(cone, _require(obj, "coeffs"))
 
 
-def exc_divisor_from_obj(graph: ResolutionGraph, obj, path="<divisor>"):
-    coeffs = _require(obj, "coeffs", path)
-    if not isinstance(coeffs, list):
-        raise InputError(f"{path}: coeffs must be an array")
-    values = tuple(parse_rational(c) for c in coeffs)
-    if len(values) != len(graph):
-        raise InputError(
-            f"{path}: expected {len(graph)} coefficients, got {len(values)}"
-        )
-    return values
+def exc_divisor_from_obj(graph: ResolutionGraph, obj):
+    return _as_coeffs(graph, _require(obj, "coeffs"))
 
 
-def ideal_from_obj(cone: ToricCone, obj, path="<ideal>") -> MonomialIdeal:
-    return MonomialIdeal(cone, _integer_arrays(obj, "gens", path, "arrays", "generator"))
+def ideal_from_obj(cone: ToricCone, obj) -> MonomialIdeal:
+    return MonomialIdeal(cone, _require(obj, "gens"))
 
 
-def matrix_from_obj(obj, path="<matrix>"):
-    return [list(r) for r in _integer_arrays(obj, "matrix", path, "rows", "matrix row")]
+def matrix_from_obj(obj):
+    return [integer_vector(row, "matrix row") for row in as_list(_require(obj, "matrix"), "a matrix")]

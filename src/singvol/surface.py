@@ -53,7 +53,7 @@ class ResolutionGraph:
             if isinstance(v, Vertex):
                 verts.append(v)
             else:
-                data = xm.integer_vector(v)
+                data = xm.integer_vector(v, "vertex")
                 if len(data) != 2:
                     raise InputError(f"vertex {data} must be a (self-intersection, genus) pair")
                 verts.append(Vertex(*data))
@@ -63,7 +63,7 @@ class ResolutionGraph:
         k = len(verts)
         cleaned = []
         for e in xm.as_list(edges, "the edges of a resolution graph"):
-            data = xm.integer_vector(e)
+            data = xm.integer_vector(e, "edge")
             if len(data) != 3:
                 raise InputError(f"edge {data} must be an (i, j, multiplicity) triple")
             i, j, mult = data

@@ -49,10 +49,10 @@ from . import exactmath as xm
 from .exactmath import INFEASIBLE, LPProblem, lp_max, OPTIMAL
 
 
-def _as_lattice_vector(v, dim) -> tuple[int, ...]:
-    vec = xm.integer_vector(v)
+def _as_lattice_vector(v, dim, what="lattice vector") -> tuple[int, ...]:
+    vec = xm.integer_vector(v, what)
     if len(vec) != dim:
-        raise InputError(f"lattice vector {v} does not have dimension {dim}")
+        raise InputError(f"{what} {v} does not have dimension {dim}")
     return vec
 
 
@@ -109,14 +109,14 @@ class ToricCone:
         if not rays:
             raise InputError("a cone needs at least one ray")
         # The first ray, read once, gives the dimension.
-        rays[0] = xm.integer_vector(rays[0])
+        rays[0] = xm.integer_vector(rays[0], "ray")
         self.dim = len(rays[0])
         if self.dim < 1:
             raise InputError("cone dimension must be at least 1")
         seen = set()
         prim_rays = []
         for ray in rays:
-            vec = _as_lattice_vector(ray, self.dim)
+            vec = _as_lattice_vector(ray, self.dim, "ray")
             if all(x == 0 for x in vec):
                 raise InputError("the zero vector cannot be a ray")
             g = gcd(*vec)
@@ -282,7 +282,7 @@ class MonomialIdeal:
     def __init__(self, cone: ToricCone, gens):
         self.cone = cone
         gens = xm.as_list(gens, "the generators of an ideal")
-        raw = [_as_lattice_vector(g, cone.dim) for g in gens]
+        raw = [_as_lattice_vector(g, cone.dim, "generator") for g in gens]
         if not raw:
             raise InputError("a monomial ideal needs at least one generator")
         self.gens = minimal_elements(cone, raw)

@@ -1,12 +1,13 @@
 """Re-record the CLI corpus: run each case of cases.jsonl through ``cli.main``
-from this directory and store its exit code, stdout and stderr.
+from this directory, store its exit code, stdout and stderr, and print the
+name of each case whose recording changed, then their count.
 
     PYTHONPATH=src python tests/golden/record.py
 
-A change meant to change output runs this and names the changed cases
-(``git diff tests/golden/cases.jsonl``).  To add a case, put its input
-files under ``in/``, append ``{"name": ..., "argv": [...]}`` to cases.jsonl
-and run this.
+A change meant to change output runs this and lists the printed names.  To
+add a case, put its input files under ``in/``, append
+``{"name": ..., "argv": [...]}`` to cases.jsonl and run this; a new case
+counts as changed.
 """
 
 import io
@@ -38,9 +39,14 @@ def run(argv):
 
 def main():
     os.chdir(HERE)
-    cases = [{"name": case["name"], "argv": case["argv"],
-              **dict(zip(("exit", "stdout", "stderr"), run(case["argv"])))} for case in load()]
+    cases, changed = [], []
+    for case in load():
+        recorded = dict(zip(("exit", "stdout", "stderr"), run(case["argv"])))
+        if any(case.get(key) != value for key, value in recorded.items()):
+            changed.append(case["name"])
+        cases.append({"name": case["name"], "argv": case["argv"], **recorded})
     CASES.write_text("".join(json.dumps(case) + "\n" for case in cases), encoding="utf-8")
+    print(*changed, f"{len(changed)} cases changed", sep="\n")
 
 
 if __name__ == "__main__":

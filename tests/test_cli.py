@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from singvol import InputError, ToricCone, jsonio, surface
+from singvol import DomainError, InputError, ToricCone, jsonio, surface
 from singvol.cli import build_parser, main
 from singvol.endo import CheckItem, PushPullReport, SurfaceCoverReport, ToricVolumeReport
 from singvol.exactmath import LPOutcome, LPProblem
@@ -342,13 +342,23 @@ class TestValidateAndErrors:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    def test_readers_name_no_file(self):
+        # Only the command line puts a file name in front of a message.
+        plane = ToricCone([(1, 0), (0, 1)])
+        with pytest.raises(DomainError, match=r"^exponent \(-1, 1\) lies outside the dual cone$"):
+            jsonio.ideal_from_obj(plane, {"gens": [[1, 0], [-1, 1]]})
+        with pytest.raises(InputError, match=r"^edge \[0, True, 1\] is not an integer vector$"):
+            jsonio.graph_from_obj({"vertices": [{"self": -2}, {"self": -2}], "edges": [[0, True]]})
+        with pytest.raises(InputError, match=r"^missing required key 'gens'$"):
+            jsonio.ideal_from_obj(plane, [])
+
     def test_validate_checks_isolation_in_dimension_four(self, capsys, tmp_path):
         a1_times_c2 = write(
             tmp_path, "a1c2.json", {"dim": 4, "rays": [[1, 0, 0, 0], [1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}
         )
         code, out, err = run(capsys, ["validate", "--kind", "cone", a1_times_c2])
         assert code == 3
-        assert err.count("error:") == 1 and err.startswith("error: facet spanned by")
+        assert err.count("error:") == 1 and err.startswith(f"error: {a1_times_c2}: facet spanned by")
         assert json.loads(out)["ok"] is False
         orthant = write(tmp_path, "c4.json", {"dim": 4, "rays": [[int(i == j) for j in range(4)] for i in range(4)]})
         code, out, _ = run(capsys, ["validate", "--kind", "cone", orthant])
@@ -412,7 +422,7 @@ class TestValidateAndErrors:
         path = raw_file(tmp_path, "graph.json", graph.encode())
         code, out, err = run(capsys, ["surface", "volume", "--graph", path])
         assert (code, out) == (3, "")
-        assert err == ("error: intersection matrix is not negative definite: leading principal "
+        assert err == (f"error: {path}: intersection matrix is not negative definite: leading principal "
                        "minor of size 2 has a negative determinant of 6000 digits\n")
 
     def test_wrong_divisor_arity_is_exit_two(self, capsys, tmp_path, quadric_file):
@@ -486,29 +496,29 @@ class TestBooleansAreNotIntegers:
         "argv, files, message",
         [
             (["surface", "volume", "--graph", "{x}"],
-             {"x": {"vertices": [{"self": True}]}}, "{x}: vertex data must be integers"),
+             {"x": {"vertices": [{"self": True}]}}, "{x}: vertex (True, 0) is not an integer vector"),
             (["validate", "--kind", "graph", "{x}"],
-             {"x": {"vertices": [{"self": -2, "genus": False}]}}, "{x}: vertex data must be integers"),
+             {"x": {"vertices": [{"self": -2, "genus": False}]}}, "{x}: vertex (-2, False) is not an integer vector"),
             (["surface", "classify", "--graph", "{x}"],
              {"x": {"vertices": [{"self": -2}, {"self": -2}], "edges": [[0, True]]}},
-             "{x}: each edge must be [i, j] or [i, j, mult]"),
+             "{x}: edge [0, True, 1] is not an integer vector"),
             (["validate", "--kind", "cone", "{x}"],
              {"x": {"dim": 3, "rays": [[True, 0, 0], [0, True, 0], [0, 0, True]]}},
-             "{x}: ray [True, 0, 0] must contain integers"),
+             "{x}: ray [True, 0, 0] is not an integer vector"),
             (["validate", "--kind", "cone", "{x}"],
              {"x": {"dim": True, "rays": [[1]]}}, "{x}: stated dim True does not match the rays"),
             (["toric", "mult", "--cone", "{c}", "--ideal", "{x}"],
              {"c": {"dim": 3, "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
               "x": {"gens": [[True, 0, 0], [0, 1, 0], [0, 0, 1]]}},
-             "{x}: generator [True, 0, 0] must contain integers"),
+             "{x}: generator [True, 0, 0] is not an integer vector"),
             (["endo", "check", "--cone", "{c}", "--matrix", "{x}"],
              {"c": {"dim": 2, "rays": [[1, 0], [0, 1]]}, "x": {"matrix": [[True, 0], [0, 2]]}},
-             "{x}: matrix row [True, 0] must contain integers"),
+             "{x}: matrix row [True, 0] is not an integer vector"),
             (["toric", "env", "--cone", "{c}", "--divisor", "{x}", "--at", "1,1"],
              {"c": {"dim": 2, "rays": [[1, 0], [0, 1]]}, "x": {"coeffs": [True, "1"]}},
-             "not a rational in p/q form: True"),
+             "{x}: not a rational in p/q form: True"),
             (["surface", "zariski", "--graph", "{c}", "--divisor", "{x}"],
-             {"c": GRAPH, "x": {"coeffs": ["1", False]}}, "not a rational in p/q form: False"),
+             {"c": GRAPH, "x": {"coeffs": ["1", False]}}, "{x}: not a rational in p/q form: False"),
         ],
         ids=["graph-self", "graph-genus", "graph-edge", "cone-ray", "cone-dim", "ideal",
              "matrix", "divisor", "exceptional-divisor"],
@@ -801,7 +811,7 @@ class TestIntegerText:
         argv = [*env_argv[:-1], divisor, "--at", "1,1"]
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
-        assert err == f"error: not a rational in p/q form: {text!r}\n"
+        assert err == f"error: {divisor}: not a rational in p/q form: {text!r}\n"
 
     @pytest.mark.parametrize("text", ["1_0", "+1", " 1", "\u0661"])
     def test_integer_option(self, capsys, env_argv, text):

@@ -59,6 +59,14 @@ class TestToricEndo:
         endo = ToricEndo(quadric, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
         assert endo.degree == 8
 
+    @pytest.mark.parametrize("v", [(1, 1), (1, 1, 1, 1)])
+    def test_apply_reads_a_lattice_vector(self, quadric, v):
+        # Paired by zip, a vector of the wrong length would be cut short.
+        endo = ToricEndo(quadric, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+        for apply in (endo.apply, endo.apply_transpose):
+            with pytest.raises(InputError, match=r"^lattice vector \(1, 1(, 1, 1)?\) does not have dimension 3$"):
+                apply(v)
+
 
 class TestPullbacks:
     def test_multiplication_scales_divisors(self, plane):

@@ -553,6 +553,36 @@ class TestCollectionArguments:
         assert str(error.value) == message
 
 
+# Calls each given text, bytes or a mapping where a collection belongs, with
+# what that collection is.
+NOT_COLLECTION_CALLS = {
+    "rational_vector": (lambda v: xm.rational_vector(v, "x"), "x"),
+    "integer_vector": (lambda v: xm.integer_vector(v, "ray"), None),
+    "determinant": (determinant, "a matrix"),
+    "solve_linear": (lambda rows: solve_linear(rows, [5, 6]), "a matrix"),
+    "solve_linear-row": (lambda row: solve_linear([row, [3, 4]], [5, 6]), "a matrix row"),
+    "solve_linear-rhs": (lambda b: solve_linear([[1, 2], [3, 4]], b), "a matrix row"),
+    "lp-objective": (lambda c: LPProblem(c, []), "an LP objective"),
+    "lp-constraints": (lambda cons: LPProblem([1], cons), "the LP constraints"),
+    "polytope_volume": (polytope_volume, "the vertices"),
+}
+
+
+class TestTextIsNotACollection:
+    """Text, bytes and mappings iterate as characters, byte values and keys;
+    every collection reader refuses them by what they should be."""
+
+    @pytest.mark.parametrize("v", ["12", b"12", bytearray(b"12"), {1: 2}],
+                             ids=["text", "bytes", "bytearray", "dict"])
+    @pytest.mark.parametrize("name", sorted(NOT_COLLECTION_CALLS))
+    def test_refused(self, name, v):
+        call, what = NOT_COLLECTION_CALLS[name]
+        with pytest.raises(InputError) as error:
+            call(v)
+        expected = f"ray {v!r} is not an integer vector" if what is None else f"{what} must be a list, not {v!r}"
+        assert str(error.value) == expected
+
+
 class TestLpSelfChecks:
     """Every LP certificate is checked before it is returned; a wrong one
     raises InternalError, never a bare assert."""

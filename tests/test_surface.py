@@ -89,6 +89,15 @@ class TestGraphConstruction:
         with pytest.raises(InputError, match=r"must be a \(self-intersection, genus\) pair"):
             ResolutionGraph([vertex], [])
 
+    @pytest.mark.parametrize("vertices, edges, message", [
+        ([(-2, 0), (-2, 0)], [b"\x00\x01\x01"], r"^edge b'\\x00\\x01\\x01' is not an integer vector$"),
+        ([{-2: 0}], [], r"^vertex \{-2: 0\} is not an integer vector$"),
+        ("ab", [], r"^the vertices of a resolution graph must be a list, not 'ab'$"),
+    ], ids=["bytes-edge", "dict-vertex", "text-vertices"])
+    def test_text_bytes_and_mappings_are_not_collections(self, vertices, edges, message):
+        with pytest.raises(InputError, match=message):
+            ResolutionGraph(vertices, edges)
+
     @pytest.mark.parametrize("edge", [(0, 1), (0, 1, 1, 1), ()])
     def test_rejects_edge_that_is_not_a_triple(self, edge):
         with pytest.raises(InputError, match=r"must be an \(i, j, multiplicity\) triple"):
@@ -110,7 +119,7 @@ class TestGraphConstruction:
             ResolutionGraph(vertices, edges)
 
     def test_edge_that_is_not_iterable(self):
-        with pytest.raises(InputError, match=r"^not an integer vector: 5$"):
+        with pytest.raises(InputError, match=r"^edge 5 is not an integer vector$"):
             ResolutionGraph([(-2, 0)], [5])
 
     def test_vertices_that_are_not_a_list(self):
@@ -170,6 +179,15 @@ class TestCoefficientInput:
     def test_local_volume(self, two_vertex_graph, d):
         with pytest.raises(InputError, match="not a rational"):
             local_volume(two_vertex_graph, d)
+
+    @pytest.mark.parametrize("d", ["10", b"\x01\x00", bytearray(b"\x01\x00"), {0: 1, 1: 0}],
+                             ids=["text", "bytes", "bytearray", "dict"])
+    @pytest.mark.parametrize("read", [numerical_pullback, zariski_decompose, local_volume])
+    def test_coefficients_are_a_list(self, two_vertex_graph, read, d):
+        # Iterated, d would give characters, byte values or keys.
+        with pytest.raises(InputError) as error:
+            read(two_vertex_graph, d)
+        assert str(error.value) == f"the coefficients of a divisor must be a list, not {d!r}"
 
     def test_exact_forms_are_read(self, two_vertex_graph):
         assert numerical_pullback(two_vertex_graph, ("5", 0)) == (-2, -1)

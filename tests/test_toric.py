@@ -77,7 +77,7 @@ class TestConeConstruction:
             ToricCone([bad, (0, 1)])
 
     def test_first_ray_that_is_not_iterable(self):
-        with pytest.raises(InputError, match=r"^not an integer vector: 5$"):
+        with pytest.raises(InputError, match=r"^ray 5 is not an integer vector$"):
             ToricCone([5])
 
     def test_rays_that_are_not_a_list(self):
@@ -89,10 +89,20 @@ class TestConeConstruction:
         cone = ToricCone([iter(quadric.rays[0]), *quadric.rays[1:]])
         assert cone == quadric and cone.dim == 3
         assert repr(ToricCone([(1, 0), (0, 1)])) == "ToricCone(rays=[(1, 0), (0, 1)])"
-        with pytest.raises(InputError, match=r"^lattice vector \(1, 0\) does not have dimension 3$"):
+        with pytest.raises(InputError, match=r"^ray \(1, 0\) does not have dimension 3$"):
             ToricCone([(1, 0, 0), (1, 0)])
         with pytest.raises(InputError, match=r"^cone dimension must be at least 1$"):
             ToricCone([()])
+
+    @pytest.mark.parametrize("rays, message", [
+        ([b"\x01\x00", b"\x00\x01"], r"^ray b'\\x01\\x00' is not an integer vector$"),
+        ({(1, 0): 1, (0, 1): 2}, r"^the rays of a cone must be a list, not \{\(1, 0\): 1, \(0, 1\): 2\}$"),
+        ("10", r"^the rays of a cone must be a list, not '10'$"),
+    ], ids=["bytes", "dict", "text"])
+    def test_text_bytes_and_mappings_are_not_collections(self, rays, message):
+        # Iterated, they would give characters, byte values and keys.
+        with pytest.raises(InputError, match=message):
+            ToricCone(rays)
 
     def test_rejects_duplicates(self):
         with pytest.raises(InputError, match="duplicate"):
@@ -201,6 +211,13 @@ class TestEnvelope:
     def test_outside_cone_raises(self, quadric):
         with pytest.raises(DomainError, match="outside"):
             envelope_value(quadric, ToricDivisor(quadric, D_SUM), (0, 0, -1))
+
+    @pytest.mark.parametrize("coeffs", ["1110", b"1110", bytearray(b"1110"), {0: 1, 1: 1, 2: 1, 3: 0}],
+                             ids=["text", "bytes", "bytearray", "dict"])
+    def test_divisor_coefficients_are_a_list(self, quadric, coeffs):
+        with pytest.raises(InputError) as error:
+            ToricDivisor(quadric, coeffs)
+        assert str(error.value) == f"the coefficients of a divisor must be a list, not {coeffs!r}"
 
     def test_divisor_of_another_cone_raises(self, quadric):
         # A divisor's coefficients follow its own cone's rays, in order.
@@ -369,12 +386,16 @@ class TestMonomialIdeals:
             MonomialIdeal(quadric, [first, (0, 1, 0), (0, 0, 1)])
 
     def test_generator_that_is_not_iterable(self, quadric):
-        with pytest.raises(InputError, match=r"^not an integer vector: 5$"):
+        with pytest.raises(InputError, match=r"^generator 5 is not an integer vector$"):
             MonomialIdeal(quadric, [5])
 
     def test_generators_that_are_not_a_list(self, quadric):
         with pytest.raises(InputError, match=r"^the generators of an ideal must be a list, not 5$"):
             MonomialIdeal(quadric, 5)
+
+    def test_generators_that_are_bytes(self, plane):
+        with pytest.raises(InputError, match=r"^generator b'\\x01\\x00' is not an integer vector$"):
+            MonomialIdeal(plane, [b"\x01\x00", b"\x00\x02"])
 
     def test_rejects_exponent_outside_dual_cone(self, quadric):
         with pytest.raises(DomainError, match="dual cone"):
