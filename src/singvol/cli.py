@@ -222,8 +222,6 @@ def _cmd_toric_izumi(args):
 
 
 def _cmd_endo_check(args):
-    if args.divisor is None and args.ideal is None:
-        raise InputError("endo check needs --divisor or --ideal")
     endomorphism = endo_mod.ToricEndo(args.cone, args.matrix)
     report = endo_mod.check_push_pull(endomorphism, divisor=args.divisor, ideal=args.ideal)
     checks = [

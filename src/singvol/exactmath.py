@@ -402,7 +402,7 @@ def failing_principal_minor(m: Mat):
     rows = _entries(m)
     k = len(rows)
     if rows and len(rows[0]) != k:
-        raise InputError("determinant requires a square matrix")
+        raise InputError("failing_principal_minor requires a square matrix")
     ints, scales = _integer_rows(rows)
     return _failing_minor(_bareiss(ints, k, pivoting=False).minors, scales)
 
@@ -829,18 +829,14 @@ def polytope_volume(vertices) -> Fraction:
     """Exact Euclidean volume of the convex hull of rational ``vertices``.
 
     Supported in ambient dimension 1, 2 and 3, the length of the first
-    vertex; degenerate hulls have volume 0.  The points are scaled to
-    integers, a vertex is moved to the origin, and the facets of the shared
-    hull are fanned from it.
+    vertex, as hull_facets is; degenerate hulls have volume 0.  The points
+    are scaled to integers, a vertex is moved to the origin, and the facets
+    of the shared hull are fanned from it.
     """
     rational = [rational_vector(p, "a vertex") for p in as_list(vertices, "the vertices")]
     if not rational:
         raise InputError("empty vertex list")
     dim = len(rational[0])
-    if dim > 3:
-        raise UnsupportedDimensionError(
-            f"polytope volumes are only computed for dimension <= 3, got {dim}"
-        )
     if dim < 1:
         raise InputError("dimension must be at least 1")
     if any(len(p) != dim for p in rational):

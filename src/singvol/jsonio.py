@@ -89,4 +89,12 @@ def ideal_from_obj(cone: ToricCone, obj) -> MonomialIdeal:
 
 
 def matrix_from_obj(obj):
-    return [integer_vector(row, "matrix row") for row in as_list(_require(obj, "matrix"), "a matrix")]
+    """The integer rows of a matrix object: at least one entry, every row of
+    one length.  Squareness is left to the endomorphism, which knows the
+    dimension."""
+    rows = [integer_vector(row, "matrix row") for row in as_list(_require(obj, "matrix"), "a matrix")]
+    if rows and any(len(row) != len(rows[0]) for row in rows):
+        raise InputError("matrix rows have inconsistent lengths")
+    if not rows or not rows[0]:
+        raise InputError("a matrix needs at least one entry")
+    return rows

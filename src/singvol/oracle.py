@@ -25,19 +25,21 @@ from . import exactmath as xm
 from .exactmath import LPProblem
 from .toric import MonomialIdeal, ToricCone, hilbert_basis
 
-DEFAULT_POWER_CAP = 64
+# The largest power colength counts; the count grows like k^n.
+POWER_CAP = 64
 
 
-def colength(cone: ToricCone, a: MonomialIdeal, k: int, cap: int = DEFAULT_POWER_CAP) -> int:
+def colength(cone: ToricCone, a: MonomialIdeal, k: int) -> int:
     """Number of monomials of the dual-cone semigroup outside the k-th power:
-    0 for the unit ideal, finite for an m-primary one."""
+    0 for the unit ideal, finite for an m-primary one.  Powers above
+    POWER_CAP raise DomainError."""
     if a.cone != cone:
         raise InputError("ideal does not live on the given cone")
-    k, cap = xm.integer(k), xm.integer(cap)
+    k = xm.integer(k)
     if k < 0:
         raise InputError("power must be nonnegative")
-    if k > cap:
-        raise DomainError(f"power {k} exceeds the configured cap {cap}")
+    if k > POWER_CAP:
+        raise DomainError(f"power {k} exceeds the cap {POWER_CAP}")
     if k == 0 or a.is_unit:
         return 0
     if not a.is_m_primary:
@@ -84,7 +86,8 @@ class CountReport(namedtuple("CountReport", "ks colengths fitted")):
     def __new__(cls, ks, colengths, fitted):
         if not (len(ks) == len(colengths) == len(fitted)):
             raise InputError("report columns must have equal lengths")
-        for earlier, later in zip(colengths, colengths[1:]):
+        by_k = [c for _, c in sorted(zip(ks, colengths))]
+        for earlier, later in zip(by_k, by_k[1:]):
             if later < earlier:
                 raise InputError("colengths must be non-decreasing in k")
         return super().__new__(cls, ks, colengths, fitted)

@@ -50,13 +50,10 @@ class ResolutionGraph:
     def __init__(self, vertices, edges):
         verts = []
         for v in xm.as_list(vertices, "the vertices of a resolution graph"):
-            if isinstance(v, Vertex):
-                verts.append(v)
-            else:
-                data = xm.integer_vector(v, "vertex")
-                if len(data) != 2:
-                    raise InputError(f"vertex {data} must be a (self-intersection, genus) pair")
-                verts.append(Vertex(*data))
+            data = xm.integer_vector(v, "vertex")
+            if len(data) != 2:
+                raise InputError(f"vertex {data} must be a (self-intersection, genus) pair")
+            verts.append(Vertex(*data))
         if not verts:
             raise InputError("a resolution graph needs at least one vertex")
         self.vertices = tuple(verts)
@@ -321,8 +318,6 @@ def cone_graph(genus: int, degree: int) -> ResolutionGraph:
     genus, degree = xm.integer(genus), xm.integer(degree)
     if degree < 1:
         raise InputError("cone degree must be positive")
-    if genus < 0:
-        raise InputError("genus must be nonnegative")
     return ResolutionGraph([(-degree, genus)], [])
 
 
@@ -342,11 +337,6 @@ def cusp_cycle_graph(self_ints) -> ResolutionGraph:
         )
     if any(s > -2 for s in selfs):
         raise DomainError("cusp cycle self-intersections must be at most -2")
-    if all(s == -2 for s in selfs):
-        raise DomainError(
-            "a cycle of only -2 curves has a degenerate intersection matrix; "
-            "at least one self-intersection must be at most -3"
-        )
     vertices = [(s, 0) for s in selfs]
     if len(selfs) == 2:
         edges = [(0, 1, 2)]

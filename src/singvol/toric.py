@@ -133,8 +133,6 @@ class ToricCone:
         self.cells = _simplicial_cells(self.rays, self.dim)
         if not self.cells:
             raise DomainError("cone is not full-dimensional: rays do not span")
-        if self.dim == 1 and len(self.rays) != 1:
-            raise DomainError("a one-dimensional strongly convex cone has exactly one ray")
 
         # Column k of a cell's adjugate pairs det > 0 with the cell's ray k
         # and 0 with its other rays: it is the vector of signed maximal
@@ -569,6 +567,8 @@ def envelope_certificate(cone: ToricCone, divisor: ToricDivisor, v):
 
 def envelope_problem(cone: ToricCone, divisor: ToricDivisor, v) -> LPProblem:
     """The envelope LP at v: max <m, v> subject to <m, ray_i> <= d_i."""
+    _check_indexed(cone, divisor)
+    v = _as_lattice_vector(v, cone.dim)
     return LPProblem(v, tuple(zip(cone.rays, divisor.coeffs)))
 
 

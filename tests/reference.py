@@ -165,7 +165,7 @@ def reference_facets(rays, n):
         raise DomainError("cone is not full-dimensional: rays do not span")
     if n == 1:
         if len(rays) != 1:
-            raise DomainError("a one-dimensional strongly convex cone has exactly one ray")
+            raise DomainError("cone is not strongly convex: it contains a line")
         normals = (tuple(rays[0]),)
     else:
         found = set()

@@ -312,7 +312,7 @@ class TestEndoCommands:
     def test_check_needs_a_divisor_or_an_ideal(self, capsys, tmp_path, quadric_file):
         matrix = write(tmp_path, "m.json", {"matrix": [[2, 0, 0], [0, 2, 0], [0, 0, 2]]})
         code, out, err = run(capsys, ["endo", "check", "--cone", quadric_file, "--matrix", matrix])
-        assert (code, out, err) == (2, "", "error: endo check needs --divisor or --ideal\n")
+        assert (code, out, err) == (2, "", "error: a push-pull check needs a divisor or an ideal\n")
 
     def test_monotonic_surface_cover(self, capsys):
         code, out, _ = run(
@@ -829,7 +829,7 @@ class TestIntegerText:
     def test_negative_integer_option_reaches_the_engine(self, capsys):
         code, out, err = run(capsys, ["endo", "monotonic", "--case", "surface_cover",
                                       "--g", "-1", "--d", "1", "--e", "2"])
-        assert (code, out, err) == (2, "", "error: genus must be nonnegative\n")
+        assert (code, out, err) == (2, "", "error: genus must be nonnegative, got -1\n")
 
     def test_rational_curve_cover_names_the_cover(self, capsys):
         code, out, err = run(capsys, ["endo", "monotonic", "--case", "surface_cover",

@@ -202,7 +202,7 @@ class TestVolumeReports:
             surface_cover_report(0, 1, cover_degree)
 
     def test_negative_base_genus_named_first(self):
-        with pytest.raises(InputError, match="^genus must be nonnegative$"):
+        with pytest.raises(InputError, match="^genus must be nonnegative, got -1$"):
             surface_cover_report(-1, 1, 2)
 
     def test_surface_cover_reads_integer_valued_fractions(self):

@@ -162,7 +162,7 @@ class TestNegativeDefinite:
     @pytest.mark.parametrize("rows", [[[1], [2]], [[-1], [2]], [[-1, 0], [0, -1], [0, 0]],
                                       [[1, 2]], [[-1, 2]], [[-1, 0, 0], [0, -1, 0]]])
     def test_failing_minor_rejects_non_square(self, rows):
-        with pytest.raises(InputError, match="^determinant requires a square matrix$"):
+        with pytest.raises(InputError, match="^failing_principal_minor requires a square matrix$"):
             failing_principal_minor(rows)
 
 

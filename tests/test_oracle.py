@@ -7,6 +7,7 @@ from singvol import (
     DomainError,
     InputError,
     MonomialIdeal,
+    ToricCone,
     colength,
     lp_vertex_enumerate,
     maximal_ideal,
@@ -69,11 +70,11 @@ class TestColength:
         with pytest.raises(DomainError):
             colength(plane, maximal_ideal(plane), 100)
 
-    @pytest.mark.parametrize("cap", ["x", "3", True, 2.0])
-    def test_cap_is_read_as_an_integer(self, plane, cap):
+    @pytest.mark.parametrize("power", ["x", "3", True, 2.0])
+    def test_power_is_read_as_an_integer(self, plane, power):
         with pytest.raises(InputError, match="not an integer"):
-            colength(plane, maximal_ideal(plane), 1, cap=cap)
-        assert colength(plane, maximal_ideal(plane), 2, cap=F(4, 2)) == 3
+            colength(plane, maximal_ideal(plane), power)
+        assert colength(plane, maximal_ideal(plane), F(4, 2)) == 3
 
 
 class TestMultiplicityEstimate:
@@ -86,6 +87,14 @@ class TestMultiplicityEstimate:
     def test_monotone_counts_enforced(self):
         with pytest.raises(InputError):
             CountReport(ks=(1, 2), colengths=(3, 2), fitted=(F(1), F(1)))
+        with pytest.raises(InputError, match="^colengths must be non-decreasing in k$"):
+            CountReport(ks=(2, 1), colengths=(1, 3), fitted=(F(1), F(1)))
+
+    def test_powers_in_descending_order(self):
+        cone = ToricCone([(1, 0), (1, 2)])
+        report = multiplicity_estimate(cone, maximal_ideal(cone), (8, 4))
+        assert report.colengths == (64, 16)
+        assert report.fitted == (2, 2)
 
     def test_plane_example_trend(self, plane):
         ideal = MonomialIdeal(plane, [(1, 0), (0, 2)])
@@ -107,7 +116,7 @@ class TestMultiplicityEstimate:
         ideal = MonomialIdeal(plane, [(1, 0), (0, 2)])
         with pytest.raises(InputError, match="^sample powers must be at least 1$"):
             multiplicity_estimate(plane, ideal, (2, 0))
-        with pytest.raises(DomainError, match="^power 65 exceeds the configured cap 64$"):
+        with pytest.raises(DomainError, match="^power 65 exceeds the cap 64$"):
             multiplicity_estimate(plane, ideal, (2, 65))
 
     def test_quadric_certifies_covolume_engine(self, quadric):

@@ -269,6 +269,15 @@ class TestEnvelope:
         for ray, d in zip(quadric.rays, divisor.coeffs):
             assert sum(m * x for m, x in zip(point, ray)) <= d
 
+    @pytest.mark.parametrize("v", [("1/2", 1, 0), (1, 1)])
+    def test_problem_reads_a_lattice_vector(self, quadric, v):
+        divisor = ToricDivisor(quadric, D_SUM)
+        with pytest.raises(InputError) as error:
+            toric.envelope_problem(quadric, divisor, v)
+        with pytest.raises(InputError) as expected:
+            envelope_certificate(quadric, divisor, v)
+        assert str(error.value) == str(expected.value)
+
 
 class TestRayOrder:
     """A divisor of a cone that lists the same rays in another order is
@@ -303,6 +312,11 @@ class TestRayOrder:
         cone, divisor = rotated
         with pytest.raises(InputError, match="not indexed by the cone's rays"):
             defect_ideal(cone, divisor)
+
+    def test_envelope_problem(self, rotated):
+        cone, divisor = rotated
+        with pytest.raises(InputError, match="not indexed by the cone's rays"):
+            toric.envelope_problem(cone, divisor, (1, 1, 1))
 
     def test_is_numerically_cartier(self, rotated, monkeypatch):
         cone, divisor = rotated
