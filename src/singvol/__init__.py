@@ -16,10 +16,8 @@ from .exactmath import (
     LPOutcome,
     LPProblem,
     format_rational,
-    is_negative_definite,
     lp_max,
     parse_rational,
-    polytope_volume,
     solve_linear,
 )
 from .surface import (

@@ -1,5 +1,5 @@
 """Exact rational arithmetic, linear algebra, linear programming and
-low-dimensional polytope volumes.
+low-dimensional integer hulls.
 
 Everything in this package is exact over ``fractions.Fraction`` and ``int``;
 no floating point is used anywhere.  Determinants, ranks, leading minors,
@@ -19,7 +19,7 @@ import re
 from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm, prod
 
 from .errors import DomainError, InputError, InternalError, UnsupportedDimensionError, check
 
@@ -398,11 +398,14 @@ def solve_general(a, b):
 
 def failing_principal_minor(m: Mat):
     """Index (1-based) and value of the first leading minor violating
-    negative definiteness, or None when the matrix is negative definite."""
+    negative definiteness, or None when the matrix is negative definite.
+    A matrix that is not square and symmetric raises InputError."""
     rows = _entries(m)
     k = len(rows)
     if rows and len(rows[0]) != k:
         raise InputError("failing_principal_minor requires a square matrix")
+    if list(map(list, zip(*rows))) != rows:
+        raise InputError("failing_principal_minor requires a symmetric matrix")
     ints, scales = _integer_rows(rows)
     return _failing_minor(_bareiss(ints, k, pivoting=False).minors, scales)
 
@@ -417,19 +420,6 @@ def _failing_minor(minors, scales):
         if (-1) ** size * minor <= 0:
             return size, Fraction(minor, scale)
     return None
-
-
-def is_negative_definite(m: Mat) -> bool:
-    """Sylvester test: (-1)^k times the k-th leading principal minor is > 0."""
-    rows = _entries(m)
-    k = len(rows)
-    if k == 0 or len(rows[0]) != k:
-        raise InputError("negative-definiteness requires a square matrix")
-    for i in range(k):
-        for j in range(i + 1, k):
-            if rows[i][j] != rows[j][i]:
-                raise InputError("negative-definiteness requires a symmetric matrix")
-    return failing_principal_minor(rows) is None
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +757,7 @@ def _hull_planes(pts) -> dict:
     return planes
 
 
-def hull_facets(points, keep=None):
+def hull_facets(points, keep):
     """Sorted (outward primitive normal, offset, corners) facets of the
     convex hull of integer ``points`` in Z^1, Z^2 or Z^3, the corners in
     boundary order: the end point in 1-D, the two ends of an edge
@@ -795,7 +785,7 @@ def hull_facets(points, keep=None):
     return [
         (normal, offset, corners if n < 3 else order_coplanar_polygon(corners, normal))
         for (normal, offset), corners in sorted(planes.items())
-        if keep is None or keep(normal)
+        if keep(normal)
     ]
 
 
@@ -823,26 +813,3 @@ def order_coplanar_polygon(points, normal) -> list:
         projected[(p[keep[0]], p[keep[1]])] = p
     hull = convex_hull_2d(projected.keys())
     return [projected[q] for q in hull]
-
-
-def polytope_volume(vertices) -> Fraction:
-    """Exact Euclidean volume of the convex hull of rational ``vertices``.
-
-    Supported in ambient dimension 1, 2 and 3, the length of the first
-    vertex, as hull_facets is; degenerate hulls have volume 0.  The points
-    are scaled to integers, a vertex is moved to the origin, and the facets
-    of the shared hull are fanned from it.
-    """
-    rational = [rational_vector(p, "a vertex") for p in as_list(vertices, "the vertices")]
-    if not rational:
-        raise InputError("empty vertex list")
-    dim = len(rational[0])
-    if dim < 1:
-        raise InputError("dimension must be at least 1")
-    if any(len(p) != dim for p in rational):
-        raise InputError(f"every vertex must have the length {dim} of the first")
-    scale = lcm(*[c.denominator for p in rational for c in p])
-    pts = sorted({tuple([int(c * scale) for c in p]) for p in rational})
-    # With a vertex moved to the origin, the cones over the facets tile it.
-    moved = [tuple([a - b for a, b in zip(p, pts[0])]) for p in pts]
-    return Fraction(fan_volume(hull_facets(moved)), factorial(dim) * scale**dim)

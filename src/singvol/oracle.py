@@ -79,13 +79,18 @@ def colength(cone: ToricCone, a: MonomialIdeal, k: int) -> int:
 
 
 class CountReport(namedtuple("CountReport", "ks colengths fitted")):
-    """Colength counts with the fitted leading coefficients n!*count/k^n."""
+    """Colength counts with the fitted leading coefficients n!*count/k^n, at
+    one or more distinct sample powers."""
 
     __slots__ = ()
 
     def __new__(cls, ks, colengths, fitted):
         if not (len(ks) == len(colengths) == len(fitted)):
             raise InputError("report columns must have equal lengths")
+        if not ks:
+            raise InputError("a report needs at least one sample power")
+        if len(set(ks)) != len(ks):
+            raise InputError("sample powers must be distinct")
         by_k = [c for _, c in sorted(zip(ks, colengths))]
         for earlier, later in zip(by_k, by_k[1:]):
             if later < earlier:

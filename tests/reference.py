@@ -209,6 +209,19 @@ def fraction_dot(u, v):
 # -- geometry ------------------------------------------------------------------
 
 
+def all_facets(points):
+    """Every facet of the shared hull of integer points."""
+    return xm.hull_facets(points, lambda normal: True)
+
+
+def lattice_volume(points):
+    """n! times the volume of the hull of integer points of Z^n, n <= 3: the
+    cones from its least vertex over its facets tile it."""
+    pts = sorted(set(map(tuple, points)))
+    moved = [sub(p, pts[0]) for p in pts]
+    return xm.fan_volume(all_facets(moved))
+
+
 def brute_force_facets(points):
     """Every n points of Z^n, n = 1, 2 or 3, whose hyperplane has all points
     on one side: single points on a line, pairs in the plane, triples in

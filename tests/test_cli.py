@@ -682,6 +682,8 @@ class TestRecordValidation:
             (lambda: CountReport((1,), (1, 2), (F(1),)), "report columns must have equal lengths"),
             (lambda: CountReport((1, 2), (3, 1), (F(1), F(1))),
              "colengths must be non-decreasing in k"),
+            (lambda: CountReport((2, 2), (3, 1), (F(1), F(1))), "sample powers must be distinct"),
+            (lambda: CountReport((), (), ()), "a report needs at least one sample power"),
         ],
     )
     def test_errors(self, build, message):

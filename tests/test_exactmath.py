@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import singvol as sv
 import singvol.exactmath as xm
-from singvol import InputError, InternalError, DomainError, UnsupportedDimensionError
+from singvol import InputError, InternalError, DomainError
 from singvol.exactmath import (
     INFEASIBLE,
     OPTIMAL,
@@ -18,10 +18,8 @@ from singvol.exactmath import (
     dot,
     failing_principal_minor,
     format_rational,
-    is_negative_definite,
     lp_max,
     parse_rational,
-    polytope_volume,
     primitive_vector,
     solve_general,
     solve_linear,
@@ -29,6 +27,7 @@ from singvol.exactmath import (
 from singvol.oracle import lp_vertex_enumerate
 
 from conftest import QUADRIC_CONSTRAINTS, run_python
+from reference import lattice_volume
 
 
 class TestRationals:
@@ -147,13 +146,37 @@ class TestSolveGeneral:
 
 class TestNegativeDefinite:
     def test_examples(self):
-        assert is_negative_definite([[-2]])
-        assert is_negative_definite([[-3, 1], [1, -2]])
-        assert not is_negative_definite([[-1, 2], [2, -1]])
+        assert failing_principal_minor([[-2]]) is None
+        assert failing_principal_minor([[-3, 1], [1, -2]]) is None
+        assert failing_principal_minor([[-1, 2], [2, -1]]) == (2, -3)
 
-    def test_non_symmetric_raises(self):
-        with pytest.raises(InputError):
-            is_negative_definite([[-1, 1], [0, -1]])
+    @pytest.mark.parametrize("rows", [[[-1, 1], [0, -1]], [[-1, 5], [0, -1]],
+                                      [[-2, 1, 0], [1, -2, 1], [0, 2, -2]]])
+    def test_non_symmetric_raises(self, rows):
+        # The form of [[-1, 5], [0, -1]] is 3 at (1, 1), yet its leading
+        # minors -1 and 1 alternate in sign.
+        with pytest.raises(InputError, match="^failing_principal_minor requires a symmetric matrix$"):
+            failing_principal_minor(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.fractions(-4, 4, max_denominator=3), min_size=n, max_size=n),
+        min_size=n, max_size=n)), st.booleans())
+    def test_refused_exactly_when_not_symmetric(self, rows, mirror):
+        n = len(rows)
+        if mirror:
+            rows = [[rows[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+            with pytest.raises(InputError, match="^failing_principal_minor requires a symmetric matrix$"):
+                failing_principal_minor(rows)
+            return
+        expected = None
+        for size in range(1, n + 1):
+            minor = determinant([row[:size] for row in rows[:size]])
+            if (-1) ** size * minor <= 0:
+                expected = (size, minor)
+                break
+        assert failing_principal_minor(rows) == expected
 
     def test_failing_minor_reported(self):
         size, minor = failing_principal_minor([[-2, 2], [2, -2]])
@@ -265,52 +288,30 @@ class TestLpMax:
             assert not vertices
 
 
-class TestPolytopeVolume:
+class TestLatticeVolume:
+    """n! times the volume of an integer polytope, fanned from a vertex over
+    the facets of the shared hull."""
+
     def test_unit_simplex(self):
-        pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        assert polytope_volume(pts) == F(1, 6)
+        assert lattice_volume([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]) == 1
 
     def test_unit_square(self):
-        assert polytope_volume([(0, 0), (1, 0), (0, 1), (1, 1)]) == 1
+        assert lattice_volume([(0, 0), (1, 0), (0, 1), (1, 1)]) == 2
 
     def test_hull_drops_interior_points(self):
         # (1, 1) is interior to the triangle spanned by the other three.
-        assert polytope_volume([(0, 0), (3, 0), (1, 1), (0, 3)]) == F(9, 2)
+        assert lattice_volume([(0, 0), (3, 0), (1, 1), (0, 3)]) == 9
 
     def test_segment_in_dim_one(self):
-        assert polytope_volume([(F(1, 2),), (3,), (2,)]) == F(5, 2)
+        assert lattice_volume([(1,), (6,), (4,)]) == 5
 
     def test_degenerate_is_zero(self):
-        assert polytope_volume([(0, 0), (1, 1), (2, 2)]) == 0
-        assert polytope_volume([(0, 0, 0), (1, 0, 0), (0, 1, 0)]) == 0
-
-    def test_dimension_cap(self):
-        with pytest.raises(UnsupportedDimensionError):
-            polytope_volume([(0, 0, 0, 0)])
-
-    @pytest.mark.parametrize(
-        "vertices, message",
-        [
-            ([(0, 0), (1, 0, 0), (0, 1)], "every vertex must have the length 2 of the first"),
-            ([(0, 0, 0), (1, 0)], "every vertex must have the length 3 of the first"),
-            ([(), (1,)], "dimension must be at least 1"),
-            ([], "empty vertex list"),
-        ],
-    )
-    def test_vertices_of_other_lengths_raise(self, vertices, message):
-        with pytest.raises(InputError) as error:
-            polytope_volume(vertices)
-        assert str(error.value) == message
-
-    def test_bools_and_floats_raise(self):
-        with pytest.raises(InputError, match="not a rational"):
-            polytope_volume([(0, 0), (0.5, 0), (0, 1)])
-        with pytest.raises(InputError, match="not a rational"):
-            polytope_volume([(0, 0), (True, 0), (0, 1)])
+        assert lattice_volume([(0, 0), (1, 1), (2, 2)]) == 0
+        assert lattice_volume([(0, 0, 0), (1, 0, 0), (0, 1, 0)]) == 0
 
     def test_cube(self):
         pts = [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)]
-        assert polytope_volume(pts) == 8
+        assert lattice_volume(pts) == 6 * 8
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -330,14 +331,14 @@ class TestPolytopeVolume:
         ),
     )
     def test_permutation_and_unimodular_invariance(self, pts, perm, unimod):
-        base = polytope_volume(pts)
+        base = lattice_volume(pts)
         shuffled = [pts[i] for i in perm if i < len(pts)]
         if len(shuffled) == len(pts):
-            assert polytope_volume(shuffled) == base
+            assert lattice_volume(shuffled) == base
         image = [
             tuple(sum(row[j] * p[j] for j in range(3)) for row in unimod) for p in pts
         ]
-        assert polytope_volume(image) == base
+        assert lattice_volume(image) == base
 
     def test_hull_2d_is_ccw(self):
         hull = convex_hull_2d([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)])
@@ -353,13 +354,13 @@ class TestPolytopeVolume:
                 (rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5))
                 for _ in range(rng.randint(4, 9))
             ]
-            exact = polytope_volume(pts)
+            exact = lattice_volume(pts)
             try:
                 approx = scipy_spatial.ConvexHull(pts).volume
             except scipy_spatial.QhullError:
                 assert exact == 0
                 continue
-            assert abs(float(exact) - approx) < 1e-9
+            assert abs(exact / 6 - approx) < 1e-9
 
 
 class TestLpAgainstFloatSolver:
@@ -457,7 +458,6 @@ NON_ITERABLE_CALLS = {
     "solve_linear": lambda plane, graph: solve_linear([[1]], 5),
     "solve_general": lambda plane, graph: solve_general(5, [1]),
     "failing_principal_minor": lambda plane, graph: failing_principal_minor(5),
-    "is_negative_definite": lambda plane, graph: is_negative_definite([5]),
     "adjugate": lambda plane, graph: xm.adjugate(5),
     "lp-objective": lambda plane, graph: LPProblem(5, []),
     "lp-constraints": lambda plane, graph: LPProblem([1], 5),
@@ -496,8 +496,6 @@ READER_CASES = {
                           "not a rational in p/q form: None", "a matrix row must be a list, not 5"),
     "failing_principal_minor": (failing_principal_minor, [[-2, 1], 5],
                                 "a matrix row must be a list, not 5", "a matrix must be a list, not 5"),
-    "is_negative_definite": (is_negative_definite, [[-2, 1], None],
-                             "a matrix row must be a list, not None", "a matrix must be a list, not 5"),
     "adjugate": (xm.adjugate, [[1, 0], 5], "not an integer vector: 5", "a matrix must be a list, not 5"),
     "lp-objective": (lambda c: LPProblem(c, []), [1, True],
                      "not a rational in p/q form: True", "an LP objective must be a list, not 5"),
@@ -511,10 +509,6 @@ READER_CASES = {
                       "not a rational in p/q form: 'b'", "an LP constraint must be a list, not 5"),
     "lp-normal": (lambda n: LPProblem([1, 1], [(n, 0)]), [1, 1.5],
                   "not a rational in p/q form: 1.5", "a constraint normal must be a list, not 5"),
-    "polytope_volume": (polytope_volume, [(1, 2), 5],
-                        "a vertex must be a list, not 5", "the vertices must be a list, not 5"),
-    "polytope_volume-vertex": (lambda v: polytope_volume([(0, 0), v, (0, 1)]), [1, 0.5],
-                               "not a rational in p/q form: 0.5", "a vertex must be a list, not 5"),
     "integer_vector": (xm.integer_vector, [1, 1.5],
                        "not an integer vector: [1, 1.5]", "not an integer vector: 5"),
     "rational_vector": (lambda v: xm.rational_vector(v, "a vector"), [1, "1.5"],
@@ -564,7 +558,6 @@ NOT_COLLECTION_CALLS = {
     "solve_linear-rhs": (lambda b: solve_linear([[1, 2], [3, 4]], b), "a matrix row"),
     "lp-objective": (lambda c: LPProblem(c, []), "an LP objective"),
     "lp-constraints": (lambda cons: LPProblem([1], cons), "the LP constraints"),
-    "polytope_volume": (polytope_volume, "the vertices"),
 }
 
 

@@ -29,7 +29,6 @@ from singvol import (
     ideal_product,
     maximal_ideal,
     mixed_multiplicity,
-    polytope_volume,
     samuel_multiplicity,
 )
 from singvol.exactmath import convex_hull_2d, cross3, det3, hull_facets
@@ -38,8 +37,8 @@ from singvol.toric import minimal_elements
 
 from conftest import CONES_3D, apply, random_m_primary_ideal, random_unimodular, run_python, transpose
 from reference import (
-    brute_force_facets, brute_force_minimal, brute_force_power, brute_force_samuel, fraction_det3,
-    fraction_hull_2d, idot, subset_mixed_multiplicity,
+    all_facets, brute_force_facets, brute_force_minimal, brute_force_power, brute_force_samuel,
+    fraction_det3, fraction_hull_2d, idot, lattice_volume, subset_mixed_multiplicity,
 )
 
 
@@ -126,7 +125,7 @@ def random_cone(rng):
 
 
 def assert_matches_brute_force(pts):
-    facets, reference = hull_facets(pts), brute_force_facets(pts)
+    facets, reference = all_facets(pts), brute_force_facets(pts)
     if facets:
         assert facets == reference, pts
     else:
@@ -160,8 +159,8 @@ class TestHullAgainstBruteForce:
         assert_matches_brute_force(pts)
 
     def test_corners_of_a_segment_and_a_triangle(self):
-        assert hull_facets([(4,), (-2,), (1,)]) == [((-1,), 2, [(-2,)]), ((1,), 4, [(4,)])]
-        assert hull_facets([(0, 0), (2, 0), (0, 4), (1, 0)]) == [
+        assert all_facets([(4,), (-2,), (1,)]) == [((-1,), 2, [(-2,)]), ((1,), 4, [(4,)])]
+        assert all_facets([(0, 0), (2, 0), (0, 4), (1, 0)]) == [
             ((-1, 0), 0, [(0, 4), (0, 0)]),
             ((0, -1), 0, [(0, 0), (2, 0)]),
             ((2, 1), 4, [(2, 0), (0, 4)]),
@@ -169,33 +168,37 @@ class TestHullAgainstBruteForce:
 
     def test_four_dimensional_points_raise(self):
         with pytest.raises(xm.UnsupportedDimensionError):
-            hull_facets([(0, 0, 0, 0), (1, 0, 0, 0)])
+            all_facets([(0, 0, 0, 0), (1, 0, 0, 0)])
 
     def test_cube_lattice_points(self):
         pts = list(itertools.product(range(4), repeat=3))
-        facets = hull_facets(pts)
+        facets = all_facets(pts)
         assert len(facets) == 6
         assert all(len(cycle) == 4 for _, _, cycle in facets)
-        assert polytope_volume(pts) == 27
+        assert lattice_volume(pts) == 6 * 27
 
     def test_degenerate_sets(self):
-        assert hull_facets([]) == []
-        assert hull_facets([(3,), (3,)]) == []
-        assert hull_facets([(1, 2), (1, 2)]) == []
-        assert hull_facets([(0, 0), (1, 1), (3, 3)]) == []
-        assert hull_facets([(1, 2, 3), (1, 2, 3)]) == []
-        assert hull_facets([(0, 0, 0), (1, 1, 1), (3, 3, 3)]) == []
-        assert hull_facets([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 0)]) == []
+        assert all_facets([]) == []
+        assert all_facets([(3,), (3,)]) == []
+        assert all_facets([(1, 2), (1, 2)]) == []
+        assert all_facets([(0, 0), (1, 1), (3, 3)]) == []
+        assert all_facets([(1, 2, 3), (1, 2, 3)]) == []
+        assert all_facets([(0, 0, 0), (1, 1, 1), (3, 3, 3)]) == []
+        assert all_facets([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 0)]) == []
 
     def test_keep_filters_before_ordering(self):
         pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
         kept = hull_facets(pts, keep=lambda n: sum(n) > 0)
         assert [(n, c) for n, c, _ in kept] == [((1, 1, 1), 1)]
 
-    def test_rational_polytope_volume(self):
-        pts = [(0, 0, 0), (F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, 1)]
-        assert polytope_volume(pts) == F(1, 36)
-        assert polytope_volume([(0, 0), (F(1, 2), 0), (0, F(3, 2))]) == F(3, 8)
+    def test_keep_is_required(self):
+        with pytest.raises(TypeError):
+            hull_facets([(0,), (1,)])
+
+    def test_corner_simplex_volumes(self):
+        # n! times the volume of a corner simplex is the product of its legs.
+        assert lattice_volume([(0, 0, 0), (3, 0, 0), (0, 2, 0), (0, 0, 6)]) == 36
+        assert lattice_volume([(0, 0), (1, 0), (0, 3)]) == 3
 
 
 class TestHull2dAgainstFractions:
@@ -235,16 +238,10 @@ class TestHull2dAgainstFractions:
 
     def test_volumes_and_multiplicities_unchanged(self, monkeypatch):
         rng = random.Random(609)
-        polytopes = [
-            [(0, 0, 0), (F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, 1)],
-            [(0, 0), (F(1, 2), 0), (0, F(3, 2))],
-        ]
+        polytopes = [[(0, 0, 0), (3, 0, 0), (0, 2, 0), (0, 0, 6)], [(0, 0), (1, 0), (0, 3)]]
         for _ in range(60):
-            dim, den = rng.choice([2, 3]), rng.randint(1, 3)
-            pts = [
-                tuple(F(rng.randint(-4, 4), den) for _ in range(dim))
-                for _ in range(rng.randint(1, 10))
-            ]
+            dim = rng.choice([2, 3])
+            pts = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(rng.randint(1, 10))]
             polytopes.append(pts)
         ideals = []
         for _ in range(40):
@@ -252,7 +249,7 @@ class TestHull2dAgainstFractions:
             ideals.append((cone, [random_ideal(rng, cone) for _ in range(cone.dim)]))
 
         def evaluate():
-            values = [polytope_volume(pts) for pts in polytopes]
+            values = [lattice_volume(pts) for pts in polytopes]
             for cone, group in ideals:
                 values += [samuel_multiplicity(cone, group[0]), mixed_multiplicity(cone, group)]
             return values
@@ -265,7 +262,8 @@ class TestHull2dAgainstFractions:
         )
         monkeypatch.setattr(xm, "det3", fraction_det3)
         assert integer == evaluate()
-        assert all(type(v) is F for v in integer)
+        assert all(type(v) is int for v in integer[:len(polytopes)])
+        assert all(type(v) is F for v in integer[len(polytopes):])
 
 
 # -- multiplicities ------------------------------------------------------------
@@ -657,7 +655,7 @@ class TestMixedIntegralityCheck:
 class TestCompactFaceVerifier:
     def test_non_compact_face_raises(self, monkeypatch):
         hull = xm.hull_facets
-        monkeypatch.setattr(xm, "hull_facets", lambda pts, keep=None: hull(pts))
+        monkeypatch.setattr(xm, "hull_facets", lambda pts, keep: hull(pts, lambda normal: True))
         quadric = ToricCone(CONES_3D["quadric"])
         with pytest.raises(InternalError, match="not a compact face"):
             samuel_multiplicity(quadric, maximal_ideal(quadric))
@@ -665,7 +663,7 @@ class TestCompactFaceVerifier:
     @pytest.mark.parametrize("ray", [1, -1])
     def test_non_compact_point_raises_in_1d(self, monkeypatch, ray):
         hull = xm.hull_facets
-        monkeypatch.setattr(xm, "hull_facets", lambda pts, keep=None: hull(pts))
+        monkeypatch.setattr(xm, "hull_facets", lambda pts, keep: hull(pts, lambda normal: True))
         line = ToricCone([(ray,)])
         with pytest.raises(InternalError, match="not a compact face"):
             samuel_multiplicity(line, MonomialIdeal(line, [(2 * ray,)]))
@@ -677,7 +675,7 @@ class TestCompactFaceVerifier:
         assert samuel_multiplicity(line, ideal) == 2
         hull = xm.hull_facets
 
-        def without_point(pts, keep=None):
+        def without_point(pts, keep):
             facets = hull(pts, keep)
             assert len(facets) == 1
             return []
@@ -708,7 +706,7 @@ class TestCompactFaceVerifier:
         assert samuel_multiplicity(quadric, ideal) == 36
         hull = xm.hull_facets
 
-        def without_face(pts, keep=None):
+        def without_face(pts, keep):
             facets = hull(pts, keep)
             assert len(facets) == 4
             return facets[:dropped] + facets[dropped + 1:]
@@ -736,7 +734,7 @@ class TestCompactFaceVerifier:
             "import singvol.exactmath as xm\n"
             "from singvol import InternalError, ToricCone, maximal_ideal, samuel_multiplicity\n"
             "hull = xm.hull_facets\n"
-            "xm.hull_facets = lambda pts, keep=None: hull(pts)\n"
+            "xm.hull_facets = lambda pts, keep: hull(pts, lambda normal: True)\n"
             "cone = ToricCone([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])\n"
             "try:\n"
             "    samuel_multiplicity(cone, maximal_ideal(cone))\n"

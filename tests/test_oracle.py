@@ -90,6 +90,13 @@ class TestMultiplicityEstimate:
         with pytest.raises(InputError, match="^colengths must be non-decreasing in k$"):
             CountReport(ks=(2, 1), colengths=(1, 3), fitted=(F(1), F(1)))
 
+    def test_repeated_and_missing_powers_refused(self):
+        cone = ToricCone([(1, 0), (1, 2)])
+        with pytest.raises(InputError, match="^a report needs at least one sample power$"):
+            multiplicity_estimate(cone, maximal_ideal(cone), ())
+        with pytest.raises(InputError, match="^sample powers must be distinct$"):
+            multiplicity_estimate(cone, maximal_ideal(cone), (4, 8, 4))
+
     def test_powers_in_descending_order(self):
         cone = ToricCone([(1, 0), (1, 2)])
         report = multiplicity_estimate(cone, maximal_ideal(cone), (8, 4))
