@@ -151,12 +151,27 @@ class TestNegativeDefinite:
         assert failing_principal_minor([[-1, 2], [2, -1]]) == (2, -3)
 
     @pytest.mark.parametrize("rows", [[[-1, 1], [0, -1]], [[-1, 5], [0, -1]],
-                                      [[-2, 1, 0], [1, -2, 1], [0, 2, -2]]])
+                                      [[-2, 1, 0], [1, -2, 1], [0, 2, -2]],
+                                      [[F(-1, 2), F(1, 3)], [F(1, 2), -1]], [[1, 0], [1, 1]],
+                                      [[-2, 1, 0], [1, -2, 1], [1, 0, -2]]])
     def test_non_symmetric_raises(self, rows):
         # The form of [[-1, 5], [0, -1]] is 3 at (1, 1), yet its leading
-        # minors -1 and 1 alternate in sign.
+        # minors -1 and 1 alternate in sign.  [[1, 0], [1, 1]] fails its
+        # first minor, and the last matrix differs only in its corner, yet
+        # both are refused before any minor is taken.
         with pytest.raises(InputError, match="^failing_principal_minor requires a symmetric matrix$"):
             failing_principal_minor(rows)
+
+    @pytest.mark.parametrize("rows, expected", [
+        ([[-1, "1/2"], [F(1, 2), -1]], None),
+        ([[-2, "1"], [1, -2]], None),
+        ([[-2, 1, 0], [1, -2, 1], [0, 1, "-2"]], None),
+        ([[-1, "2"], [2, "-1"]], (2, -3)),
+    ])
+    def test_symmetry_is_judged_on_the_read_entries(self, rows, expected):
+        # Text and Fractions that read as the same rational are equal
+        # entries, so these matrices are symmetric.
+        assert failing_principal_minor(rows) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda n: st.lists(
@@ -458,6 +473,7 @@ NON_ITERABLE_CALLS = {
     "solve_linear": lambda plane, graph: solve_linear([[1]], 5),
     "solve_general": lambda plane, graph: solve_general(5, [1]),
     "failing_principal_minor": lambda plane, graph: failing_principal_minor(5),
+    "failing_principal_minor-row": lambda plane, graph: failing_principal_minor([5]),
     "adjugate": lambda plane, graph: xm.adjugate(5),
     "lp-objective": lambda plane, graph: LPProblem(5, []),
     "lp-constraints": lambda plane, graph: LPProblem([1], 5),
@@ -496,6 +512,8 @@ READER_CASES = {
                           "not a rational in p/q form: None", "a matrix row must be a list, not 5"),
     "failing_principal_minor": (failing_principal_minor, [[-2, 1], 5],
                                 "a matrix row must be a list, not 5", "a matrix must be a list, not 5"),
+    "failing_principal_minor-row": (lambda row: failing_principal_minor([[-2, 1], row]), [1, 1.5],
+                                    "not a rational in p/q form: 1.5", "a matrix row must be a list, not 5"),
     "adjugate": (xm.adjugate, [[1, 0], 5], "not an integer vector: 5", "a matrix must be a list, not 5"),
     "lp-objective": (lambda c: LPProblem(c, []), [1, True],
                      "not a rational in p/q form: True", "an LP objective must be a list, not 5"),
@@ -556,6 +574,8 @@ NOT_COLLECTION_CALLS = {
     "solve_linear": (lambda rows: solve_linear(rows, [5, 6]), "a matrix"),
     "solve_linear-row": (lambda row: solve_linear([row, [3, 4]], [5, 6]), "a matrix row"),
     "solve_linear-rhs": (lambda b: solve_linear([[1, 2], [3, 4]], b), "a matrix row"),
+    "failing_principal_minor": (failing_principal_minor, "a matrix"),
+    "failing_principal_minor-row": (lambda row: failing_principal_minor([row, [1, -2]]), "a matrix row"),
     "lp-objective": (lambda c: LPProblem(c, []), "an LP objective"),
     "lp-constraints": (lambda cons: LPProblem([1], cons), "the LP constraints"),
 }
