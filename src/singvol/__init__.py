@@ -63,7 +63,6 @@ from .endo import (
     check_push_pull,
     pullback_divisor,
     pullback_ideal,
-    sample_valuations,
     surface_cover_report,
     toric_volume_report,
 )

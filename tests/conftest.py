@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -174,6 +175,11 @@ def apply(m, v):
 
 def transpose(m):
     return [list(col) for col in zip(*m)]
+
+
+def box_points(cone, r=3):
+    """Every lattice point of the cone with coordinates in [-r, r]."""
+    return [v for v in itertools.product(range(-r, r + 1), repeat=cone.dim) if cone.contains(v)]
 
 
 def run_python(script, *flags):

@@ -36,7 +36,6 @@ from singvol import (
     pullback_divisor,
     pullback_ideal,
     samuel_multiplicity,
-    sample_valuations,
     surface_cover_report,
     volume,
     z_value,
@@ -45,6 +44,7 @@ from singvol import (
 from singvol.exactmath import convex_hull_2d, primitive_vector
 from singvol.surface import intersect
 
+from conftest import box_points
 from reference import fraction_zariski_decompose
 
 QUADRIC_RAYS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]
@@ -239,7 +239,7 @@ def test_criterion_08_endomorphism_laws():
     for endo in plane_endos:
         for divisor in plane_divisors:
             pulled = pullback_divisor(endo, divisor)
-            for v in sample_valuations(plane):
+            for v in box_points(plane):
                 ok &= envelope_value(plane, pulled, v) == envelope_value(
                     plane, divisor, endo.apply(v)
                 )
@@ -265,7 +265,7 @@ def test_criterion_08_endomorphism_laws():
     for endo in quadric_endos:
         for divisor in quadric_divisors:
             pulled = pullback_divisor(endo, divisor)
-            for v in sample_valuations(quadric):
+            for v in box_points(quadric):
                 ok &= envelope_value(quadric, pulled, v) == envelope_value(
                     quadric, divisor, endo.apply(v)
                 )

@@ -308,6 +308,14 @@ class TestEndoCommands:
         payload = json.loads(out)
         assert payload["degree"] == 8
         assert payload["passed"] is True
+        # One row: the vertices of the section polyhedra, each a list of
+        # rational strings.
+        assert payload["checks"] == [{
+            "name": "vertices of P(A*D) are the A^T-images of the vertices of P(D)",
+            "left": [["0", "2", "2"], ["2", "0", "2"]],
+            "right": [["0", "2", "2"], ["2", "0", "2"]],
+            "passed": True,
+        }]
 
     def test_check_needs_a_divisor_or_an_ideal(self, capsys, tmp_path, quadric_file):
         matrix = write(tmp_path, "m.json", {"matrix": [[2, 0, 0], [0, 2, 0], [0, 0, 2]]})
@@ -334,6 +342,34 @@ class TestEndoCommands:
         assert payload["volume"] == "0"
         assert payload["passed"] is True
         assert payload["certificate_m"] == ["0", "0", "0"]
+        assert "log_discrepancies" not in payload
+
+    @pytest.mark.parametrize("case, own, flag, value", [
+        ("toric", "--cone {c} --matrix {m}", "--g", "5"),
+        ("toric", "--cone {c} --matrix {m}", "--e", "2"),
+        ("surface_cover", "--g 2 --d 1 --e 2", "--cone", "{c}"),
+        ("surface_cover", "--g 2 --d 1 --e 2", "--matrix", "{m}"),
+        # Refused before any file is read: the cone file does not exist.
+        ("surface_cover", "--g 2 --d 1 --e 2", "--cone", "missing.json"),
+        ("toric", "--cone missing.json", "--d", "1"),
+    ])
+    def test_monotonic_refuses_the_other_cases_options(
+            self, capsys, tmp_path, quadric_file, case, own, flag, value):
+        paths = {"c": quadric_file, "m": write(tmp_path, "m.json", FILES["matrix"])}
+        other = "surface_cover" if case == "toric" else "toric"
+        argv = ["endo", "monotonic", "--case", case, *own.format(**paths).split(), flag,
+                value.format(**paths)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} is an option of --case {other}, not of --case {case}\n"
+
+    @pytest.mark.parametrize("case, given, message", [
+        ("toric", ["--cone", "missing.json"], "--case toric needs --cone and --matrix"),
+        ("surface_cover", ["--g", "2", "--e", "2"], "--case surface_cover needs --g, --d and --e"),
+    ])
+    def test_monotonic_needs_its_own_options(self, capsys, case, given, message):
+        code, out, err = run(capsys, ["endo", "monotonic", "--case", case, *given])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestValidateAndErrors:
@@ -629,7 +665,7 @@ RECORDS = [
     (SurfaceCoverReport,
      ("genus", "polarization", "cover_degree", "covering_volume", "base_volume"),
      (2, 1, 3, F(12), F(4)), 0),
-    (ToricVolumeReport, ("degree", "samples", "values"), (2, ((1, 1),), (F(1),)), 0),
+    (ToricVolumeReport, ("degree",), (2,), 0),
     (CountReport, ("ks", "colengths", "fitted"), ((1, 2), (1, 3), (F(2), F(3, 2))), 0),
 ]
 

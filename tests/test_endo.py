@@ -1,9 +1,12 @@
 import itertools
+import random
 import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from singvol import endo as endo_mod
 from singvol import (
     DomainError,
     InputError,
@@ -18,10 +21,11 @@ from singvol import (
     pullback_divisor,
     pullback_ideal,
     samuel_multiplicity,
-    sample_valuations,
     surface_cover_report,
     toric_volume_report,
 )
+
+from conftest import CONES_3D, apply, box_points, random_unimodular, transpose
 
 SWAP_2D = [[0, 1], [1, 0]]
 SWAP_3D = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
@@ -147,11 +151,11 @@ class TestPushPull:
         assert samuel_multiplicity(plane, pulled) == 6
         assert check_push_pull(endo, ideal=m).passed
 
-    def test_envelope_commutes_at_samples(self, quadric):
+    def test_envelope_commutes_on_a_lattice_box(self, quadric):
         endo = ToricEndo(quadric, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
         divisor = ToricDivisor(quadric, (1, 1, 1, 0))
         pulled = pullback_divisor(endo, divisor)
-        for v in sample_valuations(quadric):
+        for v in box_points(quadric):
             assert envelope_value(quadric, pulled, v) == envelope_value(
                 quadric, divisor, endo.apply(v)
             )
@@ -166,13 +170,117 @@ class TestPushPull:
         assert scaled == endo.degree * mixed_multiplicity(plane, [a, b])
 
 
-class TestSampleValuations:
-    def test_deterministic_and_inside(self, quadric):
-        first = sample_valuations(quadric)
-        second = sample_valuations(quadric)
-        assert first == second
-        assert all(quadric.contains(v) for v in first)
-        assert any(quadric.interior_contains(v) for v in first)
+TWICE_3D = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
+THRICE_3D = [[3, 0, 0], [0, 3, 0], [0, 0, 3]]
+
+
+def vertex_row(report):
+    (row,) = [c for c in report.checks if c.name.startswith("vertices")]
+    return row
+
+
+def random_divisor(rng, cone):
+    return ToricDivisor(cone, [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in cone.rays])
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+class TestVertexRow:
+    def test_one_row_of_sorted_vertices(self, quadric):
+        report = check_push_pull(ToricEndo(quadric, TWICE_3D),
+                                 divisor=ToricDivisor(quadric, (1, 1, 1, 0)))
+        assert len(report.checks) == 1
+        row = vertex_row(report)
+        # D is not Cartier: P_D has the two vertices (0, 1, 1) and (1, 0, 1)...
+        assert row.right == ((0, 2, 2), (2, 0, 2))
+        # ...and P_{2D} = 2 P_D.
+        assert row.left == row.right and row.passed
+        assert all(type(x) is F for m in row.left + row.right for x in m)
+
+    def test_cartier_divisor_has_one_vertex(self, quadric):
+        row = vertex_row(check_push_pull(ToricEndo(quadric, SWAP_3D),
+                                         divisor=ToricDivisor(quadric, (2, 1, 2, 1))))
+        assert row.left == row.right == ((1, 2, 2),)
+
+    @pytest.mark.parametrize("rays", [[(1, 0), (0, 1)], [(1, 0), (-2, 5)], *CONES_3D.values()],
+                             ids=["plane", "cyclic-5-2", *CONES_3D])
+    def test_vertices_give_the_envelope(self, rays):
+        # P_D's recession cone pairs nonpositively with sigma, so on sigma
+        # the envelope is the largest pairing with a vertex.
+        cone, rng = ToricCone(rays), random.Random(2010)
+        for _ in range(5):
+            divisor = random_divisor(rng, cone)
+            vertices = endo_mod._section_vertices(cone, divisor)
+            for m in vertices:
+                pairings = [sum(map(F.__mul__, m, ray)) for ray in cone.rays]
+                assert all(p <= d for p, d in zip(pairings, divisor.coeffs))
+            for v in box_points(cone, 2):
+                assert max(sum(map(F.__mul__, m, v)) for m in vertices) == envelope_value(
+                    cone, divisor, v)
+
+    @pytest.mark.parametrize("matrix", [TWICE_3D, THRICE_3D, SWAP_3D], ids=["x2", "x3", "swap"])
+    def test_random_rational_divisors_pass(self, quadric, matrix):
+        endo, rng = ToricEndo(quadric, matrix), random.Random(31)
+        for _ in range(20):
+            assert check_push_pull(endo, divisor=random_divisor(rng, quadric)).passed
+
+
+class TestMutants:
+    """Each wrong pull-back below fails the report on a fixed divisor."""
+
+    @staticmethod
+    def wrong_scale(endo, divisor):
+        # Ray i takes the scale of the other ray.
+        coeffs = tuple(F(scale) * divisor.coeffs[target]
+                       for scale, target in zip(endo.ray_scales[::-1], endo.ray_targets))
+        return ToricDivisor(endo.cone, coeffs)
+
+    def test_scale_of_the_wrong_ray(self, plane, monkeypatch):
+        monkeypatch.setattr(endo_mod, "pullback_divisor", self.wrong_scale)
+        divisor = ToricDivisor(plane, (1, 2))
+        row = vertex_row(check_push_pull(ToricEndo(plane, [[2, 0], [0, 3]]), divisor=divisor))
+        assert (row.left, row.right) == (((3, 4),), ((2, 6),)) and not row.passed
+        # Under x2 every scale is 2, so the mutant is equivalent there.
+        assert check_push_pull(ToricEndo(plane, [[2, 0], [0, 2]]), divisor=divisor).passed
+
+    @pytest.mark.parametrize("matrix", [SWAP_3D, TWICE_3D], ids=["swap", "x2"])
+    def test_permuted_ray_targets(self, quadric, matrix):
+        endo = ToricEndo(quadric, matrix)
+        targets = endo.ray_targets
+        endo.ray_targets = targets[1:] + targets[:1]
+        report = check_push_pull(endo, divisor=ToricDivisor(quadric, (1, 1, 1, 0)))
+        assert not report.passed and report.failures == (vertex_row(report),)
+
+
+class TestInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           matrix=st.sampled_from([TWICE_3D, THRICE_3D, SWAP_3D]),
+           coeffs=st.lists(st.fractions(-6, 6, max_denominator=4), min_size=4, max_size=4),
+           order=st.permutations(range(4)))
+    def test_gl3z_and_relabelling(self, seed, matrix, coeffs, order):
+        """For g in GL_3(Z), the cone g sigma, the matrix g A g^-1 and the
+        same coefficients in ray order pass, and the vertices map by g^-T;
+        so do the cone's rays and the coefficients permuted alike."""
+        quadric = ToricCone(CONES_3D["quadric"])
+        row = vertex_row(check_push_pull(ToricEndo(quadric, matrix),
+                                         divisor=ToricDivisor(quadric, coeffs)))
+        assert row.passed
+
+        g, g_inv = random_unimodular(random.Random(seed), 3)
+        image = ToricCone([apply(g, ray) for ray in quadric.rays])
+        moved = vertex_row(check_push_pull(ToricEndo(image, matmul(matmul(g, matrix), g_inv)),
+                                           divisor=ToricDivisor(image, coeffs)))
+        assert moved.passed
+        assert moved.left == tuple(sorted(apply(transpose(g_inv), m) for m in row.left))
+
+        relabelled = ToricCone([quadric.rays[i] for i in order])
+        permuted = vertex_row(check_push_pull(
+            ToricEndo(relabelled, matrix),
+            divisor=ToricDivisor(relabelled, [coeffs[i] for i in order])))
+        assert permuted.passed and permuted.left == row.left
 
 
 class TestVolumeReports:
@@ -215,4 +323,4 @@ class TestVolumeReports:
         assert report.degree == 8
         assert report.volume == 0
         assert report.passed
-        assert all(v >= 0 for v in report.values)
+        assert report == (8,)
