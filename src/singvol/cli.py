@@ -5,8 +5,11 @@ or an aligned table (for humans) to standard output.  Exit codes: 0 on
 success, 2 for malformed input, 3 for domain errors, 4 for unsupported
 dimensions.  Output is byte-deterministic for a fixed input.
 
-``_COMMANDS`` names every command with its handler and options; ``main``
-reads the input files before the handler runs, so handlers only compute.
+``_COMMANDS`` names every command with its handler and options.
+``_SELECTORS`` gives the options each value of ``--family``, ``--case`` and
+``--kind`` takes, and ``_KINDS`` the reader of each wire kind with what
+``validate`` reports of it.  ``main`` checks the selector's options, then
+reads the input files, before the handler runs, so handlers only compute.
 """
 
 from __future__ import annotations
@@ -73,32 +76,61 @@ def _emit(payload: dict, fmt: str) -> None:
 
 # -- input files --------------------------------------------------------------
 
-# Divisors and ideals need a cone; only validate leaves --cone optional.
-_NEEDS_CONE = {
-    "divisor": "validating a divisor needs --cone for the ray count",
-    "ideal": "validating an ideal needs --cone for the ambient cone",
+# Each wire kind: its reader, given the file's object and the parsed
+# arguments, and what validate reports of the object read.  A divisor is
+# read against the graph or the cone read before it, an ideal against the
+# cone.  Each lambda looks its reader up on jsonio at call time, so a
+# wrapper installed there, such as perfbench's tracer, sees every call.
+_KINDS = {
+    "graph": (lambda obj, args: jsonio.graph_from_obj(obj),
+              lambda graph: {"vertices": len(graph), "edges": len(graph.edges)}),
+    # ToricCone checks isolation in every dimension.
+    "cone": (lambda obj, args: jsonio.cone_from_obj(obj),
+             lambda cone: {"dim": cone.dim, "rays": len(cone.rays),
+                           "facets": len(cone.facet_normals), "isolated_checked": True}),
+    "divisor": (lambda obj, args: jsonio.divisor_from_obj(args.cone, obj)
+                if getattr(args, "graph", None) is None else jsonio.exc_divisor_from_obj(args.graph, obj),
+                lambda divisor: {}),
+    "ideal": (lambda obj, args: jsonio.ideal_from_obj(args.cone, obj),
+              lambda ideal: {"minimal_gens": len(ideal.gens), "m_primary": ideal.is_m_primary}),
+    "matrix": (lambda obj, args: jsonio.matrix_from_obj(obj), lambda rows: {"rows": len(rows)}),
 }
+
+# Each selector, with the options each of its values takes; main checks
+# them before any file is read.
+_SELECTORS = {
+    "--family": {"cone": ("--g", "--d"), "cusp_cycle": ("--self-ints",), "duval": ("--name",)},
+    "--case": {"surface_cover": ("--g", "--d", "--e"), "toric": ("--cone", "--matrix")},
+    # validate reads divisors and ideals against a cone, and nothing else.
+    "--kind": {kind: ("--cone",) if kind in ("divisor", "ideal") else () for kind in _KINDS},
+}
+
+
+def _check_selectors(args) -> None:
+    """Refuse an option of another value of the command's selector, then a
+    missing option of the chosen value, before any input file is read."""
+    for selector, values in _SELECTORS.items():
+        chosen = getattr(args, selector[2:], None)
+        if chosen is None:
+            continue
+        own = values[chosen]
+        given = [flag for flags in values.values() for flag in flags
+                 if getattr(args, flag[2:].replace("-", "_")) is not None]
+        for flag in given:
+            if flag not in own:
+                owners = " or ".join(value for value, flags in values.items() if flag in flags)
+                raise InputError(f"{flag} is an option of {selector} {owners}, not of {selector} {chosen}")
+        if not set(own) <= set(given):
+            names = f"{', '.join(own[:-1])} and {own[-1]}" if len(own) > 1 else own[0]
+            raise InputError(f"{selector} {chosen} needs {names}")
 
 
 def _read(kind: str, path: str, args):
     """The object of wire kind ``kind`` in the JSON file at ``path``.  Every
     fault in the file's content is raised with the path in front."""
     obj = jsonio.load_json(path)
-    graph = getattr(args, "graph", None)
-    if kind in _NEEDS_CONE and graph is None and args.cone is None:
-        raise InputError(_NEEDS_CONE[kind])
     try:
-        if kind == "cone":
-            return jsonio.cone_from_obj(obj)
-        if kind == "graph":
-            return jsonio.graph_from_obj(obj)
-        if kind == "matrix":
-            return jsonio.matrix_from_obj(obj)
-        if kind == "divisor" and graph is not None:
-            return jsonio.exc_divisor_from_obj(graph, obj)
-        if kind == "divisor":
-            return jsonio.divisor_from_obj(args.cone, obj)
-        return jsonio.ideal_from_obj(args.cone, obj)
+        return _KINDS[kind][0](obj, args)
     except SingvolError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -144,22 +176,14 @@ def _cmd_surface_zariski(args):
     }
 
 
-# family: (the flags it needs, the message when one is missing, its graph)
-_FAMILIES = {
-    "cone": (("g", "d"), "--family cone needs --g and --d",
-             lambda args: surface_mod.cone_graph(args.g, args.d)),
-    "cusp_cycle": (("self_ints",), "--family cusp_cycle needs --self-ints like -3,-2,-2",
-                   lambda args: surface_mod.cusp_cycle_graph(_parse_vector(args.self_ints))),
-    "duval": (("name",), "--family duval needs --name like A2 or E6",
-              lambda args: surface_mod.du_val_graph(args.name)),
-}
-
-
 def _cmd_surface_standard(args):
-    flags, message, build = _FAMILIES[args.family]
-    if any(getattr(args, flag) in (None, "") for flag in flags):
-        raise InputError(message)
-    return jsonio.graph_to_obj(build(args))
+    if args.family == "cone":
+        graph = surface_mod.cone_graph(args.g, args.d)
+    elif args.family == "cusp_cycle":
+        graph = surface_mod.cusp_cycle_graph(_parse_vector(args.self_ints))
+    else:
+        graph = surface_mod.du_val_graph(args.name)
+    return jsonio.graph_to_obj(graph)
 
 
 # -- toric commands -----------------------------------------------------------
@@ -236,25 +260,6 @@ def _cmd_endo_check(args):
     return {"degree": report.degree, "passed": report.passed, "checks": checks}
 
 
-# Each --case of endo monotonic, with the options it reads.
-_CASES = {"surface_cover": ("--g", "--d", "--e"), "toric": ("--cone", "--matrix")}
-
-
-def _check_case(args) -> None:
-    """Refuse a --case of endo monotonic given another case's option, or
-    missing one of its own, before any input file is read."""
-    case = getattr(args, "case", None)
-    if case is None:
-        return
-    for other, flags in _CASES.items():
-        for flag in flags:
-            if other != case and getattr(args, flag[2:]) is not None:
-                raise InputError(f"{flag} is an option of --case {other}, not of --case {case}")
-    flags = _CASES[case]
-    if any(getattr(args, flag[2:]) is None for flag in flags):
-        raise InputError(f"--case {case} needs {', '.join(flags[:-1])} and {flags[-1]}")
-
-
 def _cmd_endo_monotonic(args):
     if args.case == "surface_cover":
         report = endo_mod.surface_cover_report(args.g, args.d, args.e)
@@ -277,21 +282,9 @@ def _cmd_endo_monotonic(args):
     }
 
 
-# The wire kinds, each with what validate reports of the object it read.
-_DIAGNOSTICS = {
-    "graph": lambda graph: {"vertices": len(graph), "edges": len(graph.edges)},
-    # ToricCone checks isolation in every dimension.
-    "cone": lambda cone: {"dim": cone.dim, "rays": len(cone.rays),
-                          "facets": len(cone.facet_normals), "isolated_checked": True},
-    "divisor": lambda divisor: {},
-    "ideal": lambda ideal: {"minimal_gens": len(ideal.gens), "m_primary": ideal.is_m_primary},
-    "matrix": lambda rows: {"rows": len(rows)},
-}
-
-
 def _cmd_validate(args):
     value = _read(args.kind, args.file, args)
-    return {"ok": True, "kind": args.kind, **_DIAGNOSTICS[args.kind](value)}
+    return {"ok": True, "kind": args.kind, **_KINDS[args.kind][1](value)}
 
 
 # -- the command table --------------------------------------------------------
@@ -313,7 +306,7 @@ _COMMANDS = {
         "zariski": (_cmd_surface_zariski, {
             "--graph": _REQUIRED, "--divisor": {"help": "defaults to the log-discrepancy divisor"}}),
         "standard": (_cmd_surface_standard, {
-            "--family": {**_REQUIRED, "choices": tuple(_FAMILIES)},
+            "--family": {**_REQUIRED, "choices": tuple(_SELECTORS["--family"])},
             "--g": {**_INT, "help": "genus for the cone family"},
             "--d": {**_INT, "help": "degree for the cone family"},
             "--self-ints": {"help": "cycle self-intersections like -3,-2,-2"},
@@ -335,11 +328,11 @@ _COMMANDS = {
         "check": (_cmd_endo_check, {
             "--cone": _REQUIRED, "--matrix": _REQUIRED, "--divisor": {}, "--ideal": {}}),
         "monotonic": (_cmd_endo_monotonic, {
-            "--case": {**_REQUIRED, "choices": ("surface_cover", "toric")},
+            "--case": {**_REQUIRED, "choices": tuple(_SELECTORS["--case"])},
             "--g": _INT, "--d": _INT, "--e": _INT, "--cone": {}, "--matrix": {}}),
     }),
     "validate": (_cmd_validate, {
-        "--kind": {**_REQUIRED, "choices": tuple(_DIAGNOSTICS)},
+        "--kind": {**_REQUIRED, "choices": tuple(_KINDS)},
         "--cone": {"help": "ambient cone for divisor and ideal validation"},
         "file": {}}),
 }
@@ -400,7 +393,7 @@ def main(argv=None) -> int:
     argv = _attach_negative_vectors(sys.argv[1:] if argv is None else argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        _check_case(args)
+        _check_selectors(args)
         _read_inputs(args)
         payload = args.func(args)
     except SingvolError as exc:

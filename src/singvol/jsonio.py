@@ -9,9 +9,11 @@ denominator; lattice vectors as arrays of integers.  Schemas:
 * ideal:   {"gens": [[1, 0], [0, 2]]}
 * matrix:  {"matrix": [[2, 0], [0, 2]]}
 
-The readers unwrap these objects and supply the defaults the format
-defines, genus 0 and edge multiplicity 1; every number and every
-collection inside is read by the library object built from it.
+The readers unwrap these objects, refuse any key the schema does not
+define (a misspelt optional key would otherwise read as absent), and
+supply the defaults the format defines, genus 0 and edge multiplicity 1;
+every number and every collection inside is read by the library object
+built from it.
 """
 
 from __future__ import annotations
@@ -36,14 +38,23 @@ def load_json(path):
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _require(obj, key):
+def _closed(obj: dict, what: str, keys) -> None:
+    for key in obj:
+        if key not in keys:
+            raise InputError(f"unknown {what} key {key!r}")
+
+
+def _require(obj, key, what, keys=None):
+    """obj[key] of a ``what`` object, whose schema has ``keys`` (by default
+    ``key`` alone)."""
     if not isinstance(obj, dict) or key not in obj:
         raise InputError(f"missing required key {key!r}")
+    _closed(obj, what, keys or (key,))
     return obj[key]
 
 
 def graph_from_obj(obj) -> ResolutionGraph:
-    raw_vertices = _require(obj, "vertices")
+    raw_vertices = _require(obj, "vertices", "graph", ("vertices", "edges"))
     raw_edges = obj.get("edges", [])
     if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
         raise InputError("vertices and edges must be arrays")
@@ -51,6 +62,7 @@ def graph_from_obj(obj) -> ResolutionGraph:
     for v in raw_vertices:
         if not isinstance(v, dict) or "self" not in v:
             raise InputError("each vertex needs a 'self' intersection number")
+        _closed(v, "vertex", ("self", "genus"))
         vertices.append((v["self"], v.get("genus", 0)))
     edges = []
     for e in raw_edges:
@@ -68,7 +80,7 @@ def graph_to_obj(graph: ResolutionGraph) -> dict:
 
 
 def cone_from_obj(obj) -> ToricCone:
-    cone = ToricCone(_require(obj, "rays"))
+    cone = ToricCone(_require(obj, "rays", "cone", ("rays", "dim")))
     dim = obj.get("dim")
     # type() rather than isinstance(): JSON true and false load as bools.
     if dim is not None and (type(dim) is not int or dim != cone.dim):
@@ -77,22 +89,22 @@ def cone_from_obj(obj) -> ToricCone:
 
 
 def divisor_from_obj(cone: ToricCone, obj) -> ToricDivisor:
-    return ToricDivisor(cone, _require(obj, "coeffs"))
+    return ToricDivisor(cone, _require(obj, "coeffs", "divisor"))
 
 
 def exc_divisor_from_obj(graph: ResolutionGraph, obj):
-    return _as_coeffs(graph, _require(obj, "coeffs"))
+    return _as_coeffs(graph, _require(obj, "coeffs", "divisor"))
 
 
 def ideal_from_obj(cone: ToricCone, obj) -> MonomialIdeal:
-    return MonomialIdeal(cone, _require(obj, "gens"))
+    return MonomialIdeal(cone, _require(obj, "gens", "ideal"))
 
 
 def matrix_from_obj(obj):
     """The integer rows of a matrix object: at least one entry, every row of
     one length.  Squareness is left to the endomorphism, which knows the
     dimension."""
-    rows = [integer_vector(row, "matrix row") for row in as_list(_require(obj, "matrix"), "a matrix")]
+    rows = [integer_vector(row, "matrix row") for row in as_list(_require(obj, "matrix", "matrix"), "a matrix")]
     if rows and any(len(row) != len(rows[0]) for row in rows):
         raise InputError("matrix rows have inconsistent lengths")
     if not rows or not rows[0]:

@@ -344,32 +344,54 @@ class TestEndoCommands:
         assert payload["certificate_m"] == ["0", "0", "0"]
         assert "log_discrepancies" not in payload
 
-    @pytest.mark.parametrize("case, own, flag, value", [
-        ("toric", "--cone {c} --matrix {m}", "--g", "5"),
-        ("toric", "--cone {c} --matrix {m}", "--e", "2"),
-        ("surface_cover", "--g 2 --d 1 --e 2", "--cone", "{c}"),
-        ("surface_cover", "--g 2 --d 1 --e 2", "--matrix", "{m}"),
-        # Refused before any file is read: the cone file does not exist.
-        ("surface_cover", "--g 2 --d 1 --e 2", "--cone", "missing.json"),
-        ("toric", "--cone missing.json", "--d", "1"),
-    ])
-    def test_monotonic_refuses_the_other_cases_options(
-            self, capsys, tmp_path, quadric_file, case, own, flag, value):
-        paths = {"c": quadric_file, "m": write(tmp_path, "m.json", FILES["matrix"])}
-        other = "surface_cover" if case == "toric" else "toric"
-        argv = ["endo", "monotonic", "--case", case, *own.format(**paths).split(), flag,
-                value.format(**paths)]
-        code, out, err = run(capsys, argv)
-        assert (code, out) == (2, "")
-        assert err == f"error: {flag} is an option of --case {other}, not of --case {case}\n"
 
-    @pytest.mark.parametrize("case, given, message", [
-        ("toric", ["--cone", "missing.json"], "--case toric needs --cone and --matrix"),
-        ("surface_cover", ["--g", "2", "--e", "2"], "--case surface_cover needs --g, --d and --e"),
+class TestSelectors:
+    """--family, --case and --kind: each value takes its own options and
+    refuses those of the other values of its selector, with exit code 2,
+    before any file is read (missing.json does not exist)."""
+
+    @pytest.mark.parametrize("command, own, flag, value, owner", [
+        ("endo monotonic --case toric", "--cone {c} --matrix {m}", "--g", "5", "--case surface_cover"),
+        ("endo monotonic --case toric", "--cone {c} --matrix {m}", "--e", "2", "--case surface_cover"),
+        ("endo monotonic --case surface_cover", "--g 2 --d 1 --e 2", "--cone", "{c}", "--case toric"),
+        ("endo monotonic --case surface_cover", "--g 2 --d 1 --e 2", "--matrix", "{m}", "--case toric"),
+        ("endo monotonic --case surface_cover", "--g 2 --d 1 --e 2", "--cone", "missing.json",
+         "--case toric"),
+        ("endo monotonic --case toric", "--cone missing.json", "--d", "1", "--case surface_cover"),
+        ("surface standard --family duval", "--name A2", "--g", "5", "--family cone"),
+        ("surface standard --family cone", "--g 2 --d 1", "--self-ints", "-3,-2,-2",
+         "--family cusp_cycle"),
+        ("surface standard --family cusp_cycle", "--self-ints -3,-2,-2", "--name", "A2", "--family duval"),
+        ("surface standard --family cone", "--g 2", "--name", "E6", "--family duval"),
+        ("validate --kind graph", "missing.json", "--cone", "missing.json", "--kind divisor or ideal"),
+        ("validate --kind cone", "{c}", "--cone", "missing.json", "--kind divisor or ideal"),
+        ("validate --kind matrix", "missing.json", "--cone", "{c}", "--kind divisor or ideal"),
     ])
-    def test_monotonic_needs_its_own_options(self, capsys, case, given, message):
-        code, out, err = run(capsys, ["endo", "monotonic", "--case", case, *given])
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+    def test_selector_refuses_another_values_options(
+            self, capsys, tmp_path, quadric_file, command, own, flag, value, owner):
+        paths = {"c": quadric_file, "m": write(tmp_path, "m.json", FILES["matrix"])}
+        argv = [*command.split(), *own.format(**paths).split(), flag, value.format(**paths)]
+        code, out, err = run(capsys, argv)
+        message = f"{flag} is an option of {owner}, not of {' '.join(command.split()[-2:])}"
+        assert (code, err) == (2, f"error: {message}\n")
+        assert out == (json.dumps({"ok": False, "error": message}, indent=2) + "\n"
+                       if command.startswith("validate") else "")
+
+    @pytest.mark.parametrize("command, given, message", [
+        ("endo monotonic --case toric", ["--cone", "missing.json"], "--case toric needs --cone and --matrix"),
+        ("endo monotonic --case surface_cover", ["--g", "2", "--e", "2"],
+         "--case surface_cover needs --g, --d and --e"),
+        ("surface standard --family cone", ["--g", "2"], "--family cone needs --g and --d"),
+        ("surface standard --family cusp_cycle", [], "--family cusp_cycle needs --self-ints"),
+        ("surface standard --family duval", [], "--family duval needs --name"),
+        ("validate --kind divisor", ["missing.json"], "--kind divisor needs --cone"),
+        ("validate --kind ideal", ["missing.json"], "--kind ideal needs --cone"),
+    ])
+    def test_selector_needs_its_own_options(self, capsys, command, given, message):
+        code, out, err = run(capsys, [*command.split(), *given])
+        assert (code, err) == (2, f"error: {message}\n")
+        assert out == (json.dumps({"ok": False, "error": message}, indent=2) + "\n"
+                       if command.startswith("validate") else "")
 
 
 class TestValidateAndErrors:
@@ -428,6 +450,28 @@ class TestValidateAndErrors:
         assert code == 0
         payload = json.loads(out)
         assert payload["m_primary"] is True
+
+    # A misspelt optional key used to read as absent: "gneus" gave genus 0.
+    @pytest.mark.parametrize("argv, obj, message", [
+        (["surface", "volume", "--graph", "{x}"], {"vertices": [{"self": -2, "gneus": 2}]},
+         "unknown vertex key 'gneus'"),
+        (["surface", "volume", "--graph", "{x}"], {"vertices": [{"self": -2}], "egdes": []},
+         "unknown graph key 'egdes'"),
+        (["validate", "--kind", "cone", "{x}"], {"rays": [[1, 0], [0, 1]], "dimension": 2},
+         "unknown cone key 'dimension'"),
+        (["validate", "--kind", "divisor", "--cone", "{c}", "{x}"],
+         {"coeffs": ["1", "1", "1", "0"], "coeff": []}, "unknown divisor key 'coeff'"),
+        (["surface", "pullback", "--graph", "{g}", "--divisor", "{x}"],
+         {"coeffs": ["1", "1"], "genus": 0}, "unknown divisor key 'genus'"),
+        (["validate", "--kind", "ideal", "--cone", "{c}", "{x}"],
+         {"gens": [[1, 0, 0], [0, 1, 0], [1, 0, 1], [0, 1, 1]], "m_primary": True},
+         "unknown ideal key 'm_primary'"),
+        (["validate", "--kind", "matrix", "{x}"], {"matrix": [[2]], "rows": 1}, "unknown matrix key 'rows'"),
+    ], ids=["vertex", "graph", "cone", "divisor", "exceptional-divisor", "ideal", "matrix"])
+    def test_readers_refuse_unknown_keys(self, capsys, tmp_path, quadric_file, argv, obj, message):
+        paths = {"c": quadric_file, "g": write(tmp_path, "g.json", GRAPH), "x": write(tmp_path, "x.json", obj)}
+        code, _, err = run(capsys, [arg.format(**paths) for arg in argv])
+        assert (code, err) == (2, f"error: {paths['x']}: {message}\n")
 
     def test_malformed_json_is_exit_two(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

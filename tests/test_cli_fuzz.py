@@ -131,22 +131,28 @@ def at_texts(draw, cone, least=0):
 
 @st.composite
 def invocations(draw):
-    """(argv without the file paths, the cone object, the other object)."""
+    """(argv with "{cone}" and "{other}" for the file paths, the cone
+    object, the other object).  `validate` passes --cone to the kinds read
+    against a cone, and to a quarter of the others, which refuse it."""
     command = draw(st.sampled_from(["env", "numcartier", "defect", "validate"]))
     cone = draw(cones())
     other = draw(divisors(cone))
+    files = ["--cone", "{cone}", "--divisor", "{other}"]
     if command == "env":
-        return ["toric", "env", "--at=" + draw(at_texts(cone))], cone, other
+        return ["toric", "env", "--at=" + draw(at_texts(cone)), *files], cone, other
     if command == "numcartier":
-        return ["toric", "numcartier"], cone, other
+        return ["toric", "numcartier", *files], cone, other
     if command == "defect":
         argv = ["toric", "defect", "--m", str(draw(st.integers(0, 2)))]
         if draw(st.booleans()):
             argv.append("--at=" + draw(at_texts(cone)))
-        return argv, cone, other
+        return [*argv, *files], cone, other
     kind = draw(st.sampled_from(["cone", "divisor", "ideal", "matrix", "graph"]))
     target = draw(st.one_of(st.just(cone), st.just(other), json_values))
-    return ["validate", "--kind", kind], cone, target
+    argv = ["validate", "--kind", kind]
+    if kind in ("divisor", "ideal") or draw(st.integers(0, 3)) == 0:
+        argv += ["--cone", "{cone}"]
+    return [*argv, "{other}"], cone, target
 
 
 def semigroup(rays):
@@ -283,9 +289,9 @@ STANDARD_OPTIONS = {
 
 @st.composite
 def standard_invocations(draw):
-    """`surface standard` argv: a family with its options, one of them
-    dropped, out of range or malformed a third of the time, or given the
-    options of another family."""
+    """`surface standard` argv: a family with its options, a third of the
+    time with one of them dropped, out of range or malformed, or with an
+    option of another family added."""
     family = draw(st.sampled_from(sorted(STANDARD_OPTIONS)))
     options = {flag: draw(values) for flag, values in STANDARD_OPTIONS[family].items()}
     if draw(st.integers(0, 2)) == 0:
@@ -298,7 +304,9 @@ def standard_invocations(draw):
         elif change == "malformed":
             options[flag] = draw(st.one_of(bad_ints, st.sampled_from(["a", "-2,,-3", "-2.0"])))
         else:
-            family = draw(st.sampled_from(sorted(STANDARD_OPTIONS)))
+            other = draw(st.sampled_from(sorted(set(STANDARD_OPTIONS) - {family})))
+            foreign = draw(st.sampled_from(sorted(STANDARD_OPTIONS[other])))
+            options[foreign] = draw(STANDARD_OPTIONS[other][foreign])
     argv = ["surface", "standard", "--family", family]
     for flag, value in options.items():
         argv += [flag + value] if flag.endswith("=") else [flag, value]
@@ -376,13 +384,14 @@ def test_exit_codes_under_generated_json(workdir, invocation):
     cone_path, other_path = workdir / "cone.json", workdir / "other.json"
     cone_path.write_text(json.dumps(cone))
     other_path.write_text(json.dumps(other))
-    if argv[0] == "validate":
-        argv = argv + ["--cone", str(cone_path), str(other_path)]
-    else:
-        argv = argv + ["--cone", str(cone_path), "--divisor", str(other_path)]
+    paths = {"{cone}": str(cone_path), "{other}": str(other_path)}
+    argv = [paths.get(arg, arg) for arg in argv]
     code, out, err = run_main(argv)
     assert code in (0, 2, 3, 4), (argv, cone, other, code, err)
     assert "Traceback" not in err
+    if argv[0] == "validate" and argv[2] not in ("divisor", "ideal") and "--cone" in argv:
+        assert (code, err) == (2, f"error: --cone is an option of --kind divisor or ideal, "
+                                  f"not of --kind {argv[2]}\n")
     if code == 0:
         json.loads(out)
     else:
@@ -440,6 +449,10 @@ def with_files(workdir, argv, files):
 def test_surface_standard_exit_codes(argv):
     code, out, err = run_main(argv)
     assert_exit_contract(argv, code, out, err, codes=(0, 2, 3))
+    # The family refuses another family's option before it builds a graph.
+    own = [flag.rstrip("=") for flag in STANDARD_OPTIONS[argv[3]]]
+    if any(arg.startswith("--") and arg.split("=")[0] not in own for arg in argv[4:]):
+        assert code == 2, (argv, code, err)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
