@@ -705,11 +705,12 @@ def det3(a, b, c):
 
 
 def _hull_planes(pts) -> dict:
-    """{(outward primitive normal, offset): hull vertices on that plane} for
-    sorted distinct points of Z^3.  Incremental, as in Quickhull (Barber,
-    Dobkin and Huhdanpaa, ACM TOMS 1996): the triangles a point lies strictly
-    above give way to a cone from it over their horizon, about g*h exact sign
-    tests for g points and h triangles.  Coplanar triangles share a plane.
+    """{(outward primitive normal, offset): the hull's triangles on that
+    plane} for sorted distinct points of Z^3, each triangle counter-clockwise
+    seen from outside.  Incremental, as in Quickhull (Barber, Dobkin and
+    Huhdanpaa, ACM TOMS 1996): the triangles a point lies strictly above give
+    way to a cone from it over their horizon, about g*h exact sign tests for
+    g points and h triangles.  Coplanar triangles share a plane.
     """
     if len(pts) < 4:
         return {}
@@ -753,25 +754,28 @@ def _hull_planes(pts) -> dict:
     for (u, v, w), (normal, offset) in faces.items():
         g = gcd(*normal)
         key = (tuple([x // g for x in normal]), offset // g)
-        planes.setdefault(key, set()).update((pts[u], pts[v], pts[w]))
+        planes.setdefault(key, []).append((pts[u], pts[v], pts[w]))
     return planes
 
 
-def hull_facets(points, keep):
-    """Sorted (outward primitive normal, offset, corners) facets of the
-    convex hull of integer ``points`` in Z^1, Z^2 or Z^3, the corners in
-    boundary order: the end point in 1-D, the two ends of an edge
-    counter-clockwise in 2-D, the corner cycle in 3-D.  ``keep``, a
-    predicate on the normal, drops facets before their corners are
-    ordered.  Points that do not span space give no facets."""
+def hull_facets(points):
+    """Sorted (outward primitive normal, offset, simplices) facets of the
+    convex hull of integer ``points`` in Z^1, Z^2 or Z^3, each facet given
+    by the simplices that tile it: its end point in 1-D, its edge
+    counter-clockwise in 2-D, the hull's own triangles on its plane in 3-D,
+    whose vertices may include points on the facet that are not corners.
+    Points that do not span space give no facets."""
     pts = set(map(tuple, points))
-    n = len(next(iter(pts), ()))
+    lengths = set(map(len, pts))
+    if len(lengths) > 1:
+        raise InputError(f"hull points of different dimensions {sorted(lengths)}")
+    n = lengths.pop() if lengths else 0
     if n > 3:
         raise UnsupportedDimensionError(f"hulls are computed in dimension <= 3, got {n}")
     planes = {}
     if n == 1 and len(pts) > 1:
         low, high = min(pts), max(pts)
-        planes = {((-1,), -low[0]): [low], ((1,), high[0]): [high]}
+        planes = {((-1,), -low[0]): [(low,)], ((1,), high[0]): [(high,)]}
     elif n == 2:
         # convex_hull_2d sorts the points itself.
         hull = convex_hull_2d(pts)
@@ -779,28 +783,22 @@ def hull_facets(points, keep):
             for p, q in zip(hull, hull[1:] + hull[:1]):
                 a, b = q[1] - p[1], p[0] - q[0]
                 g = gcd(a, b)
-                planes[(a // g, b // g), (a * p[0] + b * p[1]) // g] = [p, q]
+                planes[(a // g, b // g), (a * p[0] + b * p[1]) // g] = [(p, q)]
     elif n == 3:
         planes = _hull_planes(sorted(pts))
-    return [
-        (normal, offset, corners if n < 3 else order_coplanar_polygon(corners, normal))
-        for (normal, offset), corners in sorted(planes.items())
-        if keep(normal)
-    ]
+    return [(normal, offset, simplices) for (normal, offset), simplices in sorted(planes.items())]
 
 
 def fan_volume(facets) -> int:
     """n! times the volume of the cones from the origin over hull facets in
-    Z^n, n <= 3: each facet is fanned from its first corner c_0 into the
-    simplices on c_0, c_t, ..., c_{t+n-2}, of n! volume |det|, taken by det3
-    on the rows padded with zeros and the unit rows e_{n+1}, ..., e_3."""
+    Z^n, n <= 3: one |det| per simplex of each facet, taken by det3 on its
+    vertices padded with zeros and the unit rows e_{n+1}, ..., e_3."""
     total = 0
-    for _, _, corners in facets:
-        n = len(corners[0])
-        pad, units = (0,) * (3 - n), [(0, 1, 0), (0, 0, 1)][n - 1:]
-        for t in range(1, len(corners) - n + 2):
-            rows = [c + pad for c in (corners[0], *corners[t:t + n - 1])] + units
-            total += abs(det3(*rows))
+    for _, _, simplices in facets:
+        for simplex in simplices:
+            n = len(simplex)
+            pad = (0,) * (3 - n)
+            total += abs(det3(*[p + pad for p in simplex], *[(0, 1, 0), (0, 0, 1)][n - 1:]))
     return total
 
 

@@ -126,9 +126,10 @@ def lp_vertex_enumerate(problem: LPProblem):
     points = {}
     for subset in itertools.combinations(range(m), n):
         mat = tuple(problem.constraints[i][0] for i in subset)
-        if xm.determinant(mat) == 0:
+        try:
+            point = xm.solve_linear(mat, tuple(problem.constraints[i][1] for i in subset))
+        except DomainError:
             continue
-        point = xm.solve_linear(mat, tuple(problem.constraints[i][1] for i in subset))
         if all(xm.dot(normal, point) <= bound for normal, bound in problem.constraints):
             points[point] = xm.dot(problem.objective, point)
     return sorted(points.items())

@@ -661,10 +661,10 @@ def z_value(a: MonomialIdeal, v) -> Fraction:
 def samuel_multiplicity(cone: ToricCone, a: MonomialIdeal) -> Fraction:
     """n! times the covolume of the Newton region of an m-primary ideal.
 
-    The region between the dual cone and the Newton polyhedron is fanned
-    from the origin over the bounded facets of the polyhedron; bounded
-    facets are exactly those whose inward normal is interior to sigma, and
-    their cones contribute exact lattice determinants.
+    The region between the dual cone and the Newton polyhedron is tiled by
+    the cones from the origin over the simplices of the bounded facets of
+    the polyhedron, exactly those whose inward normal is interior to sigma;
+    each cone contributes one exact lattice determinant.
     """
     if cone.dim > 3:
         raise UnsupportedDimensionError(
@@ -681,16 +681,14 @@ def samuel_multiplicity(cone: ToricCone, a: MonomialIdeal) -> Fraction:
     # and their hull has the same compact faces as the polyhedron.
     points = list(gens) + [tuple([2 * x for x in g]) for g in a.ray_generators.values()]
 
-    def inward(normal):
-        return cone._min_pairing([-x for x in normal]) > 0
-
-    faces = xm.hull_facets(points, keep=inward)
+    faces = [f for f in xm.hull_facets(points) if cone._min_pairing([-x for x in f[0]]) > 0]
     rim = set()
-    for normal, offset, corners in faces:
-        compact = inward(normal) and all(_idot(normal, g) <= offset for g in gens)
-        check(compact, "a kept hull face is not a compact face of the Newton polyhedron")
-        # The ridges of the face: none in 1-D, its ends in 2-D, its edges in 3-D.
-        rim ^= set(map(frozenset, zip(*[corners[i:] + corners[:i] for i in range(cone.dim - 1)])))
+    for normal, offset, simplices in faces:
+        check(all(_idot(normal, g) <= offset for g in gens),
+              "a kept hull face is not a compact face of the Newton polyhedron")
+        # Each simplex's ridges, mod 2: a ridge two kept simplices share cancels.
+        for simplex in simplices:
+            rim ^= set(map(frozenset, itertools.combinations(simplex, cone.dim - 1)))
     # Counted mod 2, the boundary of the kept faces lies on the boundary of
     # the dual cone only when they are all the compact faces.
     on_rim = all(any(all(_idot(x, r) == 0 for x in cell) for r in cone.rays) for cell in rim)

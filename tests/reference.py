@@ -209,17 +209,12 @@ def fraction_dot(u, v):
 # -- geometry ------------------------------------------------------------------
 
 
-def all_facets(points):
-    """Every facet of the shared hull of integer points."""
-    return xm.hull_facets(points, lambda normal: True)
-
-
 def lattice_volume(points):
     """n! times the volume of the hull of integer points of Z^n, n <= 3: the
     cones from its least vertex over its facets tile it."""
     pts = sorted(set(map(tuple, points)))
     moved = [sub(p, pts[0]) for p in pts]
-    return xm.fan_volume(all_facets(moved))
+    return xm.fan_volume(xm.hull_facets(moved))
 
 
 def brute_force_facets(points):
@@ -271,6 +266,17 @@ def facet_corners(plane_pts, normal):
         along = sorted(plane_pts, key=lambda q: idot(q, (-normal[1], normal[0])))
         return [along[0], along[-1]]
     return order_coplanar_polygon(plane_pts, normal)
+
+
+def corner_fan_volume(corners):
+    """n! times the volume of the cone from the origin over a facet given
+    by its corners in boundary order, fanned from its first corner."""
+    if len(corners[0]) == 1:
+        return abs(corners[0][0])
+    if len(corners[0]) == 2:
+        (a, b), (c, d) = corners
+        return abs(a * d - b * c)
+    return sum(abs(det3(corners[0], p, q)) for p, q in zip(corners[1:], corners[2:]))
 
 
 def fraction_cross2(o, a, b):
@@ -326,18 +332,7 @@ def brute_force_samuel(cone, ideal):
             c = idot(u, subset[0])
             if cone.interior_contains(u) and all(idot(u, g) >= c for g in gens):
                 faces[u] = [g for g in gens if idot(u, g) == c]
-    total = 0
-    for u, pts in faces.items():
-        if cone.dim == 1:
-            total += abs(pts[0][0])
-        elif cone.dim == 2:
-            p, q = min(pts), max(pts)
-            total += abs(p[0] * q[1] - q[0] * p[1])
-        else:
-            cycle = order_coplanar_polygon(pts, u)
-            for t in range(1, len(cycle) - 1):
-                total += abs(det3(cycle[0], cycle[t], cycle[t + 1]))
-    return F(total)
+    return F(sum(corner_fan_volume(facet_corners(pts, u)) for u, pts in faces.items()))
 
 
 def brute_force_power(a, k):

@@ -37,8 +37,9 @@ from singvol.toric import minimal_elements
 
 from conftest import CONES_3D, apply, random_m_primary_ideal, random_unimodular, run_python, transpose
 from reference import (
-    all_facets, brute_force_facets, brute_force_minimal, brute_force_power, brute_force_samuel,
-    fraction_det3, fraction_hull_2d, idot, lattice_volume, subset_mixed_multiplicity,
+    brute_force_facets, brute_force_minimal, brute_force_power, brute_force_samuel,
+    corner_fan_volume, fraction_det3, fraction_hull_2d, idot, lattice_volume, sub,
+    subset_mixed_multiplicity,
 )
 
 
@@ -124,21 +125,79 @@ def random_cone(rng):
 # -- the hull ------------------------------------------------------------------
 
 
+def ridges(simplices):
+    """The ridges of the simplices counted mod 2, each as a set of points."""
+    cells = set()
+    for simplex in simplices:
+        cells ^= set(map(frozenset, itertools.combinations(simplex, len(simplex) - 1)))
+    return cells
+
+
+def corner_boundary(corners, vertices):
+    """The boundary of a facet read off its corners: the empty cell of a
+    point, the two ends of an edge, the edges of a polygon's corner cycle
+    split at the given vertices that lie on them."""
+    if len(corners[0]) < 3:
+        return set(map(frozenset, itertools.combinations(corners, len(corners[0]) - 1)))
+    cells = set()
+    for c, d in zip(corners, corners[1:] + corners[:1]):
+        step = sub(d, c)
+        on = sorted(
+            (idot(sub(p, c), step), p) for p in vertices
+            if not any(cross3(step, sub(p, c))) and 0 <= idot(sub(p, c), step) <= idot(step, step)
+        )
+        cells |= {frozenset((p, q)) for (_, p), (_, q) in zip(on, on[1:])}
+    return cells
+
+
+def turns_outward(normal, simplex):
+    """Whether a simplex runs counter-clockwise seen from outside: its edge
+    along the normal turned a quarter left in 2-D, its triangle's cross
+    product along the normal in 3-D."""
+    if len(simplex) == 1:
+        return True
+    if len(simplex) == 2:
+        return idot(sub(simplex[1], simplex[0]), (-normal[1], normal[0])) > 0
+    a, b, c = simplex
+    return idot(normal, cross3(sub(b, a), sub(c, a))) > 0
+
+
 def assert_matches_brute_force(pts):
-    facets, reference = all_facets(pts), brute_force_facets(pts)
-    if facets:
-        assert facets == reference, pts
-    else:
+    """The facets have the enumerated planes, and each facet's simplices lie
+    on its plane, turn outward, cover its corners, sum to its corner fan's
+    |det| and have its corner boundary, split at collinear points, as their
+    ridges mod 2."""
+    facets, reference = hull_facets(pts), brute_force_facets(pts)
+    if not facets:
         # Points that span no space have no facets; for a planar set the
         # enumeration gives its polygon on whichever sides its triples face.
         assert len({max(n, tuple(-x for x in n)) for n, _, _ in reference}) <= 1, pts
+        return
+    assert [(n, c) for n, c, _ in facets] == [(n, c) for n, c, _ in reference], pts
+    for facet, (_, _, corners) in zip(facets, reference):
+        normal, offset, simplices = facet
+        vertices = {p for simplex in simplices for p in simplex}
+        assert all(idot(normal, p) == offset for p in vertices), pts
+        assert all(turns_outward(normal, simplex) for simplex in simplices), pts
+        assert set(corners) <= vertices, pts
+        assert xm.fan_volume([facet]) == corner_fan_volume(corners), pts
+        assert ridges(simplices) == corner_boundary(corners, vertices), pts
+
+
+def unimodular_image(rng, pts):
+    """The points moved by a random matrix of GL_n(Z), n their dimension."""
+    n = len(pts[0]) if pts else 3
+    a = [[rng.choice([-1, 1])]] if n == 1 else random_unimodular(rng, n)[0]
+    return [apply(a, p) for p in pts]
 
 
 class TestHullAgainstBruteForce:
     def test_random_and_degenerate_point_sets(self):
         rng = random.Random(2024)
         for _ in range(250):
-            assert_matches_brute_force(random_point_set(rng))
+            pts = random_point_set(rng)
+            assert_matches_brute_force(pts)
+            assert_matches_brute_force(unimodular_image(rng, pts))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), max_size=16))
@@ -148,9 +207,13 @@ class TestHullAgainstBruteForce:
     def test_line_and_plane_point_sets(self):
         rng = random.Random(2025)
         for _ in range(250):
-            assert_matches_brute_force(random_plane_points(rng))
+            pts = random_plane_points(rng)
+            assert_matches_brute_force(pts)
+            assert_matches_brute_force(unimodular_image(rng, pts))
             r = rng.randint(1, 6)
-            assert_matches_brute_force([(rng.randint(-r, r),) for _ in range(rng.randint(0, 6))])
+            line = [(rng.randint(-r, r),) for _ in range(rng.randint(0, 6))]
+            assert_matches_brute_force(line)
+            assert_matches_brute_force(unimodular_image(rng, line))
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(st.lists(st.tuples(st.integers(-5, 5)), max_size=8),
@@ -158,42 +221,57 @@ class TestHullAgainstBruteForce:
     def test_hypothesis_line_and_plane_point_sets(self, pts):
         assert_matches_brute_force(pts)
 
-    def test_corners_of_a_segment_and_a_triangle(self):
-        assert all_facets([(4,), (-2,), (1,)]) == [((-1,), 2, [(-2,)]), ((1,), 4, [(4,)])]
-        assert all_facets([(0, 0), (2, 0), (0, 4), (1, 0)]) == [
-            ((-1, 0), 0, [(0, 4), (0, 0)]),
-            ((0, -1), 0, [(0, 0), (2, 0)]),
-            ((2, 1), 4, [(2, 0), (0, 4)]),
+    def test_simplices_of_a_segment_and_a_triangle(self):
+        assert hull_facets([(4,), (-2,), (1,)]) == [((-1,), 2, [((-2,),)]), ((1,), 4, [((4,),)])]
+        assert hull_facets([(0, 0), (2, 0), (0, 4), (1, 0)]) == [
+            ((-1, 0), 0, [((0, 4), (0, 0))]),
+            ((0, -1), 0, [((0, 0), (2, 0))]),
+            ((2, 1), 4, [((2, 0), (0, 4))]),
         ]
 
     def test_four_dimensional_points_raise(self):
         with pytest.raises(xm.UnsupportedDimensionError):
-            all_facets([(0, 0, 0, 0), (1, 0, 0, 0)])
+            hull_facets([(0, 0, 0, 0), (1, 0, 0, 0)])
+
+    @pytest.mark.parametrize("pts", [
+        [(0, 0), (2, 0), (0, 2), (1,)],
+        [(0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+        [(0, 0, 0), (1, 0)],
+    ])
+    def test_points_of_mixed_dimension_raise(self, pts):
+        with pytest.raises(InputError, match="different dimensions"):
+            hull_facets(pts)
 
     def test_cube_lattice_points(self):
+        # Each face of the cube [0, 3]^3 has twice its area, 18, in its
+        # triangles, whatever lattice points of the face they use.
         pts = list(itertools.product(range(4), repeat=3))
-        facets = all_facets(pts)
+        facets = hull_facets(pts)
         assert len(facets) == 6
-        assert all(len(cycle) == 4 for _, _, cycle in facets)
+        for normal, _, triangles in facets:
+            assert sum(idot(normal, cross3(sub(b, a), sub(c, a))) for a, b, c in triangles) == 18
         assert lattice_volume(pts) == 6 * 27
 
     def test_degenerate_sets(self):
-        assert all_facets([]) == []
-        assert all_facets([(3,), (3,)]) == []
-        assert all_facets([(1, 2), (1, 2)]) == []
-        assert all_facets([(0, 0), (1, 1), (3, 3)]) == []
-        assert all_facets([(1, 2, 3), (1, 2, 3)]) == []
-        assert all_facets([(0, 0, 0), (1, 1, 1), (3, 3, 3)]) == []
-        assert all_facets([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 0)]) == []
+        assert hull_facets([]) == []
+        assert hull_facets([(3,), (3,)]) == []
+        assert hull_facets([(1, 2), (1, 2)]) == []
+        assert hull_facets([(0, 0), (1, 1), (3, 3)]) == []
+        assert hull_facets([(1, 2, 3), (1, 2, 3)]) == []
+        assert hull_facets([(0, 0, 0), (1, 1, 1), (3, 3, 3)]) == []
+        assert hull_facets([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 0)]) == []
 
-    def test_keep_filters_before_ordering(self):
+    def test_each_facet_of_a_tetrahedron_is_one_triangle(self):
         pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        kept = hull_facets(pts, keep=lambda n: sum(n) > 0)
-        assert [(n, c) for n, c, _ in kept] == [((1, 1, 1), 1)]
+        facets = hull_facets(pts)
+        assert [(n, c) for n, c, _ in facets] == [
+            ((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((1, 1, 1), 1)]
+        assert all(len(triangles) == 1 for _, _, triangles in facets)
+        assert set(facets[-1][2][0]) == set(pts[1:])
 
-    def test_keep_is_required(self):
+    def test_points_are_the_only_argument(self):
         with pytest.raises(TypeError):
-            hull_facets([(0,), (1,)])
+            hull_facets([(0,), (1,)], lambda normal: True)
 
     def test_corner_simplex_volumes(self):
         # n! times the volume of a corner simplex is the product of its legs.
@@ -269,6 +347,14 @@ class TestHull2dAgainstFractions:
 # -- multiplicities ------------------------------------------------------------
 
 
+# (2, 2, 0) halves the compact edge from (4, 0, 0) to (0, 4, 0) and (1, 1, 2)
+# lies inside the compact facet x + y + z = 4: neither is a corner.
+ORTHANT_IDEAL = MonomialIdeal(
+    ToricCone([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    [(4, 0, 0), (0, 4, 0), (0, 0, 4), (2, 2, 0), (1, 1, 2)],
+)
+
+
 class TestSamuelAgainstBruteForce:
     def test_random_ideals(self):
         rng = random.Random(77)
@@ -283,6 +369,15 @@ class TestSamuelAgainstBruteForce:
         m = maximal_ideal(cone)
         assert {g[2] for g in m.gens} == {1}
         assert samuel_multiplicity(cone, m) == 9 == brute_force_samuel(cone, m)
+
+    def test_generators_inside_a_compact_edge_and_facet(self):
+        a = ORTHANT_IDEAL
+        points = list(a.gens) + [(8, 0, 0), (0, 8, 0), (0, 0, 8)]
+        [(_, _, triangles)] = [f for f in hull_facets(points) if f[0] == (-1, -1, -1)]
+        assert {(2, 2, 0), (1, 1, 2)} <= {p for triangle in triangles for p in triangle}
+        assert samuel_multiplicity(a.cone, a) == 64 == brute_force_samuel(a.cone, a)
+        a2 = ideal_power(a, 2)
+        assert samuel_multiplicity(a.cone, a2) == 512 == brute_force_samuel(a.cone, a2)
 
     def test_large_powers(self):
         quadric = ToricCone(CONES_3D["quadric"])
@@ -652,19 +747,38 @@ class TestMixedIntegralityCheck:
         assert proc.stdout.strip() == "checked", proc.stderr
 
 
+def is_compact(cone, facet):
+    """Whether a hull facet's inward normal is interior to the cone."""
+    return cone.interior_contains(tuple(-x for x in facet[0]))
+
+
+def mutate_hull(monkeypatch, mutate):
+    """Hand samuel_multiplicity the facets of hull_facets changed by mutate."""
+    hull = xm.hull_facets
+    monkeypatch.setattr(xm, "hull_facets", lambda pts: mutate(hull(pts)))
+
+
+def shift_first_compact_plane(cone):
+    """A mutant moving the plane of the first compact facet one step
+    inward, past the generators on it."""
+    def mutate(facets):
+        k = next(k for k, facet in enumerate(facets) if is_compact(cone, facet))
+        normal, offset, simplices = facets[k]
+        return facets[:k] + [(normal, offset - 1, simplices)] + facets[k + 1:]
+    return mutate
+
+
 class TestCompactFaceVerifier:
-    def test_non_compact_face_raises(self, monkeypatch):
-        hull = xm.hull_facets
-        monkeypatch.setattr(xm, "hull_facets", lambda pts, keep: hull(pts, lambda normal: True))
+    def test_shifted_plane_raises(self, monkeypatch):
         quadric = ToricCone(CONES_3D["quadric"])
+        mutate_hull(monkeypatch, shift_first_compact_plane(quadric))
         with pytest.raises(InternalError, match="not a compact face"):
             samuel_multiplicity(quadric, maximal_ideal(quadric))
 
     @pytest.mark.parametrize("ray", [1, -1])
-    def test_non_compact_point_raises_in_1d(self, monkeypatch, ray):
-        hull = xm.hull_facets
-        monkeypatch.setattr(xm, "hull_facets", lambda pts, keep: hull(pts, lambda normal: True))
+    def test_shifted_point_raises_in_1d(self, monkeypatch, ray):
         line = ToricCone([(ray,)])
+        mutate_hull(monkeypatch, shift_first_compact_plane(line))
         with pytest.raises(InternalError, match="not a compact face"):
             samuel_multiplicity(line, MonomialIdeal(line, [(2 * ray,)]))
 
@@ -673,14 +787,12 @@ class TestCompactFaceVerifier:
         line = ToricCone([(ray,)])
         ideal = MonomialIdeal(line, [(2 * ray,)])
         assert samuel_multiplicity(line, ideal) == 2
-        hull = xm.hull_facets
 
-        def without_point(pts, keep):
-            facets = hull(pts, keep)
-            assert len(facets) == 1
-            return []
+        def without_point(facets):
+            assert sum(is_compact(line, facet) for facet in facets) == 1
+            return [facet for facet in facets if not is_compact(line, facet)]
 
-        monkeypatch.setattr(xm, "hull_facets", without_point)
+        mutate_hull(monkeypatch, without_point)
         with pytest.raises(InternalError, match="do not cover"):
             samuel_multiplicity(line, ideal)
 
@@ -704,16 +816,31 @@ class TestCompactFaceVerifier:
         gens = [tuple(3 * x for x in w) for w in quadric.facet_normals] + [(1, 1, 1)]
         ideal = MonomialIdeal(quadric, gens)
         assert samuel_multiplicity(quadric, ideal) == 36
-        hull = xm.hull_facets
 
-        def without_face(pts, keep):
-            facets = hull(pts, keep)
-            assert len(facets) == 4
-            return facets[:dropped] + facets[dropped + 1:]
+        def without_face(facets):
+            compact = [facet for facet in facets if is_compact(quadric, facet)]
+            assert len(compact) == 4
+            return [facet for facet in facets if facet is not compact[dropped]]
 
-        monkeypatch.setattr(xm, "hull_facets", without_face)
+        mutate_hull(monkeypatch, without_face)
         with pytest.raises(InternalError, match="do not cover"):
             samuel_multiplicity(quadric, ideal)
+
+    @pytest.mark.parametrize("dropped", range(4))
+    def test_missing_triangle_raises(self, monkeypatch, dropped):
+        # The one compact facet of ORTHANT_IDEAL is four hull triangles;
+        # losing any one leaves its inner edges on the rim.
+        orthant = ORTHANT_IDEAL.cone
+
+        def without_triangle(facets):
+            [(normal, offset, triangles)] = [f for f in facets if is_compact(orthant, f)]
+            assert len(triangles) == 4
+            kept = (normal, offset, triangles[:dropped] + triangles[dropped + 1:])
+            return [kept if f[0] == normal else f for f in facets]
+
+        mutate_hull(monkeypatch, without_triangle)
+        with pytest.raises(InternalError, match="do not cover"):
+            samuel_multiplicity(orthant, ORTHANT_IDEAL)
 
     def test_missing_edge_raises(self, monkeypatch):
         plane = ToricCone(CONES_2D["plane"])
@@ -730,16 +857,26 @@ class TestCompactFaceVerifier:
             samuel_multiplicity(plane, ideal)
 
     def test_checks_survive_optimize_flag(self):
+        # A dropped triangle, a dropped point and a plane shifted past a
+        # generator, each in a fresh interpreter under python -O.
         script = (
             "import singvol.exactmath as xm\n"
-            "from singvol import InternalError, ToricCone, maximal_ideal, samuel_multiplicity\n"
+            "from singvol import InternalError, MonomialIdeal, ToricCone, samuel_multiplicity\n"
             "hull = xm.hull_facets\n"
-            "xm.hull_facets = lambda pts, keep: hull(pts, lambda normal: True)\n"
-            "cone = ToricCone([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)])\n"
-            "try:\n"
-            "    samuel_multiplicity(cone, maximal_ideal(cone))\n"
-            "except InternalError:\n"
-            "    print('checked')\n"
+            "orthant = ToricCone([(1, 0, 0), (0, 1, 0), (0, 0, 1)])\n"
+            "line = ToricCone([(1,)])\n"
+            "cases = [\n"
+            "    (orthant, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)],\n"
+            "     lambda fs: [(n, c, s[1:] if n == (-1, -1, -1) else s) for n, c, s in fs]),\n"
+            "    (line, [(2,)], lambda fs: [f for f in fs if f[0] != (-1,)]),\n"
+            "    (line, [(2,)], lambda fs: [(n, c - (n == (-1,)), s) for n, c, s in fs]),\n"
+            "]\n"
+            "for cone, gens, mutate in cases:\n"
+            "    xm.hull_facets = lambda pts: mutate(hull(pts))\n"
+            "    try:\n"
+            "        samuel_multiplicity(cone, MonomialIdeal(cone, gens))\n"
+            "    except InternalError:\n"
+            "        print('checked')\n"
         )
         proc = run_python(script, "-O")
-        assert proc.stdout.strip() == "checked", proc.stderr
+        assert proc.stdout.split() == ["checked"] * 3, proc.stderr
